@@ -77,4 +77,4 @@ from .solver import (
     zonal_moments,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -8,17 +8,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import brentq
 
-from .dynamics import density_on_grid, grid_norm, make_grid, step
 from .errors import (
     BranchNotFoundError,
     DegenerateIndexError,
     InconclusiveAuditError,
     MarginalStabilityError,
+    SingularLinearizationError,
     ThresholdUndefinedError,
     ValidationError,
 )
 from .kernel import KernelSpec, tail_bound
-from .polybasis import harmonic_count, legendre_eval
+from .polybasis import harmonic_count
 from .solver import (
     AxisymState,
     SolutionReport,
@@ -189,26 +189,33 @@ def uniqueness_thresholds(spec: KernelSpec) -> ThresholdReport:
     )
 
 
-def index_of(report: SolutionReport, spec: KernelSpec, lam: float) -> int:
-    """Brouwer index sign det(I - J) at a converged solution.
+def _spectrum(report: SolutionReport, spec: KernelSpec, lam: float,
+              degenerate: type) -> np.ndarray:
+    """Eigenvalues mu of J at a converged solution, at the report's own
+    truncation: the one linear analysis behind index and stability.
 
-    The degeneracy test compares the smallest singular value of I - J
-    against max(largest singular value, 1), the natural scale of the
-    matrix.
+    J = diag(lam k) Cov with Cov symmetric positive definite, so J is
+    similar to a symmetric matrix and mu is real; sign det(I - J) =
+    (-1)^#{mu > 1}, and the solution is stable under the relaxation flow
+    exactly when every mu < 1.  Raises `degenerate` when
+    min |1 - mu| <= 1e-12 max(1, max |1 - mu|).
     """
     if not report.converged:
-        raise ValueError("index is only defined at converged solutions")
-    mat = np.eye(report.state.N) - jacobian(report.state, spec, lam)
-    sign, _ = np.linalg.slogdet(mat)
-    svals = np.linalg.svd(mat, compute_uv=False)
-    if sign == 0.0 or svals[-1] <= 1e-12 * max(svals[0], 1.0):
-        raise DegenerateIndexError(
-            f"det(I - J) degenerate at lambda = {lam}")
-    return 1 if sign > 0 else -1
+        raise ValueError("index and stability are only defined at "
+                         "converged solutions")
+    mu = np.linalg.eigvals(jacobian(report.state, spec, lam))
+    gaps = np.abs(1.0 - mu)
+    if gaps.min() <= 1e-12 * max(1.0, gaps.max()):
+        raise degenerate(f"I - J degenerate at lambda = {lam}")
+    return mu
 
 
-def _census_key(report: SolutionReport) -> tuple:
-    return tuple(round(c, 6) for c in report.state.coeffs)
+def index_of(report: SolutionReport, spec: KernelSpec, lam: float) -> int:
+    """Brouwer index sign det(I - J) at a converged solution:
+    (-1)^(number of eigenvalues of J above 1).  Complex eigenvalues come
+    in conjugate pairs, so counting real parts keeps the parity."""
+    mu = _spectrum(report, spec, lam, DegenerateIndexError)
+    return -1 if np.count_nonzero(mu.real > 1.0) % 2 else 1
 
 
 def degree_audit(spec: KernelSpec, lam: float, n_starts: int, seed: int,
@@ -259,7 +266,7 @@ def _seed_solution(spec, n, lam, sign, delta, n_modes, tol):
         guess = AxisymState(D=spec.D, coeffs=coeffs)
         try:
             report = solve(spec, lam, guess, method="newton", tol=tol)
-        except Exception:
+        except SingularLinearizationError:
             continue
         u = report.state.coeffs
         if (report.converged and _norm(report.state) > 100 * tol
@@ -330,7 +337,7 @@ def trace_branch(spec: KernelSpec, n: int, lambda_end: float, steps: int,
                 try:
                     report = solve(spec, float(lam_next), state,
                                    method="newton", tol=tol)
-                except Exception:
+                except SingularLinearizationError:
                     break
                 u = report.state.coeffs
                 # a collapse by an order of magnitude means the
@@ -358,44 +365,12 @@ def trace_branch(spec: KernelSpec, n: int, lambda_end: float, steps: int,
     return Branch(mode=n, origin=origin, points=tuple(points))
 
 
-def classify_stability(point, spec: KernelSpec, grid_points: int = 64,
-                       horizon: float = 2.0, eps: float = 1e-3,
-                       rate_tol: float = 1e-8) -> str:
-    """Stability of a solution under the relaxation dynamics.
-
-    Perturbs the solution's density along each retained mode, evolves the
-    perturbed and unperturbed densities side by side and measures the
-    growth rate of their separation over the second half of the horizon.
-    Stable means every rate is negative; a rate inside (-rate_tol,
-    rate_tol) is inconclusive.
+def classify_stability(point, spec: KernelSpec) -> str:
+    """Stability of a solution (lam, report) under the relaxation dynamics:
+    "stable" when every eigenvalue of J at the report's truncation has
+    real part below 1, "unstable" otherwise.  An eigenvalue at 1 to
+    rounding raises MarginalStabilityError.
     """
     lam, report = point
-    if not report.converged:
-        raise ValueError("stability is only defined at converged solutions")
-    grid = make_grid(spec.D, grid_points)
-    base = density_on_grid(report.state, lam, grid)
-    dt = grid.h ** 2 / 8.0
-    n_steps = max(2, round(horizon / dt))
-    half = n_steps // 2
-    t = np.cos(grid.points)
-    rates = []
-    for mode in range(1, report.state.N + 1):
-        shape = legendre_eval(spec.D, 2 * mode, t)
-        f = base * (1.0 + eps * shape)
-        fb = base.copy()
-        d_half = None
-        for k in range(1, n_steps + 1):
-            f = step(f, spec, lam, dt, grid)
-            fb = step(fb, spec, lam, dt, grid)
-            if k == half:
-                d_half = grid_norm(f - fb, grid)
-        d_end = grid_norm(f - fb, grid)
-        if d_half <= 0 or d_end <= 0:
-            raise MarginalStabilityError(
-                f"mode {mode} perturbation vanished identically")
-        rate = math.log(d_end / d_half) / ((n_steps - half) * dt)
-        if abs(rate) < rate_tol:
-            raise MarginalStabilityError(
-                f"mode {mode} decay rate {rate} is inconclusive")
-        rates.append(rate)
-    return "stable" if all(r < 0 for r in rates) else "unstable"
+    mu = _spectrum(report, spec, lam, MarginalStabilityError)
+    return "stable" if np.all(mu.real < 1.0) else "unstable"

@@ -52,11 +52,12 @@ def _fmt(value) -> str:
 
 
 def emit_table(records, path, fmt: str):
-    """Write records (list of dicts with identical keys) to path.
+    """Write records (list of dicts with identical keys) to path, or to
+    stdout when path is None.
 
-    CSV output carries 17 significant digits and LF line endings and is
-    accompanied by a JSON mirror at the same stem; JSON output stands
-    alone.  Identical records produce byte-identical files.
+    CSV output carries 17 significant digits and LF line endings; a CSV
+    file is accompanied by a JSON mirror at the same stem, JSON output
+    stands alone.  Identical records produce byte-identical output.
     """
     if not records:
         raise ValidationError("no records to write")
@@ -68,19 +69,23 @@ def emit_table(records, path, fmt: str):
         raise ValidationError(f"unknown format {fmt!r}")
     json_text = json.dumps(records, indent=2) + "\n"
     if fmt == "json":
-        with open(path, "w", newline="\n") as fh:
-            fh.write(json_text)
+        text = json_text
+    else:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(keys)
+        for rec in records:
+            writer.writerow([_fmt(rec[k]) for k in keys])
+        text = buf.getvalue()
+    if path is None:
+        sys.stdout.write(text)
         return
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(keys)
-    for rec in records:
-        writer.writerow([_fmt(rec[k]) for k in keys])
     with open(path, "w", newline="\n") as fh:
-        fh.write(buf.getvalue())
-    stem, _ = os.path.splitext(path)
-    with open(stem + ".json", "w", newline="\n") as fh:
-        fh.write(json_text)
+        fh.write(text)
+    if fmt == "csv":
+        stem, _ = os.path.splitext(path)
+        with open(stem + ".json", "w", newline="\n") as fh:
+            fh.write(json_text)
 
 
 def _default_order() -> int:
@@ -189,21 +194,42 @@ def _validate(cfg: dict, command: str):
         truncs = _parse_int_list(cfg["truncations"])
         if not truncs or any(t < 1 for t in truncs):
             raise ValidationError("--truncations must be positive integers")
+        if max(truncs) > cfg["nmax"]:
+            raise ValidationError(
+                f"--truncations entries must be <= --nmax {cfg['nmax']}, "
+                f"got {max(truncs)}")
     if command == "evolve":
-        positive("grid")
+        if cfg["grid"] < dynamics.MIN_POINTS:
+            raise ValidationError(f"--grid must be >= {dynamics.MIN_POINTS}, "
+                                  f"got {cfg['grid']}")
         positive("t_max")
         positive("perturb")
         positive("record_every")
         if cfg["dt"] is not None and cfg["dt"] <= 0:
             raise ValidationError("--dt must be positive")
-    if command == "solve" and cfg["modes"] is not None and cfg["modes"] < 1:
-        raise ValidationError("--modes must be >= 1")
+    if command in ("solve", "sweep") and cfg["modes"] is not None:
+        if not 1 <= cfg["modes"] <= cfg["nmax"]:
+            raise ValidationError(f"--modes must be in 1..{cfg['nmax']} "
+                                  f"(--nmax), got {cfg['modes']}")
+    if command == "solve" and cfg["init"]:
+        _parse_init(cfg["init"])
 
 
 def _parse_int_list(text) -> list:
     if isinstance(text, (list, tuple)):
         return [int(v) for v in text]
     return [int(v) for v in str(text).split(",") if v.strip()]
+
+
+def _parse_init(text) -> list:
+    try:
+        values = [float(v) for v in str(text).split(",") if v.strip()]
+        if all(math.isfinite(v) for v in values):
+            return values
+    except ValueError:
+        pass
+    raise ValidationError(
+        f"--init must be comma-separated finite numbers, got {text!r}")
 
 
 def _state_columns(coeffs, width) -> dict:
@@ -254,7 +280,7 @@ def _run_solve(cfg):
     modes = cfg["modes"] if cfg["modes"] is not None else cfg["nmax"]
     coeffs = np.zeros(modes)
     if cfg["init"]:
-        given = [float(v) for v in str(cfg["init"]).split(",") if v.strip()]
+        given = _parse_init(cfg["init"])
         if len(given) > modes:
             raise ValidationError(f"--init has {len(given)} entries for "
                                   f"{modes} modes")
@@ -366,19 +392,6 @@ def _write_error_record(cfg, exc):
     sys.stderr.write(text)
 
 
-def _emit(records, cfg):
-    if cfg["output"] is None:
-        keys = list(records[0].keys())
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(keys)
-        for rec in records:
-            writer.writerow([_fmt(rec[k]) for k in keys])
-        sys.stdout.write(out.getvalue())
-    else:
-        emit_table(records, cfg["output"], cfg["fmt"])
-
-
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -402,7 +415,7 @@ def main(argv=None) -> int:
         return 2
     try:
         records = _RUNNERS[command](cfg)
-        _emit(records, cfg)
+        emit_table(records, cfg["output"], cfg["fmt"])
     except ValidationError as e:
         sys.stderr.write(f"onsager: {e}\n")
         return 2

@@ -57,16 +57,11 @@ def make_grid(D: int, G: int) -> ThetaGrid:
 
 
 @lru_cache(maxsize=64)
-def _grid_tables(D: int, G: int, n_modes: int):
-    """sin^(D-2) at nodes and faces, mode values at nodes, area prefactor."""
+def _face_sines(D: int, G: int) -> np.ndarray:
+    """sin^(D-2) at the interior cell faces."""
     h = math.pi / (G + 1)
-    theta = h * np.arange(1, G + 1)
-    s_nodes = np.sin(theta) ** (D - 2)
     faces = h * (np.arange(1, G) + 0.5)
-    s_faces = np.sin(faces) ** (D - 2)
-    table = legendre_table(D, 2 * n_modes, np.cos(theta))[2::2]
-    prefac = surface_area(D - 1) * h
-    return s_nodes, s_faces, table, prefac
+    return np.sin(faces) ** (D - 2)
 
 
 @lru_cache(maxsize=64)
@@ -165,7 +160,7 @@ def _flux_step(f, potential, grid, dt):
     weights in grid_energy the update is an exact discrete gradient flow,
     so the free energy is a Lyapunov function of the scheme and not only
     of the continuum limit."""
-    _, s_faces, _, _ = _grid_tables(grid.D, grid.G, 1)
+    s_faces = _face_sines(grid.D, grid.G)
     volumes, _, _ = _moment_tables(grid.D, grid.G, 1)
     h = grid.h
     shifted = potential - potential.min()

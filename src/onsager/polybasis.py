@@ -86,16 +86,19 @@ def _check_domain(t):
     return t
 
 
-def _gegenbauer_recurrence(alpha: float, n: int, t: np.ndarray) -> np.ndarray:
-    """C_n^(alpha)(t) by the standard three-term recurrence."""
-    if n == 0:
-        return np.ones_like(t)
+def _gegenbauer_rows(alpha: float, max_degree: int, t: np.ndarray):
+    """Raw C_k^(alpha)(t) for k = 0..max_degree by the standard three-term
+    recurrence, yielded one degree at a time."""
     c_prev = np.ones_like(t)
+    yield c_prev
+    if max_degree == 0:
+        return
     c = 2.0 * alpha * t
-    for k in range(2, n + 1):
+    yield c
+    for k in range(2, max_degree + 1):
         c, c_prev = (2.0 * (k + alpha - 1.0) * t * c
                      - (k + 2.0 * alpha - 2.0) * c_prev) / k, c
-    return c
+        yield c
 
 
 def gegenbauer_eval(idx: BasisIndex, t, deriv: int = 0):
@@ -107,12 +110,12 @@ def gegenbauer_eval(idx: BasisIndex, t, deriv: int = 0):
     if deriv not in (0, 1):
         raise ValueError("deriv must be 0 or 1")
     if deriv == 0:
-        out = _gegenbauer_recurrence(idx.alpha, idx.n, t_arr)
+        *_, out = _gegenbauer_rows(idx.alpha, idx.n, t_arr)
     elif idx.n == 0:
         out = np.zeros_like(t_arr)
     else:
-        out = 2.0 * idx.alpha * _gegenbauer_recurrence(
-            idx.alpha + 1.0, idx.n - 1, t_arr)
+        *_, c = _gegenbauer_rows(idx.alpha + 1.0, idx.n - 1, t_arr)
+        out = 2.0 * idx.alpha * c
     return float(out) if np.ndim(t) == 0 else out
 
 
@@ -143,15 +146,7 @@ def legendre_table(D: int, max_degree: int, t: np.ndarray) -> np.ndarray:
     t = _check_domain(t)
     alpha = (D - 2) / 2
     table = np.empty((max_degree + 1, t.size))
-    c_prev = np.ones_like(t)
-    table[0] = c_prev
-    if max_degree == 0:
-        return table
-    c = 2.0 * alpha * t
-    table[1] = c / gegenbauer_at_one(alpha, 1)
-    for k in range(2, max_degree + 1):
-        c, c_prev = (2.0 * (k + alpha - 1.0) * t * c
-                     - (k + 2.0 * alpha - 2.0) * c_prev) / k, c
+    for k, c in enumerate(_gegenbauer_rows(alpha, max_degree, t)):
         table[k] = c / gegenbauer_at_one(alpha, k)
     return table
 

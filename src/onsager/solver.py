@@ -3,7 +3,7 @@ sum_n u_n P_{2n}(D, cos theta), the mean-field operator, its Jacobian,
 Picard/Newton iteration, density recovery and free energy."""
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -206,17 +206,28 @@ def jacobian(state: AxisymState, spec: KernelSpec, lam: float,
 
     At u = 0 this is diag(lam k_n / N(D, 2n)).
     """
+    return _residual_and_jacobian(state, spec, lam, order)[1]
+
+
+def _residual_and_jacobian(state: AxisymState, spec: KernelSpec, lam: float,
+                           order: int):
+    """residual() and jacobian() from one density pass, with the same
+    arithmetic as each, so both agree with the separate calls bit for
+    bit."""
     if state.D != spec.D:
         raise ValueError("state and kernel dimension mismatch")
+    if state.N > spec.n_max:
+        raise ValueError("state truncation exceeds kernel table")
     _, gw, table, base = _density_weights(state, order)
     a = table @ gw - base
+    res = state.coeffs - (-lam * spec.coeffs[:state.N] * a)
     second = (table * gw) @ table.T
     cov = second - np.outer(a, a)
-    return lam * spec.coeffs[:state.N, None] * cov
+    return res, lam * spec.coeffs[:state.N, None] * cov
 
 
-def _make_report(state, spec, lam, iterations, method, tol, order):
-    res = residual(state, spec, lam, order=order)
+def _make_report(state, res, spec, lam, iterations, method, tol):
+    """Report for state, whose residual res the caller has computed."""
     res_norm = state_norm(state.D, res)
     sup_u = state_sup_norm(state)
     lam_khat = lam * spec.sup_norm_khat
@@ -226,25 +237,27 @@ def _make_report(state, spec, lam, iterations, method, tol, order):
                           converged=converged, sup_norm_u=sup_u)
 
 
-def _polish(state: AxisymState, spec: KernelSpec, lam: float, order: int,
-            target: float = 1e-14, max_steps: int = 4) -> AxisymState:
+def _polish(state: AxisymState, res: np.ndarray, jac: np.ndarray,
+            spec: KernelSpec, lam: float, order: int,
+            target: float = 1e-14, max_steps: int = 4):
     """Extra Newton steps after convergence so that two runs landing on the
-    same root agree far inside the deduplication radius."""
+    same root agree far inside the deduplication radius.  Takes the
+    residual and Jacobian at state and returns the final state with its
+    residual."""
     for _ in range(max_steps):
-        res = residual(state, spec, lam, order=order)
         if state_norm(state.D, res) <= target:
             break
-        jac = jacobian(state, spec, lam, order=order)
         try:
             delta = np.linalg.solve(np.eye(state.N) - jac, -res)
         except np.linalg.LinAlgError:
             break
         candidate = AxisymState(state.D, state.coeffs + delta)
-        cand_res = residual(candidate, spec, lam, order=order)
+        cand_res, cand_jac = _residual_and_jacobian(candidate, spec, lam,
+                                                    order)
         if state_norm(state.D, cand_res) >= state_norm(state.D, res):
             break
-        state = candidate
-    return state
+        state, res, jac = candidate, cand_res, cand_jac
+    return state, res
 
 
 def solve(spec: KernelSpec, lam: float, init: AxisymState,
@@ -266,15 +279,17 @@ def solve(spec: KernelSpec, lam: float, init: AxisymState,
         raise ValueError(f"unknown method {method!r}")
     state = init
     for it in range(1, max_iter + 1):
-        res = residual(state, spec, lam, order=order)
+        if method == "newton":
+            res, jac = _residual_and_jacobian(state, spec, lam, order)
+        else:
+            res = residual(state, spec, lam, order=order)
         if state_norm(state.D, res) <= tol:
             if method == "newton":
-                state = _polish(state, spec, lam, order)
-            return _make_report(state, spec, lam, it - 1, method, tol, order)
+                state, res = _polish(state, res, jac, spec, lam, order)
+            return _make_report(state, res, spec, lam, it - 1, method, tol)
         if method == "picard":
             new_coeffs = state.coeffs - damping * res
         else:
-            jac = jacobian(state, spec, lam, order=order)
             system = np.eye(state.N) - jac
             # scale-invariant singularity test: reciprocal condition number
             svals = np.linalg.svd(system, compute_uv=False)
@@ -285,9 +300,10 @@ def solve(spec: KernelSpec, lam: float, init: AxisymState,
             delta = np.linalg.solve(system, -res)
             new_coeffs = state.coeffs + delta
         if not np.all(np.isfinite(new_coeffs)):
-            return _make_report(state, spec, lam, it, method, tol, order)
+            return _make_report(state, res, spec, lam, it, method, tol)
         state = AxisymState(state.D, new_coeffs)
-    return _make_report(state, spec, lam, max_iter, method, tol, order)
+    return _make_report(state, residual(state, spec, lam, order=order), spec,
+                        lam, max_iter, method, tol)
 
 
 def multistart(spec: KernelSpec, lam: float, n_starts: int, seed: int,

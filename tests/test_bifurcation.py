@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from onsager import bifurcation
 from onsager.bifurcation import (
     classify_stability,
     critical_values,
@@ -207,6 +208,23 @@ def test_trace_branch_validation_and_missing_branch():
         trace_branch(SPEC3, 13, lambda_end=5.0, steps=2)
     with pytest.raises(BranchNotFoundError):
         trace_branch(_degenerate_spec(), 2, lambda_end=5.0, steps=2)
+
+
+@pytest.mark.parametrize("fail_above", [0.0, 1.06 * LAM1])
+def test_trace_branch_propagates_programming_errors(monkeypatch,
+                                                    fail_above):
+    # onset seeding stays within 5% of lambda_1, so 0 breaks the seeding
+    # solves and 1.06 lambda_1 only the continuation solves
+    real_solve = bifurcation.solve
+
+    def broken_solve(spec, lam, *args, **kwargs):
+        if lam > fail_above:
+            raise TypeError("broken solve")
+        return real_solve(spec, lam, *args, **kwargs)
+
+    monkeypatch.setattr(bifurcation, "solve", broken_solve)
+    with pytest.raises(TypeError):
+        trace_branch(SPEC3, 1, lambda_end=1.3 * LAM1, steps=6)
 
 
 def test_branch_json_dict():

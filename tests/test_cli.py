@@ -183,3 +183,31 @@ def test_emit_table_json_only(tmp_path):
     cli.emit_table([{"a": 1.5}], str(path), "json")
     assert json.loads(path.read_text()) == [{"a": 1.5}]
     assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["audit-degree", "--lambda", "15"], "--truncations"),
+    (["audit-degree", "--lambda", "15", "--truncations", "8,20",
+      "--nmax", "16"], "--truncations"),
+    (["solve", "--lambda", "12", "--modes", "13"], "--modes"),
+    (["sweep", "--lambda-min", "9", "--lambda-max", "10", "--modes", "13"],
+     "--modes"),
+    (["evolve", "--lambda", "11.3", "--grid", "31"], "--grid"),
+    (["solve", "--lambda", "12", "--modes", "4", "--init", "0.5,abc"],
+     "--init"),
+])
+def test_invalid_flag_combinations_exit_2(tmp_path, capsys, argv, flag):
+    out = tmp_path / "t.csv"
+    assert cli.main(argv + ["--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert flag in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_json_format_on_stdout(capsys):
+    assert cli.main(["coeffs", "--nmax", "3", "--method", "recurrence",
+                     "--format", "json"]) == 0
+    records = json.loads(capsys.readouterr().out)
+    assert [r["n"] for r in records] == [1, 2, 3]

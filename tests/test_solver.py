@@ -9,6 +9,7 @@ from onsager.kernel import build_kernel_spec
 from onsager.polybasis import harmonic_count, legendre_eval, surface_area
 from onsager.solver import (
     AxisymState,
+    _residual_and_jacobian,
     apply_G,
     free_energy,
     gtilde,
@@ -131,6 +132,16 @@ def test_jacobian_matches_finite_differences():
         minus = apply_G(AxisymState(3, state.coeffs - bump), SPEC3, lam)
         fd = (plus - minus) / (2 * h)
         assert np.allclose(jac[:, n], fd, rtol=1e-6, atol=1e-8)
+
+
+def test_fused_residual_matches_residual_bitwise():
+    # Newton takes its residual from the fused pass; any difference in the
+    # last bit would move the iterates and the multistart census
+    rng = np.random.default_rng(11)
+    for lam in (5.0, 12.0, 40.0):
+        state = AxisymState(3, rng.uniform(-1.0, 1.0, size=12))
+        res, _ = _residual_and_jacobian(state, SPEC3, lam, order=128)
+        assert np.array_equal(res, residual(state, SPEC3, lam))
 
 
 def test_solve_validation():
