@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.special import lambertw
 
 from .errors import (
     BranchNotFoundError,
@@ -155,7 +155,9 @@ def uniqueness_thresholds(spec: KernelSpec) -> ThresholdReport:
     lambda_tilde0 = (1/5) ||K_hat||_inf^-1; lambda_0 is bracketed by
     [1/(S + tail), 1/S] with S the coefficient partial sum and tail the
     documented comparison bound; lambda_exp_bound solves
-    lam e^(4 lam ||K||_inf) (S + tail) = 1/2.
+    lam e^(4 lam ||K||_inf) (S + tail) = 1/2, that is
+    lam = W(4 ||K||_inf / (2 (S + tail))) / (4 ||K||_inf) with W the
+    principal branch of the Lambert W function.
     """
     coeffs = spec.coeffs
     if not np.all(np.isfinite(coeffs)) or np.any(coeffs <= 0):
@@ -173,12 +175,7 @@ def uniqueness_thresholds(spec: KernelSpec) -> ThresholdReport:
     # full kernel sup norm: the exact |sin| profile lies in [0, 1], custom
     # kernels are their mean-zero part
     knorm = 1.0 if spec.source != "custom" else spec.sup_norm_khat
-    upper = 0.5 / total
-
-    def excess(lam):
-        return lam * math.exp(4.0 * lam * knorm) * total - 0.5
-
-    lam_exp = brentq(excess, 0.0, upper, xtol=1e-14, rtol=1e-14)
+    lam_exp = lambertw(4.0 * knorm * (0.5 / total)).real / (4.0 * knorm)
     return ThresholdReport(
         lambda_tilde0=lam_tilde,
         lambda_0=interval[0],

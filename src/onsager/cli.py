@@ -2,6 +2,12 @@
 concentration sweeps, degree audits and dynamics runs, emitted as CSV
 with a JSON mirror.
 
+Each command takes only the flags it honours (`_COMMAND_FLAGS`); each
+flag's type and default are declared once (`_FLAGS`).  `--config FILE`
+reads a JSON object whose keys are flag names and whose values are
+strings or numbers; its items are parsed as flags placed before the
+explicit ones, so explicit flags win.
+
 Exit codes: 0 success, 2 validation error (nothing written), 3 numerical
 failure (machine-readable error record written), 64 unknown command.
 """
@@ -23,9 +29,6 @@ from .solver import AxisymState
 
 __all__ = ["main", "emit_table"]
 
-COMMANDS = ("coeffs", "thresholds", "solve", "sweep", "audit-degree",
-            "evolve")
-
 USAGE = """usage: onsager COMMAND [options]
 
 commands:
@@ -36,10 +39,8 @@ commands:
   audit-degree  solution census with Brouwer index sums over truncations
   evolve        relaxation dynamics from a perturbed isotropic state
 
-common options: --dim --nmax --tol --seed --order --output --format
-                --config (JSON file whose keys mirror flag names;
-                explicit flags win)
-run `onsager COMMAND --help` for the full list.
+every command takes --dim --nmax --output --format --config (a JSON object
+of flag values; explicit flags win); `onsager COMMAND --help` lists the rest.
 """
 
 
@@ -88,148 +89,151 @@ def emit_table(records, path, fmt: str):
             fh.write(json_text)
 
 
-def _default_order() -> int:
-    env = os.environ.get("ONSAGER_QUAD_ORDER")
-    return int(env) if env else solver.DEFAULT_ORDER
-
-
-def _build_parser(command: str) -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog=f"onsager {command}", allow_abbrev=False)
-    p.add_argument("--config", type=str, default=None,
-                   help="JSON file with defaults; explicit flags win")
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--nmax", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--order", type=int, default=None,
-                   help="quadrature order (env ONSAGER_QUAD_ORDER)")
-    p.add_argument("--output", type=str, default=None,
-                   help="output file; stdout when omitted")
-    p.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                   default=None)
-    if command == "coeffs":
-        p.add_argument("--method",
-                       choices=("quadrature", "recurrence", "both"),
-                       default=None)
-    if command in ("solve", "audit-degree", "evolve"):
-        p.add_argument("--lambda", dest="lam", type=float, default=None)
-    if command == "solve":
-        p.add_argument("--modes", type=int, default=None)
-        p.add_argument("--init", type=str, default=None,
-                       help="comma-separated starting coefficients")
-        p.add_argument("--solver", choices=("newton", "picard"),
-                       default=None)
-    if command == "sweep":
-        p.add_argument("--lambda-min", dest="lambda_min", type=float,
-                       default=None)
-        p.add_argument("--lambda-max", dest="lambda_max", type=float,
-                       default=None)
-        p.add_argument("--steps", type=int, default=None)
-        p.add_argument("--modes", type=int, default=None)
-        p.add_argument("--starts", type=int, default=None)
-    if command == "audit-degree":
-        p.add_argument("--starts", type=int, default=None)
-        p.add_argument("--truncations", type=str, default=None,
-                       help="comma-separated mode counts")
-    if command == "evolve":
-        p.add_argument("--grid", type=int, default=None)
-        p.add_argument("--t-max", dest="t_max", type=float, default=None)
-        p.add_argument("--dt", type=float, default=None)
-        p.add_argument("--perturb", type=float, default=None)
-        p.add_argument("--record-every", dest="record_every", type=int,
-                       default=None)
-    return p
-
-
-_DEFAULTS = {
-    "dim": 3, "nmax": 12, "tol": 1e-10, "max_iter": 200, "seed": 0,
-    "output": None, "fmt": "csv", "method": "both", "lam": None,
-    "modes": None, "init": None, "solver": "newton", "lambda_min": None,
-    "lambda_max": None, "steps": 20, "starts": 30,
-    "truncations": "8,12,16", "grid": 128, "t_max": 50.0, "dt": None,
-    "perturb": 0.01, "record_every": 100,
-}
-
-
-def _merge_config(args: argparse.Namespace) -> dict:
-    cfg = dict(_DEFAULTS)
-    cfg["order"] = _default_order()
-    if args.config is not None:
-        with open(args.config) as fh:
-            loaded = json.load(fh)
-        for key, value in loaded.items():
-            cfg[key.replace("-", "_")] = value
-    for key, value in vars(args).items():
-        if key != "config" and value is not None:
-            cfg[key] = value
-    return cfg
-
-
-def _validate(cfg: dict, command: str):
-    flag_names = {"lam": "lambda", "fmt": "format"}
-
-    def positive(name):
-        if cfg[name] is None or cfg[name] <= 0:
-            flag = flag_names.get(name, name.replace("_", "-"))
-            raise ValidationError(
-                f"--{flag} must be positive, got {cfg[name]}")
-    if cfg["dim"] < 3:
-        raise ValidationError(f"--dim must be >= 3, got {cfg['dim']}")
-    for name in ("nmax", "tol", "max_iter", "order"):
-        positive(name)
-    if cfg["seed"] < 0:
-        raise ValidationError(f"--seed must be >= 0, got {cfg['seed']}")
-    if command in ("solve", "audit-degree", "evolve"):
-        positive("lam")
-    if command == "sweep":
-        positive("lambda_min")
-        positive("lambda_max")
-        positive("steps")
-        positive("starts")
-        if cfg["lambda_max"] < cfg["lambda_min"]:
-            raise ValidationError("--lambda-max must be >= --lambda-min")
-    if command == "audit-degree":
-        positive("starts")
-        truncs = _parse_int_list(cfg["truncations"])
-        if not truncs or any(t < 1 for t in truncs):
-            raise ValidationError("--truncations must be positive integers")
-        if max(truncs) > cfg["nmax"]:
-            raise ValidationError(
-                f"--truncations entries must be <= --nmax {cfg['nmax']}, "
-                f"got {max(truncs)}")
-    if command == "evolve":
-        if cfg["grid"] < dynamics.MIN_POINTS:
-            raise ValidationError(f"--grid must be >= {dynamics.MIN_POINTS}, "
-                                  f"got {cfg['grid']}")
-        positive("t_max")
-        positive("perturb")
-        positive("record_every")
-        if cfg["dt"] is not None and cfg["dt"] <= 0:
-            raise ValidationError("--dt must be positive")
-    if command in ("solve", "sweep") and cfg["modes"] is not None:
-        if not 1 <= cfg["modes"] <= cfg["nmax"]:
-            raise ValidationError(f"--modes must be in 1..{cfg['nmax']} "
-                                  f"(--nmax), got {cfg['modes']}")
-    if command == "solve" and cfg["init"]:
-        _parse_init(cfg["init"])
-
-
-def _parse_int_list(text) -> list:
-    if isinstance(text, (list, tuple)):
-        return [int(v) for v in text]
-    return [int(v) for v in str(text).split(",") if v.strip()]
-
-
-def _parse_init(text) -> list:
+def _truncations(text: str) -> list:
     try:
-        values = [float(v) for v in str(text).split(",") if v.strip()]
+        values = [int(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        values = []
+    if not values or min(values) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated positive integers, got {text!r}")
+    return values
+
+
+def _init(text: str) -> list:
+    try:
+        values = [float(v) for v in text.split(",") if v.strip()]
         if all(math.isfinite(v) for v in values):
             return values
     except ValueError:
         pass
-    raise ValidationError(
-        f"--init must be comma-separated finite numbers, got {text!r}")
+    raise argparse.ArgumentTypeError(
+        f"must be comma-separated finite numbers, got {text!r}")
+
+
+# Each flag once: its type or choices and its real default.  The dest is
+# the flag name with "-" read as "_", and a config key is the flag name.
+_FLAGS = {
+    "dim": dict(type=int, default=3),
+    "nmax": dict(type=int, default=12),
+    "tol": dict(type=float, default=1e-10),
+    "max-iter": dict(type=int, default=200),
+    "seed": dict(type=int, default=0),
+    "order": dict(type=int, default=solver.DEFAULT_ORDER,
+                  help="quadrature order"),
+    "method": dict(choices=("quadrature", "recurrence", "both"),
+                   default="both"),
+    "lambda": dict(type=float, default=None),
+    "lambda-min": dict(type=float, default=None),
+    "lambda-max": dict(type=float, default=None),
+    "steps": dict(type=int, default=20),
+    "modes": dict(type=int, default=None, help="default: --nmax"),
+    "starts": dict(type=int, default=30),
+    "init": dict(type=_init, default=None,
+                 help="comma-separated starting coefficients"),
+    "solver": dict(choices=("newton", "picard"), default="newton"),
+    "truncations": dict(type=_truncations, default="8,12,16",
+                        help="comma-separated mode counts"),
+    "grid": dict(type=int, default=128),
+    "t-max": dict(type=float, default=50.0),
+    "dt": dict(type=float, default=None, help="default: h^2/8"),
+    "perturb": dict(type=float, default=0.01),
+    "record-every": dict(type=int, default=100),
+    "output": dict(default=None, help="output file; stdout when omitted"),
+    "format": dict(choices=("csv", "json"), default="csv"),
+    "config": dict(default=None,
+                   help="JSON object of flag values; explicit flags win"),
+}
+
+_COMMON = ("dim", "nmax", "output", "format", "config")
+
+# The flags each command honours; every other flag is rejected.
+_COMMAND_FLAGS = {
+    "coeffs": _COMMON + ("method",),
+    "thresholds": _COMMON,
+    "solve": _COMMON + ("lambda", "modes", "init", "solver", "tol",
+                        "max-iter", "order"),
+    "sweep": _COMMON + ("lambda-min", "lambda-max", "steps", "modes",
+                        "starts", "seed", "tol", "max-iter", "order"),
+    "audit-degree": _COMMON + ("lambda", "truncations", "starts", "seed"),
+    "evolve": _COMMON + ("lambda", "grid", "t-max", "dt", "perturb",
+                         "record-every"),
+}
+
+COMMANDS = tuple(_COMMAND_FLAGS)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a parse error as a ValidationError, so that every exit-2
+    path prints one `onsager: ...` line and nothing else."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
+def _build_parser(command: str) -> argparse.ArgumentParser:
+    p = _Parser(prog=f"onsager {command}", allow_abbrev=False)
+    for name in _COMMAND_FLAGS[command]:
+        p.add_argument("--" + name, **_FLAGS[name])
+    return p
+
+
+def _config_argv(path: str) -> list:
+    """The JSON object in `path` as `--key=value` items, to be parsed
+    before the explicit flags so that those win."""
+    try:
+        with open(path) as fh:
+            loaded = json.load(fh)
+    except (OSError, ValueError) as e:
+        raise ValidationError(f"--config {path}: {e}") from e
+    if not isinstance(loaded, dict):
+        raise ValidationError(f"--config {path}: expected a JSON object")
+    argv = []
+    for key, value in loaded.items():
+        if key == "config":
+            raise ValidationError(f"--config {path}: key 'config' not allowed")
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise ValidationError(f"--config {path}: {key!r} must be a string "
+                                  f"or a number, got {json.dumps(value)}")
+        argv.append(f"--{key}={value}")
+    return argv
+
+
+_POSITIVE = ("nmax", "tol", "max_iter", "order", "lambda", "lambda_min",
+             "lambda_max", "steps", "starts", "t_max", "perturb",
+             "record_every")
+
+
+def _positive(value) -> bool:
+    return value is not None and 0 < value < math.inf
+
+
+def _validate(cfg: dict):
+    """Range checks of the parsed flags `cfg` (dest -> value) that their
+    types cannot express."""
+    def fail(name, rule):
+        raise ValidationError(
+            f"--{name.replace('_', '-')} must be {rule}, got {cfg[name]}")
+    if cfg["dim"] < 3:
+        fail("dim", ">= 3")
+    for name in _POSITIVE:
+        if name in cfg and not _positive(cfg[name]):
+            fail(name, "positive and finite")
+    if cfg.get("dt") is not None and not _positive(cfg["dt"]):
+        fail("dt", "positive and finite")
+    if "seed" in cfg and cfg["seed"] < 0:
+        fail("seed", ">= 0")
+    if "grid" in cfg and cfg["grid"] < dynamics.MIN_POINTS:
+        fail("grid", f">= {dynamics.MIN_POINTS}")
+    if "lambda_max" in cfg and cfg["lambda_max"] < cfg["lambda_min"]:
+        raise ValidationError("--lambda-max must be >= --lambda-min")
+    if cfg.get("modes") is not None and not 1 <= cfg["modes"] <= cfg["nmax"]:
+        fail("modes", f"in 1..{cfg['nmax']} (--nmax)")
+    if "truncations" in cfg and max(cfg["truncations"]) > cfg["nmax"]:
+        fail("truncations", f"at most --nmax {cfg['nmax']}")
+    modes = cfg.get("modes") or cfg["nmax"]
+    if len(cfg.get("init") or ()) > modes:
+        fail("init", f"at most {modes} entries (--modes, else --nmax)")
 
 
 def _state_columns(coeffs, width) -> dict:
@@ -279,18 +283,14 @@ def _run_solve(cfg):
                                     "onsager-quadrature")
     modes = cfg["modes"] if cfg["modes"] is not None else cfg["nmax"]
     coeffs = np.zeros(modes)
-    if cfg["init"]:
-        given = _parse_init(cfg["init"])
-        if len(given) > modes:
-            raise ValidationError(f"--init has {len(given)} entries for "
-                                  f"{modes} modes")
-        coeffs[:len(given)] = given
-    report = solver.solve(spec, cfg["lam"],
+    given = cfg["init"] or []
+    coeffs[:len(given)] = given
+    report = solver.solve(spec, cfg["lambda"],
                           AxisymState(D=cfg["dim"], coeffs=coeffs),
                           method=cfg["solver"], tol=cfg["tol"],
                           max_iter=cfg["max_iter"], order=cfg["order"])
     record = {
-        "lambda": cfg["lam"],
+        "lambda": cfg["lambda"],
         "converged": report.converged,
         "iterations": report.iterations,
         "residual": report.residual_norm,
@@ -328,14 +328,14 @@ def _run_sweep(cfg):
 def _run_audit(cfg):
     spec = kernel.build_kernel_spec(cfg["dim"], cfg["nmax"],
                                     "onsager-quadrature")
-    truncs = _parse_int_list(cfg["truncations"])
-    report = bifurcation.degree_audit(spec, cfg["lam"], cfg["starts"],
+    truncs = cfg["truncations"]
+    report = bifurcation.degree_audit(spec, cfg["lambda"], cfg["starts"],
                                       cfg["seed"], truncs)
     width = max(truncs)
     records = []
     for i, sol in enumerate(report.solutions):
         record = {
-            "lambda": cfg["lam"],
+            "lambda": cfg["lambda"],
             "solution": i,
             "index": sol.index,
             "degree_sum": report.degree_sum,
@@ -355,7 +355,7 @@ def _run_evolve(cfg):
     dt = cfg["dt"] if cfg["dt"] is not None else grid.h ** 2 / 8.0
     shape = 1.0 + cfg["perturb"] * legendre_eval(cfg["dim"], 2,
                                                  np.cos(grid.points))
-    traj = dynamics.evolve(shape, spec, cfg["lam"], dt, cfg["t_max"], grid,
+    traj = dynamics.evolve(shape, spec, cfg["lambda"], dt, cfg["t_max"], grid,
                            record_every=cfg["record_every"])
     records = []
     for t, f, energy in zip(traj.times, traj.densities, traj.energies):
@@ -378,10 +378,11 @@ _RUNNERS = {
 }
 
 
-def _write_error_record(cfg, exc):
-    record = {"error": type(exc).__name__, "message": str(exc)}
+def _write_error_record(command, cfg, exc):
+    record = {"error": type(exc).__name__, "message": str(exc),
+              "command": command, "parameters": cfg}
     text = json.dumps(record, indent=2) + "\n"
-    if cfg.get("output"):
+    if cfg["output"]:
         stem, _ = os.path.splitext(cfg["output"])
         try:
             with open(stem + ".error.json", "w", newline="\n") as fh:
@@ -405,23 +406,20 @@ def main(argv=None) -> int:
     parser = _build_parser(command)
     try:
         args = parser.parse_args(argv[1:])
-    except SystemExit:
-        return 2
-    try:
-        cfg = _merge_config(args)
-        _validate(cfg, command)
-    except (ValidationError, ValueError, OSError, json.JSONDecodeError) as e:
-        sys.stderr.write(f"onsager: {e}\n")
-        return 2
-    try:
+        if args.config is not None:
+            args = parser.parse_args(_config_argv(args.config) + argv[1:])
+        cfg = vars(args)
+        _validate(cfg)
         records = _RUNNERS[command](cfg)
-        emit_table(records, cfg["output"], cfg["fmt"])
+        emit_table(records, cfg["output"], cfg["format"])
+    except SystemExit:  # --help printed the command's flags
+        return 0
     except ValidationError as e:
         sys.stderr.write(f"onsager: {e}\n")
         return 2
     except (OnsagerError, OSError, np.linalg.LinAlgError) as e:
         sys.stderr.write(f"onsager: {e}\n")
-        _write_error_record(cfg, e)
+        _write_error_record(command, cfg, e)
         return 3
     return 0
 

@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -120,6 +122,14 @@ def test_evolve_divergence_exits_3_with_error_record(tmp_path, capsys):
     assert code == 3
     record = json.loads((tmp_path / "run.error.json").read_text())
     assert record["error"] == "DivergenceError"
+    assert record["command"] == "evolve"
+    params = record["parameters"]
+    assert set(params) == {"dim", "nmax", "lambda", "grid", "t_max", "dt",
+                           "perturb", "record_every", "output", "format",
+                           "config"}
+    assert (params["lambda"], params["grid"], params["t_max"]) == (
+        500.0, 32, 0.05)
+    assert params["perturb"] == 0.01 and params["dt"] is None
 
 
 def test_unwritable_output_exits_3(tmp_path, capsys):
@@ -148,12 +158,140 @@ def test_config_file_missing_exits_2(tmp_path):
                      str(tmp_path / "nope.json")]) == 2
 
 
-def test_quad_order_env_override(monkeypatch):
-    monkeypatch.setenv("ONSAGER_QUAD_ORDER", "64")
-    assert cli._default_order() == 64
-    assert cli.main(["solve", "--lambda", "5", "--modes", "4"]) == 0
-    monkeypatch.delenv("ONSAGER_QUAD_ORDER")
-    assert cli._default_order() == 128
+def test_order_flag_and_config_give_identical_output(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"order": 64}))
+    argv = ["solve", "--lambda", "5", "--modes", "4"]
+    assert cli.main(argv + ["--order", "64"]) == 0
+    by_flag = capsys.readouterr().out
+    assert cli.main(argv + ["--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == by_flag
+
+
+@pytest.mark.parametrize("argv, config, check", [
+    (["solve", "--modes", "6", "--init", "0.5"], {"lambda": 12},
+     lambda out: out.startswith("lambda,converged") and "\n12,true," in out),
+    (["coeffs", "--nmax", "3"], {"format": "json"},
+     lambda out: [r["n"] for r in json.loads(out)] == [1, 2, 3]),
+    (["solve", "--lambda", "12", "--modes", "6", "--init", "0.5"],
+     {"max-iter": 1}, lambda out: "\n12,false,1," in out),
+    (["solve", "--lambda", "12", "--modes", "6"], {"init": "-0.5,1"},
+     lambda out: "\n12,true," in out),
+    (["coeffs", "--nmax", "3", "--format", "csv"], {"format": "json"},
+     lambda out: out.startswith("n,k_quadrature")),
+    (["solve", "--modes", "6", "--init", "0.5", "--lambda", "12"],
+     {"lambda": -1}, lambda out: "\n12,true," in out),
+])
+def test_config_keys_are_flag_names(tmp_path, capsys, argv, config, check):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.main(argv + ["--config", str(cfg)]) == 0
+    assert check(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("command, text", [
+    ("coeffs", '{"nmaxx": 4}'),
+    ("solve", '{"lam": 12}'),
+    ("solve", '{"lambda": 12, "max_iter": 5}'),
+    ("coeffs", '{"nmax": true}'),
+    ("coeffs", '{"nmax": null}'),
+    ("coeffs", '{"nmax": [4]}'),
+    ("coeffs", '{"nmax": {"n": 4}}'),
+    ("coeffs", '[{"nmax": 4}]'),
+    ("coeffs", '"nmax"'),
+    ("coeffs", '{"dim": "three"}'),
+    ("solve", '{"lambda": "12x"}'),
+    ("coeffs", '{"method": "spline"}'),
+    ("coeffs", '{"config": "other.json"}'),
+    ("coeffs", '{"nmax": 4'),
+])
+def test_bad_config_exits_2(tmp_path, capsys, command, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "t.csv"
+    assert cli.main([command, "--config", str(cfg),
+                     "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("onsager: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["coeffs", "--seed", "1"], "--seed"),
+    (["thresholds", "--order", "64"], "--order"),
+    (["evolve", "--lambda", "11.3", "--tol", "1e-3"], "--tol"),
+    (["audit-degree", "--lambda", "15", "--max-iter", "5"], "--max-iter"),
+    (["solve", "--lambda", "12", "--seed", "1"], "--seed"),
+])
+def test_flags_a_command_ignores_are_rejected(tmp_path, capsys, argv, flag):
+    out = tmp_path / "t.csv"
+    assert cli.main(argv + ["--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("onsager: ") and err.count("\n") == 1
+    assert flag in err
+    assert not out.exists()
+
+
+HONOURED = {
+    "coeffs": {"dim", "nmax", "method"},
+    "thresholds": {"dim", "nmax"},
+    "solve": {"dim", "nmax", "tol", "max-iter", "order", "lambda", "modes",
+              "init", "solver"},
+    "sweep": {"dim", "nmax", "tol", "max-iter", "seed", "order",
+              "lambda-min", "lambda-max", "steps", "modes", "starts"},
+    "audit-degree": {"dim", "nmax", "seed", "lambda", "starts",
+                     "truncations"},
+    "evolve": {"dim", "nmax", "lambda", "grid", "t-max", "dt", "perturb",
+               "record-every"},
+}
+
+
+def test_each_command_accepts_exactly_its_honoured_flags():
+    assert set(cli.COMMANDS) == set(HONOURED)
+    pairs = 0
+    for command in cli.COMMANDS:
+        parser = cli._build_parser(command)
+        flags = {s[2:] for action in parser._actions
+                 for s in action.option_strings if s.startswith("--")}
+        flags.discard("help")
+        assert flags == HONOURED[command] | {"output", "format", "config"}
+        pairs += len(flags)
+    assert pairs == 57
+
+
+def test_command_help_exits_0(capsys):
+    assert cli.main(["solve", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert "--lambda" in out and "--init" in out
+    assert "--seed" not in out
+
+
+def test_readme_command_lines_parse_and_validate():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    lines = [shlex.split(line) for line in block.split("```", 1)[0]
+             .splitlines() if line.startswith("onsager ")]
+    assert sorted(argv[1] for argv in lines) == sorted(cli.COMMANDS)
+    for argv in lines:
+        args = cli._build_parser(argv[1]).parse_args(argv[2:])
+        cli._validate(vars(args))
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["solve", "--lambda", "nan"], "--lambda"),
+    (["evolve", "--lambda", "11.3", "--t-max", "inf"], "--t-max"),
+    (["evolve", "--lambda", "11.3", "--dt", "nan"], "--dt"),
+    (["sweep", "--lambda-min", "9", "--lambda-max", "inf"], "--lambda-max"),
+])
+def test_non_finite_values_exit_2(tmp_path, capsys, argv, flag):
+    out = tmp_path / "t.csv"
+    assert cli.main(argv + ["--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert flag in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_emit_table_validation(tmp_path):
