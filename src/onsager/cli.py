@@ -165,10 +165,23 @@ COMMANDS = tuple(_COMMAND_FLAGS)
 
 class _Parser(argparse.ArgumentParser):
     """Reports a parse error as a ValidationError, so that every exit-2
-    path prints one `onsager: ...` line and nothing else."""
+    path prints one `onsager: ...` line and nothing else, and takes a
+    negative `--init` list after a space."""
 
     def error(self, message):
         raise ValidationError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        """As argparse, except that `--init -0.5,1` reads as
+        `--init=-0.5,1`: argparse takes a value that starts with "-" and
+        is not a single number for a flag."""
+        joined = []
+        for item in sys.argv[1:] if args is None else args:
+            if joined and joined[-1] == "--init" and item.startswith("-"):
+                joined[-1] = "--init=" + item
+            else:
+                joined.append(item)
+        return super().parse_known_args(joined, namespace)
 
 
 def _build_parser(command: str) -> argparse.ArgumentParser:

@@ -13,6 +13,7 @@ from .errors import AccuracyError, ValidationError
 from .polybasis import (
     _jacobi_rule_cached,
     harmonic_count,
+    legendre_eval,
     legendre_table,
     surface_area,
 )
@@ -144,7 +145,7 @@ def coeff_by_quadrature(D: int, n: int, tol: float = 1e-12) -> float:
 
     def estimate(order):
         nodes, weights = _jacobi_rule_cached(order, (D - 2) / 2)
-        p2n = legendre_table(D, 2 * n, nodes)[2 * n]
+        p2n = legendre_eval(D, 2 * n, nodes)
         return prefac * float(np.dot(weights, p2n))
 
     order = max(2 * n + 8, 32)

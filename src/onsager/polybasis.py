@@ -146,8 +146,10 @@ def legendre_table(D: int, max_degree: int, t: np.ndarray) -> np.ndarray:
     t = _check_domain(t)
     alpha = (D - 2) / 2
     table = np.empty((max_degree + 1, t.size))
+    at_one = 1.0  # gegenbauer_at_one(alpha, k): the same products in order
     for k, c in enumerate(_gegenbauer_rows(alpha, max_degree, t)):
-        table[k] = c / gegenbauer_at_one(alpha, k)
+        table[k] = c / at_one
+        at_one *= (2.0 * alpha + k) / (1.0 + k)
     return table
 
 

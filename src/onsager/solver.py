@@ -138,22 +138,35 @@ def state_norm(D: int, coeffs: np.ndarray) -> float:
     return math.sqrt(float(np.dot(_l2_weights(D, coeffs.size), coeffs ** 2)))
 
 
+@lru_cache(maxsize=16)
+def _sup_table(D: int, N: int, samples: int) -> np.ndarray:
+    """P_{2n}(D, t) for n = 1..N at t = cos theta, theta evenly spaced on
+    [0, pi] (endpoints included), as one contiguous read-only array."""
+    t = np.cos(np.linspace(0.0, math.pi, samples))
+    table = np.ascontiguousarray(legendre_table(D, 2 * N, t)[2::2])
+    table.setflags(write=False)
+    return table
+
+
 def state_sup_norm(state: AxisymState, samples: int = 2048) -> float:
     """Sup of |u(theta)| by dense sampling in t = cos theta (endpoints
     included; u(+-1) = sum u_n exactly)."""
-    t = np.cos(np.linspace(0.0, math.pi, samples))
-    return float(np.max(np.abs(state.eval(t))))
+    table = _sup_table(state.D, state.N, samples)
+    return float(np.max(np.abs(state.coeffs @ table)))
 
 
-def _density_weights(state: AxisymState, order: int):
-    """Normalized zonal weights of the orientation density: the discrete
-    measure W_i e^(-u_i) / Z, computed with a max shift so any finite state
-    is safe."""
-    nodes, weights, table, _, base = _mode_tables(state.D, state.N, order)
-    u = state.coeffs @ table
-    e = np.exp(-(u - u.min()))
+def _density_weights(D: int, coeffs: np.ndarray, order: int):
+    """Normalized zonal weights W_i e^(-u_i) / Z of the orientation
+    density, computed with a max shift so any finite state is safe, and
+    its moments a_n, for one state (coeffs of shape (N,)) or a stack of
+    states (S, N).  A stack is multiplied one matrix-vector product per
+    state, so each row is bitwise what that state alone gives."""
+    _, weights, table, _, base = _mode_tables(D, coeffs.shape[-1], order)
+    u = (coeffs[..., None, :] @ table)[..., 0, :]
+    e = np.exp(-(u - u.min(axis=-1, keepdims=True)))
     wz = weights * e
-    return nodes, wz / wz.sum(), table, base
+    gw = wz / wz.sum(axis=-1, keepdims=True)
+    return gw, table, (table @ gw[..., None])[..., 0] - base
 
 
 def gtilde(state: AxisymState, theta, order: int = DEFAULT_ORDER):
@@ -177,18 +190,14 @@ def zonal_moments(state: AxisymState, N: int | None = None,
     """Moments a_n = int_0^pi gtilde(theta) P_{2n}(D, cos theta) dtheta
     for n = 1..N (default: the state's truncation).  All |a_n| <= 1."""
     work = state if N is None or N == state.N else state.padded(max(N, state.N))
-    _, gw, table, base = _density_weights(work, order)
-    moments = table @ gw - base
+    _, _, moments = _density_weights(work.D, work.coeffs, order)
     return moments if N is None or N >= state.N else moments[:N]
 
 
 def apply_G(state: AxisymState, spec: KernelSpec, lam: float,
             order: int = DEFAULT_ORDER) -> np.ndarray:
     """Coefficients of the mean-field image: (lam G(u))_n = -lam k_n a_n."""
-    if state.D != spec.D:
-        raise ValueError("state and kernel dimension mismatch")
-    if state.N > spec.n_max:
-        raise ValueError("state truncation exceeds kernel table")
+    _check_kernel(spec, state.D, state.N)
     a = zonal_moments(state, order=order)
     return -lam * spec.coeffs[:state.N] * a
 
@@ -209,21 +218,33 @@ def jacobian(state: AxisymState, spec: KernelSpec, lam: float,
     return _residual_and_jacobian(state, spec, lam, order)[1]
 
 
+def _check_kernel(spec: KernelSpec, D: int, N: int):
+    if D != spec.D:
+        raise ValueError("state and kernel dimension mismatch")
+    if N > spec.n_max:
+        raise ValueError("state truncation exceeds kernel table")
+
+
 def _residual_and_jacobian(state: AxisymState, spec: KernelSpec, lam: float,
                            order: int):
     """residual() and jacobian() from one density pass, with the same
     arithmetic as each, so both agree with the separate calls bit for
     bit."""
-    if state.D != spec.D:
-        raise ValueError("state and kernel dimension mismatch")
-    if state.N > spec.n_max:
-        raise ValueError("state truncation exceeds kernel table")
-    _, gw, table, base = _density_weights(state, order)
-    a = table @ gw - base
-    res = state.coeffs - (-lam * spec.coeffs[:state.N] * a)
-    second = (table * gw) @ table.T
-    cov = second - np.outer(a, a)
-    return res, lam * spec.coeffs[:state.N, None] * cov
+    _check_kernel(spec, state.D, state.N)
+    return _fused_pass(spec, lam, state.coeffs, order)
+
+
+def _fused_pass(spec: KernelSpec, lam: float, coeffs: np.ndarray,
+                order: int):
+    """Residual u - lam G(u) and Jacobian of lam G for one state (coeffs
+    of shape (N,)) or a stack (S, N), each row bitwise what its state
+    alone gives."""
+    gw, table, a = _density_weights(spec.D, coeffs, order)
+    k = spec.coeffs[:coeffs.shape[-1]]
+    res = coeffs - (-lam * k * a)
+    second = (table * gw[..., None, :]) @ table.T
+    cov = second - a[..., :, None] * a[..., None, :]
+    return res, lam * k[:, None] * cov
 
 
 def _make_report(state, res, spec, lam, iterations, method, tol):
@@ -260,6 +281,61 @@ def _polish(state: AxisymState, res: np.ndarray, jac: np.ndarray,
     return state, res
 
 
+def _newton(spec: KernelSpec, lam: float, D: int, starts: np.ndarray,
+            tol: float, max_iter: int, order: int) -> list:
+    """Newton's method, (I - J) delta = -(u - lam G(u)), on every row of
+    starts (S, N) at once.
+
+    Each row takes exactly the steps it would take alone: it stops when
+    its residual norm is <= tol (then _polish), when I - J is singular
+    (the row is dropped), before an update that is not finite, or after
+    max_iter updates.  Returns, per row in start order, (state, residual,
+    iterations), or None for a dropped row.
+    """
+    S, N = starts.shape
+    _check_kernel(spec, D, N)
+    l2w = _l2_weights(D, N)
+    eye = np.eye(N)
+    out = [None] * S
+    rows, coeffs = np.arange(S), starts
+    for it in range(1, max_iter + 1):
+        res, jac = _fused_pass(spec, lam, coeffs, order)
+        # state_norm of each row, as the same dot product
+        done = np.sqrt((res ** 2)[:, None, :] @ l2w)[:, 0] <= tol
+        for j in np.flatnonzero(done):
+            state, r = _polish(AxisymState(D, coeffs[j]), res[j], jac[j],
+                               spec, lam, order)
+            out[rows[j]] = (state, r, it - 1)
+        rows, coeffs, res = rows[~done], coeffs[~done], res[~done]
+        if not rows.size:
+            return out
+        system = eye - jac[~done]
+        # scale-invariant singularity test: reciprocal condition number
+        svals = np.linalg.svd(system, compute_uv=False)
+        keep = svals[:, -1] > 1e-12 * np.maximum(svals[:, 0], 1.0)
+        rows, coeffs, res = rows[keep], coeffs[keep], res[keep]
+        if not rows.size:
+            return out
+        new = coeffs + np.linalg.solve(system[keep], -res[..., None])[..., 0]
+        finite = np.isfinite(new).all(axis=1)
+        for j in np.flatnonzero(~finite):
+            out[rows[j]] = (AxisymState(D, coeffs[j]), res[j], it)
+        rows, coeffs = rows[finite], new[finite]
+        if not rows.size:
+            return out
+    res = _fused_pass(spec, lam, coeffs, order)[0]
+    for j, row in enumerate(rows):
+        out[row] = (AxisymState(D, coeffs[j]), res[j], max_iter)
+    return out
+
+
+def _check_tol_lambda(tol: float, lam: float):
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if lam < 0:
+        raise ValueError("lambda must be nonnegative")
+
+
 def solve(spec: KernelSpec, lam: float, init: AxisymState,
           method: str = "newton", tol: float = 1e-10, max_iter: int = 200,
           order: int = DEFAULT_ORDER, damping: float = 1.0,
@@ -267,43 +343,39 @@ def solve(spec: KernelSpec, lam: float, init: AxisymState,
     """Solve u = lam G(u) from the given initial state.
 
     Picard iterates u <- (1-w) u + w lam G(u); Newton solves
-    (I - J) delta = -(u - lam G(u)).  Non-convergence yields a report with
+    (I - J) delta = -(u - lam G(u)), as the one-row case of the batched
+    loop multistart runs.  Non-convergence yields a report with
     converged=False; a singular Newton system raises
     SingularLinearizationError.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
+    _check_tol_lambda(tol, lam)
     if method not in ("picard", "newton"):
         raise ValueError(f"unknown method {method!r}")
+    if method == "newton":
+        outcome = _newton(spec, lam, init.D, init.coeffs[None, :], tol,
+                          max_iter, order)[0]
+        if outcome is None:
+            raise SingularLinearizationError(
+                f"Newton linearization singular at lambda={lam}; "
+                "perturb lambda away from critical values")
+        state, res, iterations = outcome
+        return _make_report(state, res, spec, lam, iterations, method, tol)
     state = init
     for it in range(1, max_iter + 1):
-        if method == "newton":
-            res, jac = _residual_and_jacobian(state, spec, lam, order)
-        else:
-            res = residual(state, spec, lam, order=order)
+        res = residual(state, spec, lam, order=order)
         if state_norm(state.D, res) <= tol:
-            if method == "newton":
-                state, res = _polish(state, res, jac, spec, lam, order)
             return _make_report(state, res, spec, lam, it - 1, method, tol)
-        if method == "picard":
-            new_coeffs = state.coeffs - damping * res
-        else:
-            system = np.eye(state.N) - jac
-            # scale-invariant singularity test: reciprocal condition number
-            svals = np.linalg.svd(system, compute_uv=False)
-            if svals[-1] <= 1e-12 * max(svals[0], 1.0):
-                raise SingularLinearizationError(
-                    f"Newton linearization singular at lambda={lam}; "
-                    "perturb lambda away from critical values")
-            delta = np.linalg.solve(system, -res)
-            new_coeffs = state.coeffs + delta
+        new_coeffs = state.coeffs - damping * res
         if not np.all(np.isfinite(new_coeffs)):
             return _make_report(state, res, spec, lam, it, method, tol)
         state = AxisymState(state.D, new_coeffs)
     return _make_report(state, residual(state, spec, lam, order=order), spec,
                         lam, max_iter, method, tol)
+
+
+# Starts per Newton batch: bounds the (rows, N, order) temporary of the
+# second moments whatever n_starts is.
+_BATCH_ROWS = 256
 
 
 def multistart(spec: KernelSpec, lam: float, n_starts: int, seed: int,
@@ -313,38 +385,35 @@ def multistart(spec: KernelSpec, lam: float, n_starts: int, seed: int,
     """Enumerate solutions from random starts in the a priori box
     |u_n| <= lam ||K_hat||_inf.
 
-    Deterministic for a fixed seed; converged solutions deduplicated by
+    Start 0 is the isotropic state.  All starts run as one Newton batch,
+    each with the steps solve() takes from it; starts with a singular
+    Newton system or without convergence are dropped.  Deterministic for
+    a fixed seed; converged solutions deduplicated in start order by
     sphere-L2 distance <= 10 tol and returned sorted by (norm, coeffs).
     """
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
+    _check_tol_lambda(tol, lam)
     if N is None:
         N = spec.n_max
     rng = np.random.default_rng(seed)
     box = lam * spec.sup_norm_khat
+    starts = np.zeros((n_starts, N))
+    starts[1:] = rng.uniform(-box, box, size=(n_starts - 1, N))
     found: list[SolutionReport] = []
-    for k in range(n_starts):
-        if k == 0:
-            coeffs = np.zeros(N)
-        else:
-            coeffs = rng.uniform(-box, box, size=N)
-        try:
-            report = solve(spec, lam, AxisymState(spec.D, coeffs),
-                           method="newton", tol=tol, max_iter=max_iter,
-                           order=order)
-        except SingularLinearizationError:
-            continue
-        if not report.converged:
-            continue
-        duplicate = False
-        for other in found:
-            dist = state_norm(spec.D,
-                              report.state.coeffs - other.state.coeffs)
-            if dist <= 10.0 * tol:
-                duplicate = True
-                break
-        if not duplicate:
-            found.append(report)
+    for first in range(0, n_starts, _BATCH_ROWS):
+        for outcome in _newton(spec, lam, spec.D,
+                               starts[first:first + _BATCH_ROWS], tol,
+                               max_iter, order):
+            if outcome is None:
+                continue
+            state, res, iterations = outcome
+            report = _make_report(state, res, spec, lam, iterations,
+                                  "newton", tol)
+            if report.converged and all(
+                    state_norm(spec.D, state.coeffs - other.state.coeffs)
+                    > 10.0 * tol for other in found):
+                found.append(report)
     found.sort(key=lambda r: (state_norm(spec.D, r.state.coeffs),
                               tuple(r.state.coeffs)))
     return found

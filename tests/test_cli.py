@@ -1,7 +1,10 @@
 import csv
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -349,3 +352,27 @@ def test_json_format_on_stdout(capsys):
                      "--format", "json"]) == 0
     records = json.loads(capsys.readouterr().out)
     assert [r["n"] for r in records] == [1, 2, 3]
+
+
+@pytest.mark.parametrize("value", ["-0.5,1", "-0.5", "-1e-1,0.2", "0.5,-1"])
+def test_negative_init_after_a_space(capsys, value):
+    argv = ["solve", "--lambda", "12", "--modes", "6"]
+    assert cli.main(argv + ["--init", value]) == 0
+    spaced = capsys.readouterr().out
+    assert cli.main(argv + [f"--init={value}"]) == 0
+    assert capsys.readouterr().out == spaced
+    assert "\n12,true," in spaced
+
+
+def test_cli_import_loads_no_scipy_linalg_or_optimize():
+    # `onsager --help` pays for every module `import onsager.cli` loads
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    probe = ("import sys, onsager.cli; print(sorted({m for m in sys.modules "
+             "if m.split('.')[:2] in (['scipy', 'linalg'], "
+             "['scipy', 'optimize'])}))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
