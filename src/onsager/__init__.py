@@ -53,12 +53,10 @@ from .kernel import (
 )
 from .polybasis import (
     BasisIndex,
-    QuadratureRule,
     gegenbauer_eval,
     harmonic_count,
     legendre_eval,
     legendre_table,
-    quadrature_rule,
     surface_area,
     weighted_integral,
 )

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import bifurcation, dynamics, kernel, solver
 from .errors import OnsagerError, ValidationError
-from .polybasis import legendre_eval
+from .polybasis import MAX_DIM, legendre_eval
 from .solver import AxisymState
 
 __all__ = ["main", "emit_table"]
@@ -227,8 +227,8 @@ def _validate(cfg: dict):
     def fail(name, rule):
         raise ValidationError(
             f"--{name.replace('_', '-')} must be {rule}, got {cfg[name]}")
-    if cfg["dim"] < 3:
-        fail("dim", ">= 3")
+    if not 3 <= cfg["dim"] <= MAX_DIM:
+        fail("dim", f"in 3..{MAX_DIM}")
     for name in _POSITIVE:
         if name in cfg and not _positive(cfg[name]):
             fail(name, "positive and finite")
@@ -256,27 +256,22 @@ def _state_columns(coeffs, width) -> dict:
     return out
 
 
-def _run_coeffs(cfg):
-    D, n_max = cfg["dim"], cfg["nmax"]
+def _run_coeffs(cfg, spec):
+    """The closed-form table, the quadrature cross-check, or both."""
+    quad = None if cfg["method"] == "recurrence" else kernel.build_kernel_spec(
+        cfg["dim"], cfg["nmax"], "onsager-quadrature")
     records = []
-    if cfg["method"] == "both":
-        quad = kernel.build_kernel_spec(D, n_max, "onsager-quadrature")
-        rec = kernel.build_kernel_spec(D, n_max, "onsager-recurrence")
-        for n in range(1, n_max + 1):
-            kq, kr = quad.coeff(n), rec.coeff(n)
+    for n in range(1, cfg["nmax"] + 1):
+        if cfg["method"] == "both":
+            kq, kr = quad.coeff(n), spec.coeff(n)
             records.append({"n": n, "k_quadrature": kq, "k_recurrence": kr,
                             "rel_diff": abs(kq - kr) / abs(kq)})
-    else:
-        source = "onsager-" + cfg["method"]
-        spec = kernel.build_kernel_spec(D, n_max, source)
-        for n in range(1, n_max + 1):
-            records.append({"n": n, "k": spec.coeff(n)})
+        else:
+            records.append({"n": n, "k": (quad or spec).coeff(n)})
     return records
 
 
-def _run_thresholds(cfg):
-    spec = kernel.build_kernel_spec(cfg["dim"], cfg["nmax"],
-                                    "onsager-quadrature")
+def _run_thresholds(cfg, spec):
     report = bifurcation.uniqueness_thresholds(spec)
     records = [
         {"name": "lambda_tilde0", "value": report.lambda_tilde0},
@@ -291,9 +286,7 @@ def _run_thresholds(cfg):
     return records
 
 
-def _run_solve(cfg):
-    spec = kernel.build_kernel_spec(cfg["dim"], cfg["nmax"],
-                                    "onsager-quadrature")
+def _run_solve(cfg, spec):
     modes = cfg["modes"] if cfg["modes"] is not None else cfg["nmax"]
     coeffs = np.zeros(modes)
     given = cfg["init"] or []
@@ -313,9 +306,7 @@ def _run_solve(cfg):
     return [record]
 
 
-def _run_sweep(cfg):
-    spec = kernel.build_kernel_spec(cfg["dim"], cfg["nmax"],
-                                    "onsager-quadrature")
+def _run_sweep(cfg, spec):
     modes = cfg["modes"] if cfg["modes"] is not None else cfg["nmax"]
     lams = np.linspace(cfg["lambda_min"], cfg["lambda_max"], cfg["steps"])
     records = []
@@ -338,9 +329,7 @@ def _run_sweep(cfg):
     return records
 
 
-def _run_audit(cfg):
-    spec = kernel.build_kernel_spec(cfg["dim"], cfg["nmax"],
-                                    "onsager-quadrature")
+def _run_audit(cfg, spec):
     truncs = cfg["truncations"]
     report = bifurcation.degree_audit(spec, cfg["lambda"], cfg["starts"],
                                       cfg["seed"], truncs)
@@ -361,9 +350,7 @@ def _run_audit(cfg):
     return records
 
 
-def _run_evolve(cfg):
-    spec = kernel.build_kernel_spec(cfg["dim"], cfg["nmax"],
-                                    "onsager-quadrature")
+def _run_evolve(cfg, spec):
     grid = dynamics.make_grid(cfg["dim"], cfg["grid"])
     dt = cfg["dt"] if cfg["dt"] is not None else grid.h ** 2 / 8.0
     shape = 1.0 + cfg["perturb"] * legendre_eval(cfg["dim"], 2,
@@ -423,14 +410,17 @@ def main(argv=None) -> int:
             args = parser.parse_args(_config_argv(args.config) + argv[1:])
         cfg = vars(args)
         _validate(cfg)
-        records = _RUNNERS[command](cfg)
+        spec = kernel.build_kernel_spec(cfg["dim"], cfg["nmax"],
+                                        "onsager-recurrence")
+        records = _RUNNERS[command](cfg, spec)
         emit_table(records, cfg["output"], cfg["format"])
     except SystemExit:  # --help printed the command's flags
         return 0
     except ValidationError as e:
         sys.stderr.write(f"onsager: {e}\n")
         return 2
-    except (OnsagerError, OSError, np.linalg.LinAlgError) as e:
+    except (OnsagerError, OSError, OverflowError,
+            np.linalg.LinAlgError) as e:
         sys.stderr.write(f"onsager: {e}\n")
         _write_error_record(command, cfg, e)
         return 3

@@ -34,6 +34,13 @@ __all__ = [
 
 SOURCES = ("onsager-quadrature", "onsager-recurrence", "custom")
 
+# Largest gap allowed between the two Gauss-Jacobi orders of
+# coeff_by_quadrature, relative to k_n.  The gap is rounding in the rule's
+# sum and grows with n and D: at D = 3 it stays below 1.7e-7 up to n = 400
+# (true error at most 1.3e-7), at D = 10 it passes 1e-6 at n = 45.  A
+# relative 1e-12 would fire from n = 6 or 7 for every D.
+QUAD_RTOL = 1e-6
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -123,19 +130,30 @@ def mean_value(kernel_profile, D: int, tol: float = 1e-12,
 
 def onsager_mean(D: int) -> float:
     """Sphere average of |sin gamma|: Gamma(D/2)^2 /
-    (Gamma((D-1)/2) Gamma((D+1)/2))."""
-    return (math.gamma(D / 2) ** 2
-            / (math.gamma((D - 1) / 2) * math.gamma((D + 1) / 2)))
+    (Gamma((D-1)/2) Gamma((D+1)/2)).
+
+    Stepped up from pi/4 (D = 3) or 2/pi (D = 2) by the factor
+    d^2/(d^2 - 1) from d to d + 2, so that no Gamma value is formed:
+    Gamma(D/2)^2 overflows a double from D = 199 on.
+    """
+    mean, start = (math.pi / 4, 3) if D % 2 else (2 / math.pi, 2)
+    for d in range(start, D, 2):
+        mean *= d * d / (d * d - 1)
+    return mean
 
 
 @lru_cache(maxsize=1024)
-def coeff_by_quadrature(D: int, n: int, tol: float = 1e-12) -> float:
+def coeff_by_quadrature(D: int, n: int) -> float:
     """Expansion coefficient k_n of |sin gamma| from its defining integral.
 
     k_n = -(sigma_(D-1) N(D,2n)/sigma_D) int (1-t^2)^((D-2)/2) P_{2n}(D,t) dt.
     The (1-t^2)^((D-2)/2) factor is the Gauss-Jacobi weight, so the
     integrand seen by the rule is the polynomial P_{2n} and the rule is
-    exact; a doubled-order evaluation guards the accuracy claim.
+    exact in exact arithmetic; in floating point the cancellation in the
+    sum grows with n and D, so a second rule 16 points larger guards the
+    result: AccuracyError when the two differ by more than QUAD_RTOL |k_n|.
+    This is the cross-check of `coeff_by_recurrence`, not a production
+    table.
     """
     if D < 3:
         raise ValueError(f"dimension must be >= 3, got {D}")
@@ -152,36 +170,43 @@ def coeff_by_quadrature(D: int, n: int, tol: float = 1e-12) -> float:
     k = estimate(order)
     check = estimate(order + 16)
     err = abs(k - check)
-    if err > tol * max(1.0, abs(k)):
+    if err > QUAD_RTOL * abs(k):
         raise AccuracyError(
             f"quadrature for k_{n} (D={D}) not converged", achieved=err)
     return k
 
 
-def coeff_ratio(D: int, n: int) -> float:
+def coeff_ratio(D: int, n):
     """Ratio k_(n+1)/k_n for the |sin gamma| kernel; always in (0, 1).
 
     Product of the harmonic-count ratio N(D,2n+2)/N(D,2n), the leading
     Gegenbauer values C_2n(1)/C_2n+2(1) and the weighted Gegenbauer moment
-    ratio; the first two collapse to (4n+D+2)/(4n+D-2).  Cross-checked
-    against the quadrature coefficients to ~1e-11 for D in 3..7.
+    ratio; the first two collapse to (4n+D+2)/(4n+D-2).  `n` may be a
+    float array; in an int64 array the products overflow past n = 8.3e5.
     """
     num = (2 * n - 1) * (4 * n + D + 2) * (2 * n + D - 2)
     den = (4 * n + D - 2) * (2 * n + 2) * (2 * n + D + 1)
     return num / den
 
 
-def coeff_by_recurrence(D: int, k1: float, n_max: int) -> np.ndarray:
-    """Coefficients k_1..k_n_max chained from k1 by the one-step ratio."""
-    if k1 <= 0:
-        raise ValueError(f"k1 must be positive, got {k1}")
+def coeff_by_recurrence(D: int, n_max: int) -> np.ndarray:
+    """Coefficients k_1..k_n_max of |sin gamma| in closed form.
+
+    k_1 = -(sigma_(D-1) N(D,2)/sigma_D) (D B(3/2,D/2) - B(1/2,D/2))/(D-1)
+    with B the Beta function; since N(D,2) = (D+2)(D-1)/2 and the Beta
+    values share Gamma(D/2)/Gamma((D+1)/2), this is k0 (D+2)/(2(D+1)) with
+    k0 = onsager_mean(D), 5 pi/32 at D = 3.  k_n is k_1 times the running
+    product of coeff_ratio.  The product runs in np.longdouble: in double
+    precision the rounding of 10^6 ratios adds up to 2e-12 relative, in
+    x86-64 extended precision to a few units in the last place.
+    """
+    if D < 3:
+        raise ValueError(f"dimension must be >= 3, got {D}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    coeffs = np.empty(n_max)
-    coeffs[0] = k1
-    for n in range(1, n_max):
-        coeffs[n] = coeffs[n - 1] * coeff_ratio(D, n)
-    return coeffs
+    n = np.arange(1, n_max, dtype=np.longdouble)
+    k1 = onsager_mean(D) * (D + 2) / (2 * (D + 1))
+    return (k1 * np.cumprod(np.append(1, coeff_ratio(D, n)))).astype(float)
 
 
 def _dense_sup(spec_D, coeffs, samples=4096, refinements=2):
@@ -214,9 +239,11 @@ def build_kernel_spec(D: int, n_max: int, source: str,
                       ) -> KernelSpec:
     """Assemble a KernelSpec.
 
-    For the |sin gamma| sources, coefficients come from the quadrature
-    formula or the ratio recurrence seeded with the quadrature k_1; the
-    mean and sup norm come from the exact profile.  Custom kernels are
+    For the |sin gamma| kernel, "onsager-recurrence" is the closed-form
+    table of `coeff_by_recurrence`, the one every solving command uses;
+    "onsager-quadrature" evaluates each defining integral
+    (`coeff_by_quadrature`) and is kept as its cross-check.  The mean and
+    sup norm come from the exact profile.  Custom kernels are
     given by their coefficient list (mean-zero part only); `validate`
     additionally enforces positivity and strict decrease.
     """
@@ -246,7 +273,7 @@ def build_kernel_spec(D: int, n_max: int, source: str,
         coeffs = np.array([coeff_by_quadrature(D, n)
                            for n in range(1, n_max + 1)])
     elif source == "onsager-recurrence":
-        coeffs = coeff_by_recurrence(D, coeff_by_quadrature(D, 1), n_max)
+        coeffs = coeff_by_recurrence(D, n_max)
     else:
         raise ValidationError(f"unknown source {source!r}")
 
@@ -285,7 +312,7 @@ def sup_norm(spec: KernelSpec) -> float:
 def tail_bound(spec: KernelSpec) -> float:
     """Upper bound on sum_{m > n_max} k_m.
 
-    The ratio recurrence is exact for the |sin gamma| kernel, so the tail
+    The closed-form table is exact for the |sin gamma| kernel, so the tail
     is summed explicitly out to a large cutoff M; beyond it the ratio is
     below (m/(m+1))^1.5, so the remainder is at most 2 k_M M (integral
     comparison with m^-1.5 decay; the true decay is ~m^-2).  Custom
@@ -294,9 +321,5 @@ def tail_bound(spec: KernelSpec) -> float:
     if spec.source == "custom":
         return 0.0
     cutoff = max(200 * spec.n_max, 20000)
-    total = 0.0
-    k = float(spec.coeffs[-1])
-    for m in range(spec.n_max, cutoff):
-        k *= coeff_ratio(spec.D, m)
-        total += k
-    return total + 2.0 * k * cutoff
+    table = coeff_by_recurrence(spec.D, cutoff)
+    return float(table[spec.n_max:].sum()) + 2.0 * float(table[-1]) * cutoff

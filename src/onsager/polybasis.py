@@ -10,7 +10,6 @@ import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
 __all__ = [
-    "QuadratureRule",
     "BasisIndex",
     "harmonic_count",
     "surface_area",
@@ -18,23 +17,9 @@ __all__ = [
     "gegenbauer_at_one",
     "legendre_eval",
     "legendre_table",
-    "quadrature_rule",
     "zonal_rule",
     "weighted_integral",
 ]
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Plain Gauss-Legendre rule on [-1, 1].
-
-    nodes are strictly increasing in (-1, 1), weights positive and summing
-    to 2; exact for polynomials of degree <= 2*order - 1.
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    order: int
 
 
 @dataclass(frozen=True)
@@ -70,6 +55,11 @@ def harmonic_count(D: int, n: int) -> int:
     count, rem = divmod(num, den)
     assert rem == 0
     return count
+
+
+# The largest D whose Gamma(D/2), and so surface_area(D), is a finite
+# double: math.gamma overflows from D = 344 on.
+MAX_DIM = 343
 
 
 def surface_area(D: int) -> float:
@@ -158,14 +148,6 @@ def _legendre_rule_cached(order: int):
     return roots_legendre(order)
 
 
-def quadrature_rule(order: int) -> QuadratureRule:
-    """Gauss-Legendre rule on [-1, 1] with the given point count."""
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    nodes, weights = _legendre_rule_cached(order)
-    return QuadratureRule(nodes=nodes, weights=weights, order=order)
-
-
 @lru_cache(maxsize=256)
 def _jacobi_rule_cached(order: int, expo: float):
     """Gauss rule for the weight (1 - t^2)^expo on [-1, 1].
@@ -192,13 +174,10 @@ def zonal_rule(D: int, order: int):
     return _jacobi_rule_cached(order, (D - 3) / 2)
 
 
-def weighted_integral(f, D: int, rule: QuadratureRule) -> float:
-    """Integral of f(t) (1 - t^2)^((D-3)/2) dt over [-1, 1].
-
-    The zonal weight is handled by a Gauss-Jacobi rule at the same order
-    as `rule`, so the weight itself costs no accuracy.
-    """
-    nodes, weights = zonal_rule(D, rule.order)
+def weighted_integral(f, D: int, order: int) -> float:
+    """Integral of f(t) (1 - t^2)^((D-3)/2) dt over [-1, 1] by the
+    `order`-point zonal rule, so the weight itself costs no accuracy."""
+    nodes, weights = zonal_rule(D, order)
     values = np.asarray(f(nodes), dtype=float)
     if values.shape != nodes.shape:
         values = np.broadcast_to(values, nodes.shape)

@@ -29,7 +29,6 @@ from onsager.dynamics import (
 from onsager.kernel import build_kernel_spec, khat_eval, onsager_mean
 from onsager.polybasis import (
     harmonic_count,
-    quadrature_rule,
     surface_area,
     weighted_integral,
     zonal_rule,
@@ -95,15 +94,14 @@ def test_gegenbauer_weighted_integral_recursion():
     #   * int (1-t^2)^a C_n dt with a = (D-2)/2; the weight (1-t^2)^a
     # is the zonal weight one dimension up, so weighted_integral(D+1)
     # computes both sides
-    rule = quadrature_rule(64)
     for D in (3, 4, 5):
         a = (D - 2) / 2
         for n in (2, 4, 6, 8):
             lhs = weighted_integral(
-                lambda t: eval_gegenbauer(n + 2, a, t), D + 1, rule)
+                lambda t: eval_gegenbauer(n + 2, a, t), D + 1, 64)
             rhs = ((n - 1) * (n + 2 * a)
                    / ((n + 2) * (n + 2 * a + 3))) * weighted_integral(
-                lambda t: eval_gegenbauer(n, a, t), D + 1, rule)
+                lambda t: eval_gegenbauer(n, a, t), D + 1, 64)
             assert lhs == pytest.approx(rhs, rel=1e-10)
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from onsager import cli
+from onsager import cli, kernel
 from onsager.errors import ValidationError
 
 
@@ -133,6 +133,45 @@ def test_evolve_divergence_exits_3_with_error_record(tmp_path, capsys):
     assert (params["lambda"], params["grid"], params["t_max"]) == (
         500.0, 32, 0.05)
     assert params["perturb"] == 0.01 and params["dt"] is None
+
+
+def test_overflow_exits_3_with_error_record(tmp_path, capsys):
+    # N(343, 2n) passes the largest double before n = 600
+    out = tmp_path / "t.csv"
+    code = cli.main(["thresholds", "--dim", "343", "--nmax", "600",
+                     "--output", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("\n") == 1
+    record = json.loads((tmp_path / "t.error.json").read_text())
+    assert record["error"] == "OverflowError"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["thresholds", "--dim", "7", "--nmax", "30"],
+    ["solve", "--dim", "10", "--lambda", "12"],
+    ["sweep", "--lambda-min", "9", "--lambda-max", "11", "--steps", "2",
+     "--modes", "6", "--nmax", "6", "--starts", "6"],
+    ["audit-degree", "--lambda", "15", "--truncations", "4,6", "--nmax",
+     "6", "--starts", "10"],
+    ["evolve", "--lambda", "11.3", "--grid", "32", "--t-max", "0.01"],
+], ids=lambda argv: argv[0])
+def test_solving_commands_use_the_closed_form_table(monkeypatch, capsys,
+                                                    argv):
+    def no_quadrature(D, n):
+        raise AssertionError("a solving command ran quadrature")
+
+    monkeypatch.setattr(kernel, "coeff_by_quadrature", no_quadrature)
+    assert cli.main(argv) == 0
+
+
+def test_coeffs_cross_check_at_dim_7(capsys):
+    # the quadrature guard is relative: D = 7 up to n = 30 converges
+    assert cli.main(["coeffs", "--dim", "7", "--nmax", "30"]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert len(rows) == 30
+    assert all(float(r["rel_diff"]) <= 1e-6 for r in rows)
 
 
 def test_unwritable_output_exits_3(tmp_path, capsys):
@@ -336,6 +375,7 @@ def test_emit_table_json_only(tmp_path):
     (["evolve", "--lambda", "11.3", "--grid", "31"], "--grid"),
     (["solve", "--lambda", "12", "--modes", "4", "--init", "0.5,abc"],
      "--init"),
+    (["coeffs", "--dim", "400", "--nmax", "2"], "--dim"),
 ])
 def test_invalid_flag_combinations_exit_2(tmp_path, capsys, argv, flag):
     out = tmp_path / "t.csv"

@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -18,6 +19,7 @@ from onsager.kernel import (
     sup_norm,
     tail_bound,
 )
+from onsager.polybasis import harmonic_count
 
 
 def test_k1_closed_forms():
@@ -37,6 +39,16 @@ def test_k2_closed_form_d3():
 def test_onsager_mean_closed_forms():
     assert onsager_mean(3) == pytest.approx(math.pi / 4, rel=1e-14)
     assert onsager_mean(4) == pytest.approx(8 / (3 * math.pi), rel=1e-14)
+
+
+@pytest.mark.parametrize("D", [5, 10, 200, 343])
+def test_onsager_mean_matches_gamma_reference(D):
+    # Gamma(D/2)^2 overflows a double from D = 199 on; the mean does not
+    with mpmath.workdps(40):
+        d = mpmath.mpf(D)
+        ref = mpmath.gamma(d / 2) ** 2 / (mpmath.gamma((d - 1) / 2)
+                                          * mpmath.gamma((d + 1) / 2))
+        assert abs(onsager_mean(D) - ref) <= 1e-14 * ref
 
 
 @pytest.mark.parametrize("D", [3, 4, 5])
@@ -81,18 +93,54 @@ def test_coeff_quadrature_matches_adaptive_integration():
 
 
 def test_recurrence_chain():
-    coeffs = coeff_by_recurrence(3, coeff_by_quadrature(3, 1), 10)
+    coeffs = coeff_by_recurrence(3, 10)
     assert len(coeffs) == 10
     for n in range(1, 11):
         assert coeffs[n - 1] == pytest.approx(coeff_by_quadrature(3, n),
                                               rel=1e-9)
 
 
+def _gamma_product_reference(D, n):
+    """k_n to 40 digits: k_1 from its Beta-function closed form times
+    (4n+D-2)/(D+2) and the Gamma ratios that the ratio product of
+    coeff_ratio telescopes to."""
+    with mpmath.workdps(40):
+        g, half, d = mpmath.gamma, mpmath.mpf(1) / 2, mpmath.mpf(D)
+
+        def sigma(m):
+            return 2 * mpmath.pi ** (m / 2) / g(m / 2)
+
+        k1 = (-(sigma(d - 1) * harmonic_count(D, 2) / sigma(d))
+              * (d * mpmath.beta(3 * half, d / 2) - mpmath.beta(half, d / 2))
+              / (d - 1))
+        return (k1 * (4 * n + d - 2) / (d + 2)
+                * g(n - half) * g(n + d / 2 - 1) * g((d + 3) / 2)
+                / (g(half) * g(n + 1) * g(d / 2) * g(n + (d + 1) / 2)))
+
+
+@pytest.mark.parametrize("D", [3, 4, 5, 7, 10])
+def test_recurrence_matches_gamma_product_reference(D):
+    # n past 8.3e5 would overflow an int64 ratio product
+    indices = (1, 2, 10, 50, 200, 400, 1_000_001)
+    table = coeff_by_recurrence(D, max(indices))
+    for n in indices:
+        ref = _gamma_product_reference(D, n)
+        assert abs(table[n - 1] - ref) <= 1e-14 * abs(ref), n
+
+
+def test_quadrature_guard_is_relative():
+    # the two quadrature orders differ by 2.4e-12 at D = 7, n = 25, far
+    # below k_25 = 1.4e-3 but above an absolute 1e-12
+    assert coeff_by_quadrature(7, 25) == pytest.approx(
+        coeff_by_recurrence(7, 25)[-1], rel=1e-6)
+    # at D = 10, n = 100 the orders differ by 7.9e-5 relative
+    with pytest.raises(AccuracyError):
+        coeff_by_quadrature(10, 100)
+
+
 def test_recurrence_validation():
     with pytest.raises(ValueError):
-        coeff_by_recurrence(3, -1.0, 4)
-    with pytest.raises(ValueError):
-        coeff_by_recurrence(3, 1.0, 0)
+        coeff_by_recurrence(3, 0)
 
 
 @pytest.mark.parametrize("source", ["onsager-quadrature",

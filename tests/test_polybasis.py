@@ -12,7 +12,6 @@ from onsager.polybasis import (
     harmonic_count,
     legendre_eval,
     legendre_table,
-    quadrature_rule,
     surface_area,
     weighted_integral,
     zonal_rule,
@@ -52,7 +51,7 @@ def test_surface_area_closed_forms(D, expected):
     lambda: surface_area(1),
     lambda: BasisIndex(2, 1),
     lambda: BasisIndex(3, -2),
-    lambda: quadrature_rule(0),
+    lambda: zonal_rule(3, 0),
     lambda: zonal_rule(2, 8),
 ])
 def test_input_validation(bad_call):
@@ -127,36 +126,34 @@ def test_domain_check():
 
 
 def test_quadrature_rule_structure():
-    rule = quadrature_rule(24)
-    assert rule.order == 24
-    assert np.all(np.diff(rule.nodes) > 0)
-    assert np.all(rule.weights > 0)
-    assert rule.weights.sum() == pytest.approx(2.0, rel=1e-14)
+    nodes, weights = zonal_rule(3, 24)
+    assert len(nodes) == 24
+    assert np.all(np.diff(nodes) > 0)
+    assert np.all(weights > 0)
+    assert weights.sum() == pytest.approx(2.0, rel=1e-14)
 
 
 def test_quadrature_exactness_degree():
-    rule = quadrature_rule(12)
+    nodes, weights = zonal_rule(3, 12)
     for k in range(0, 24, 2):
         exact = 2.0 / (k + 1)
-        got = float(np.dot(rule.weights, rule.nodes ** k))
+        got = float(np.dot(weights, nodes ** k))
         assert got == pytest.approx(exact, rel=1e-13)
 
 
 def test_weighted_integral_closed_forms():
-    rule = quadrature_rule(64)
     # D = 3: flat weight
-    assert weighted_integral(lambda t: t ** 2, 3, rule) == pytest.approx(
+    assert weighted_integral(lambda t: t ** 2, 3, 64) == pytest.approx(
         2.0 / 3.0, rel=1e-13)
     # D = 4: semicircle weight, area pi/2
-    assert weighted_integral(lambda t: 1.0, 4, rule) == pytest.approx(
+    assert weighted_integral(lambda t: 1.0, 4, 64) == pytest.approx(
         math.pi / 2.0, rel=1e-12)
     # D = 5: int (1 - t^2) dt = 4/3
-    assert weighted_integral(lambda t: 1.0, 5, rule) == pytest.approx(
+    assert weighted_integral(lambda t: 1.0, 5, 64) == pytest.approx(
         4.0 / 3.0, rel=1e-13)
 
 
 def test_weighted_integral_matches_adaptive_quadrature():
-    rule = quadrature_rule(64)
     for D in (3, 4, 6):
         expo = (D - 3) / 2
 
@@ -164,7 +161,7 @@ def test_weighted_integral_matches_adaptive_quadrature():
             return math.exp(-t) * (1 - t * t) ** expo
 
         ref, _ = quad(integrand, -1.0, 1.0)
-        got = weighted_integral(lambda t: np.exp(-t), D, rule)
+        got = weighted_integral(lambda t: np.exp(-t), D, 64)
         assert got == pytest.approx(ref, rel=1e-10)
 
 
