@@ -35,7 +35,6 @@ from .errors import (
     MarginalStabilityError,
     OnsagerError,
     SingularLinearizationError,
-    StepSizeError,
     ThresholdUndefinedError,
     ValidationError,
 )

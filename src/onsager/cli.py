@@ -136,7 +136,8 @@ _FLAGS = {
                         help="comma-separated mode counts"),
     "grid": dict(type=int, default=128),
     "t-max": dict(type=float, default=50.0),
-    "dt": dict(type=float, default=None, help="default: h^2/8"),
+    "dt": dict(type=float, default=None,
+               help=f"default: {dynamics.DT_PER_H2:g} h^2 (no step limit)"),
     "perturb": dict(type=float, default=0.01),
     "record-every": dict(type=int, default=100),
     "output": dict(default=None, help="output file; stdout when omitted"),
@@ -352,7 +353,7 @@ def _run_audit(cfg, spec):
 
 def _run_evolve(cfg, spec):
     grid = dynamics.make_grid(cfg["dim"], cfg["grid"])
-    dt = cfg["dt"] if cfg["dt"] is not None else grid.h ** 2 / 8.0
+    dt = cfg["dt"] or dynamics.DT_PER_H2 * grid.h ** 2
     shape = 1.0 + cfg["perturb"] * legendre_eval(cfg["dim"], 2,
                                                  np.cos(grid.points))
     traj = dynamics.evolve(shape, spec, cfg["lambda"], dt, cfg["t_max"], grid,

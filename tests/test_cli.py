@@ -5,11 +5,14 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from onsager import cli, kernel
+from onsager import cli, dynamics, kernel
+from onsager.dynamics import evolve
 from onsager.errors import ValidationError
 
 
@@ -119,9 +122,10 @@ def test_evolve_writes_monotone_energy(tmp_path):
 
 
 def test_evolve_divergence_exits_3_with_error_record(tmp_path, capsys):
+    # the Boltzmann factor underflows to 0 within two steps
     out = tmp_path / "run.csv"
-    code = cli.main(["evolve", "--lambda", "500", "--grid", "32",
-                     "--t-max", "0.05", "--output", str(out)])
+    code = cli.main(["evolve", "--lambda", "1e4", "--grid", "32",
+                     "--t-max", "1", "--output", str(out)])
     assert code == 3
     record = json.loads((tmp_path / "run.error.json").read_text())
     assert record["error"] == "DivergenceError"
@@ -131,8 +135,36 @@ def test_evolve_divergence_exits_3_with_error_record(tmp_path, capsys):
                            "perturb", "record_every", "output", "format",
                            "config"}
     assert (params["lambda"], params["grid"], params["t_max"]) == (
-        500.0, 32, 0.05)
+        1e4, 32, 1.0)
     assert params["perturb"] == 0.01 and params["dt"] is None
+
+
+def test_evolve_relaxes_at_large_lambda(monkeypatch, tmp_path):
+    # the semi-implicit step has no step limit: lambda = 500 relaxes to a
+    # sharply aligned state at the default dt
+    runs = []
+
+    def recording(*args, **kwargs):
+        runs.append(evolve(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(dynamics, "evolve", recording)
+    out = tmp_path / "run.csv"
+    assert cli.main(["evolve", "--lambda", "500", "--grid", "32",
+                     "--output", str(out)]) == 0
+    assert all(np.all(f > 0) for f in runs[0].densities)
+    assert all(abs(float(r["mass"]) - 1.0) <= 1e-12
+               for r in _read_csv(out))
+
+
+def test_evolve_at_dim_343_prints_no_warning(capsys):
+    # grid_norm squares densities of size 1/sigma_343, about 3e222
+    argv = ["evolve", "--dim", "343", "--lambda", "5", "--grid", "32",
+            "--t-max", "0.001", "--nmax", "3"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_overflow_exits_3_with_error_record(tmp_path, capsys):

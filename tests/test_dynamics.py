@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from explicit_oracle import StepSizeError, explicit_relax, explicit_step
 
 from onsager.dynamics import (
+    DT_PER_H2,
+    _moment_tables,
     density_on_grid,
     evolve,
     grid_energy,
@@ -14,7 +17,7 @@ from onsager.dynamics import (
     potential_on_grid,
     step,
 )
-from onsager.errors import DivergenceError, StepSizeError
+from onsager.errors import DivergenceError
 from onsager.kernel import build_kernel_spec
 from onsager.solver import AxisymState, residual, solve, zonal_moments
 
@@ -50,7 +53,7 @@ def test_make_grid_validation():
 def test_uniform_density_is_bitwise_stationary():
     grid = make_grid(3, 64)
     f = np.full(grid.G, 1.0 / grid_mass(np.ones(grid.G), grid))
-    out = step(f, SPEC3, 9.0, grid.h ** 2 / 8, grid)
+    out = explicit_step(f, SPEC3, 9.0, grid.h ** 2 / 8, grid)
     assert np.array_equal(out, f)
 
 
@@ -82,7 +85,7 @@ def test_mass_conserved_to_rounding_per_step():
     dt = grid.h ** 2 / 8
     prev = grid_mass(f, grid)
     for _ in range(200):
-        f = step(f, SPEC3, 8.0, dt, grid)
+        f = explicit_step(f, SPEC3, 8.0, dt, grid)
         mass = grid_mass(f, grid)
         assert abs(mass - prev) <= 1e-14
         prev = mass
@@ -94,7 +97,7 @@ def test_mass_drift_bounded_over_many_steps():
     dt = grid.h ** 2 / 8
     m0 = grid_mass(f, grid)
     for _ in range(100000):
-        f = step(f, SPEC3, 8.0, dt, grid)
+        f = explicit_step(f, SPEC3, 8.0, dt, grid)
     assert abs(grid_mass(f, grid) - m0) <= 1e-10
 
 
@@ -103,7 +106,7 @@ def test_energy_is_a_lyapunov_function():
     rng = np.random.default_rng(9)
     for lam in (5.0, 1.3 * LAM1):
         f = 1.0 + 0.3 * rng.uniform(-1, 1, size=grid.G)
-        traj = evolve(f, SPEC3, lam, grid.h ** 2 / 8, 1.0, grid,
+        traj = evolve(f, SPEC3, lam, DT_PER_H2 * grid.h ** 2, 1.0, grid,
                       record_every=1)
         drops = np.diff(traj.energies)
         assert np.all(drops <= 1e-10)
@@ -112,7 +115,7 @@ def test_energy_is_a_lyapunov_function():
 def test_trajectory_densities_stay_normalized_and_nonnegative():
     grid = make_grid(3, 64)
     f = _bump(grid, amp=0.5)
-    traj = evolve(f, SPEC3, 12.0, grid.h ** 2 / 8, 0.5, grid,
+    traj = evolve(f, SPEC3, 12.0, DT_PER_H2 * grid.h ** 2, 0.5, grid,
                   record_every=50)
     for f_k in traj.densities:
         assert np.all(f_k >= 0)
@@ -121,13 +124,28 @@ def test_trajectory_densities_stay_normalized_and_nonnegative():
     assert np.array_equal(traj.final_density, traj.densities[-1])
 
 
+def test_step_has_no_step_limit():
+    # far beyond the explicit limit h^2/4 the step stays positive and
+    # conserves mass, and the energy does not rise
+    grid = make_grid(3, 64)
+    rng = np.random.default_rng(4)
+    f = _bump(grid, amp=0.5) * (1.0 + 0.3 * rng.uniform(-1, 1, grid.G))
+    f /= grid_mass(f, grid)
+    energy = grid_energy(f, SPEC3, 1.3 * LAM1, grid)
+    for dt in (grid.h ** 2, DT_PER_H2 * grid.h ** 2, 1e3):
+        out = step(f, SPEC3, 1.3 * LAM1, dt, grid)
+        assert np.all(out > 0)
+        assert abs(grid_mass(out, grid) - 1.0) <= 1e-14
+        assert grid_energy(out, SPEC3, 1.3 * LAM1, grid) <= energy
+
+
 def test_step_size_guard():
     grid = make_grid(3, 64)
     f = np.ones(grid.G)
     with pytest.raises(StepSizeError):
-        step(f, SPEC3, 1.0, grid.h ** 2 / 3.9, grid)
+        explicit_step(f, SPEC3, 1.0, grid.h ** 2 / 3.9, grid)
     with pytest.raises(StepSizeError):
-        evolve(f, SPEC3, 1.0, grid.h ** 2, 1.0, grid)
+        explicit_relax(f, SPEC3, 1.0, grid.h ** 2, grid, 1e-10, 10)
 
 
 def test_divergence_error_reports_last_time():
@@ -149,7 +167,7 @@ def test_evolve_rejects_empty_density():
 
 def test_evolve_settles_early_at_equilibrium():
     grid = make_grid(3, 64)
-    traj = evolve(_bump(grid, amp=0.01), SPEC3, 5.0, grid.h ** 2 / 8,
+    traj = evolve(_bump(grid, amp=0.01), SPEC3, 5.0, DT_PER_H2 * grid.h ** 2,
                   200.0, grid, record_every=1000, settle_tol=1e-9)
     assert traj.terminated_early
     assert traj.times[-1] < 200.0
@@ -172,7 +190,7 @@ def test_evolve_limit_solves_the_fixed_point_equation():
     # back to coefficient space via u_n = -lam k_n a_n
     lam = 1.1 * LAM1
     grid = make_grid(3, 64)
-    traj = evolve(_bump(grid, amp=0.01), SPEC3, lam, grid.h ** 2 / 8,
+    traj = evolve(_bump(grid, amp=0.01), SPEC3, lam, DT_PER_H2 * grid.h ** 2,
                   60.0, grid, record_every=1000, settle_tol=1e-9)
     a = grid_moments(traj.final_density, grid, 12)
     implied = AxisymState(3, -lam * SPEC3.coeffs * a)
@@ -186,18 +204,19 @@ def test_evolve_limit_matches_solver_branch():
     report = solve(SPEC3, lam, AxisymState(3, [-4.0] + [0.0] * 11))
     assert report.converged and report.state.coeffs[0] < -1
     grid = make_grid(3, 128)
-    traj = evolve(_bump(grid, amp=0.01), SPEC3, lam, grid.h ** 2 / 8,
+    traj = evolve(_bump(grid, amp=0.01), SPEC3, lam, DT_PER_H2 * grid.h ** 2,
                   60.0, grid, record_every=5000, settle_tol=1e-10)
     target = density_on_grid(report.state, lam, grid)
     assert grid_norm(traj.final_density - target, grid) <= 1e-5
 
 
 def test_grid_convergence_is_second_order():
-    # shared dt below every grid's stability limit; the moment of the
-    # transient at t = 1 converges at O(h^2), so successive differences
-    # shrink by about 4 per refinement
+    # a dt shared by all grids (the finest grid's default), so the time
+    # error cancels in the differences; the moment of the transient at
+    # t = 1 converges at O(h^2), so successive differences shrink by
+    # about 4 per refinement
     lam = 1.1 * LAM1
-    dt = (math.pi / 257) ** 2 / 8
+    dt = DT_PER_H2 * (math.pi / 257) ** 2
     vals = {}
     for G in (64, 128, 256):
         grid = make_grid(3, G)
@@ -206,6 +225,45 @@ def test_grid_convergence_is_second_order():
         vals[G] = grid_moments(traj.final_density, grid, 1)[0]
     ratio = abs(vals[64] - vals[128]) / abs(vals[128] - vals[256])
     assert 3.0 <= ratio <= 5.0
+
+
+def test_evolve_limit_matches_explicit_oracle():
+    # both steps have the same fixed points; from the same start the
+    # semi-implicit run at the default dt and the explicit oracle at
+    # h^2/8 settle on the same discrete equilibrium
+    lam = 1.1 * LAM1
+    grid = make_grid(3, 64)
+    f0 = _bump(grid, amp=0.01)
+    explicit = explicit_relax(f0, SPEC3, lam, grid.h ** 2 / 8, grid, 1e-10,
+                              200000)
+    traj = evolve(f0, SPEC3, lam, DT_PER_H2 * grid.h ** 2, 100.0, grid,
+                  record_every=10 ** 9, settle_tol=1e-10)
+    assert traj.terminated_early
+    assert grid_norm(traj.final_density - explicit, grid) <= 1e-10
+
+
+def test_last_step_ends_at_t_max():
+    grid = make_grid(3, 32)
+    dt = DT_PER_H2 * grid.h ** 2
+    f0 = _bump(grid)
+    assert evolve(f0, SPEC3, 11.3, dt, 0.01, grid).times == [0.0, 0.01]
+    traj = evolve(f0, SPEC3, 11.3, dt, 2.5 * dt, grid)
+    assert traj.times == [0.0, dt, 2 * dt, 2.5 * dt]
+
+
+def test_grid_norm_is_scaled_against_overflow():
+    grid = make_grid(3, 64)
+    f = _bump(grid, amp=0.3)
+    weights, _, _ = _moment_tables(3, 64, 1)
+    unscaled = math.sqrt(float(weights @ f ** 2))
+    assert grid_norm(f, grid) == pytest.approx(unscaled, rel=1e-15)
+    # a density of size 1/sigma_343 (about 3e222) squares past the
+    # largest double
+    grid = make_grid(343, 32)
+    f = np.ones(grid.G) / grid_mass(np.ones(grid.G), grid)
+    with np.errstate(all="raise"):
+        norm = grid_norm(f, grid)
+    assert math.isfinite(norm) and norm > 0
 
 
 def test_energy_of_uniform_matches_closed_form():

@@ -6,9 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from explicit_oracle import explicit_step
 
 from onsager.bifurcation import classify_stability, trace_branch
-from onsager.dynamics import density_on_grid, grid_norm, make_grid, step
+from onsager.dynamics import density_on_grid, grid_norm, make_grid
 from onsager.errors import MarginalStabilityError
 from onsager.kernel import build_kernel_spec
 from onsager.polybasis import legendre_eval
@@ -44,8 +45,8 @@ def dynamics_stability(point, spec, grid_points=64, horizon=2.0, eps=1e-3,
         fb = base.copy()
         d_half = None
         for k in range(1, n_steps + 1):
-            f = step(f, spec, lam, dt, grid)
-            fb = step(fb, spec, lam, dt, grid)
+            f = explicit_step(f, spec, lam, dt, grid)
+            fb = explicit_step(fb, spec, lam, dt, grid)
             if k == half:
                 d_half = grid_norm(f - fb, grid)
         d_end = grid_norm(f - fb, grid)
