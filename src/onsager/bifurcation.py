@@ -20,9 +20,11 @@ from .errors import (
 from .kernel import KernelSpec, tail_bound
 from .polybasis import harmonic_count
 from .solver import (
+    DEFAULT_ORDER,
     AxisymState,
     SolutionReport,
-    jacobian,
+    _residual_and_jacobian,
+    _spectrum,
     multistart,
     solve,
     state_norm,
@@ -186,33 +188,29 @@ def uniqueness_thresholds(spec: KernelSpec) -> ThresholdReport:
     )
 
 
-def _spectrum(report: SolutionReport, spec: KernelSpec, lam: float,
-              degenerate: type) -> np.ndarray:
-    """Eigenvalues mu of J at a converged solution, at the report's own
-    truncation: the one linear analysis behind index and stability.
-
-    J = diag(lam k) Cov with Cov symmetric positive definite, so J is
-    similar to a symmetric matrix and mu is real; sign det(I - J) =
-    (-1)^#{mu > 1}, and the solution is stable under the relaxation flow
-    exactly when every mu < 1.  Raises `degenerate` when
-    min |1 - mu| <= 1e-12 max(1, max |1 - mu|).
+def _report_spectrum(report: SolutionReport, spec: KernelSpec,
+                     degenerate: type) -> np.ndarray:
+    """Eigenvalues g of I - J at a converged solution, at the report's own
+    truncation and lambda, from `solver._spectrum`: the one linear
+    analysis behind index and stability.  Raises `degenerate` where that
+    flags I - J as degenerate.
     """
     if not report.converged:
         raise ValueError("index and stability are only defined at "
                          "converged solutions")
-    mu = np.linalg.eigvals(jacobian(report.state, spec, lam))
-    gaps = np.abs(1.0 - mu)
-    if gaps.min() <= 1e-12 * max(1.0, gaps.max()):
-        raise degenerate(f"I - J degenerate at lambda = {lam}")
-    return mu
+    cov = _residual_and_jacobian(report.state, spec, report.lam,
+                                 DEFAULT_ORDER)[2]
+    g, singular = _spectrum(spec, report.lam, cov)
+    if singular:
+        raise degenerate(f"I - J degenerate at lambda = {report.lam}")
+    return g
 
 
-def index_of(report: SolutionReport, spec: KernelSpec, lam: float) -> int:
-    """Brouwer index sign det(I - J) at a converged solution:
-    (-1)^(number of eigenvalues of J above 1).  Complex eigenvalues come
-    in conjugate pairs, so counting real parts keeps the parity."""
-    mu = _spectrum(report, spec, lam, DegenerateIndexError)
-    return -1 if np.count_nonzero(mu.real > 1.0) % 2 else 1
+def index_of(report: SolutionReport, spec: KernelSpec) -> int:
+    """Brouwer index sign det(I - J) at a converged solution, at the
+    report's lambda: (-1)^#{g < 0} over the real eigenvalues g of I - J."""
+    g = _report_spectrum(report, spec, DegenerateIndexError)
+    return -1 if np.count_nonzero(g < 0.0) % 2 else 1
 
 
 def degree_audit(spec: KernelSpec, lam: float, n_starts: int, seed: int,
@@ -239,8 +237,7 @@ def degree_audit(spec: KernelSpec, lam: float, n_starts: int, seed: int,
             raise InconclusiveAuditError(
                 f"censuses at N={N} disagree: {len(census)} vs "
                 f"{len(recheck)} solutions", censuses=(census, recheck))
-        indexed = tuple(replace(r, index=index_of(r, spec, lam))
-                        for r in census)
+        indexed = tuple(replace(r, index=index_of(r, spec)) for r in census)
         sums.append(sum(r.index for r in indexed))
         last_solutions = indexed
     stable = len(set(sums)) == 1
@@ -262,7 +259,7 @@ def _seed_solution(spec, n, lam, sign, delta, n_modes, tol):
         coeffs[n - 1] = sign * delta * 2.0 ** j
         guess = AxisymState(D=spec.D, coeffs=coeffs)
         try:
-            report = solve(spec, lam, guess, method="newton", tol=tol)
+            report = solve(spec, lam, guess, tol=tol)
         except SingularLinearizationError:
             continue
         u = report.state.coeffs
@@ -332,8 +329,7 @@ def trace_branch(spec: KernelSpec, n: int, lambda_end: float, steps: int,
         if steps > 0 and abs(lambda_end - lam) > 0:
             for lam_next in np.linspace(lam, lambda_end, steps + 1)[1:]:
                 try:
-                    report = solve(spec, float(lam_next), state,
-                                   method="newton", tol=tol)
+                    report = solve(spec, float(lam_next), state, tol=tol)
                 except SingularLinearizationError:
                     break
                 u = report.state.coeffs
@@ -354,20 +350,17 @@ def trace_branch(spec: KernelSpec, n: int, lambda_end: float, steps: int,
             f"no nontrivial mode-{n} solutions found near lambda_{n} = "
             f"{origin}")
     if classify:
-        points = [
-            replace(p, stable=(classify_stability((p.lam, p.report), spec)
-                               == "stable"))
-            for p in points
-        ]
+        points = [replace(p, stable=(classify_stability(p.report, spec)
+                                     == "stable"))
+                  for p in points]
     return Branch(mode=n, origin=origin, points=tuple(points))
 
 
-def classify_stability(point, spec: KernelSpec) -> str:
-    """Stability of a solution (lam, report) under the relaxation dynamics:
-    "stable" when every eigenvalue of J at the report's truncation has
-    real part below 1, "unstable" otherwise.  An eigenvalue at 1 to
-    rounding raises MarginalStabilityError.
+def classify_stability(report: SolutionReport, spec: KernelSpec) -> str:
+    """Stability of a converged solution under the relaxation dynamics, at
+    the report's lambda: "stable" when every eigenvalue g of I - J at the
+    report's truncation is positive, "unstable" otherwise.  I - J
+    singular to rounding raises MarginalStabilityError.
     """
-    lam, report = point
-    mu = _spectrum(report, spec, lam, MarginalStabilityError)
-    return "stable" if np.all(mu.real < 1.0) else "unstable"
+    g = _report_spectrum(report, spec, MarginalStabilityError)
+    return "stable" if np.all(g > 0.0) else "unstable"

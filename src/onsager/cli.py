@@ -131,7 +131,6 @@ _FLAGS = {
     "starts": dict(type=int, default=30),
     "init": dict(type=_init, default=None,
                  help="comma-separated starting coefficients"),
-    "solver": dict(choices=("newton", "picard"), default="newton"),
     "truncations": dict(type=_truncations, default="8,12,16",
                         help="comma-separated mode counts"),
     "grid": dict(type=int, default=128),
@@ -152,8 +151,8 @@ _COMMON = ("dim", "nmax", "output", "format", "config")
 _COMMAND_FLAGS = {
     "coeffs": _COMMON + ("method",),
     "thresholds": _COMMON,
-    "solve": _COMMON + ("lambda", "modes", "init", "solver", "tol",
-                        "max-iter", "order"),
+    "solve": _COMMON + ("lambda", "modes", "init", "tol", "max-iter",
+                        "order"),
     "sweep": _COMMON + ("lambda-min", "lambda-max", "steps", "modes",
                         "starts", "seed", "tol", "max-iter", "order"),
     "audit-degree": _COMMON + ("lambda", "truncations", "starts", "seed"),
@@ -294,8 +293,8 @@ def _run_solve(cfg, spec):
     coeffs[:len(given)] = given
     report = solver.solve(spec, cfg["lambda"],
                           AxisymState(D=cfg["dim"], coeffs=coeffs),
-                          method=cfg["solver"], tol=cfg["tol"],
-                          max_iter=cfg["max_iter"], order=cfg["order"])
+                          tol=cfg["tol"], max_iter=cfg["max_iter"],
+                          order=cfg["order"])
     record = {
         "lambda": cfg["lambda"],
         "converged": report.converged,

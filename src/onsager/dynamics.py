@@ -157,11 +157,12 @@ def step(f: np.ndarray, spec: KernelSpec, lam: float, dt: float,
     tridiagonal M-matrix system (V b / dt) phi - div(a grad phi) = V f / dt
     in the node weights V, and the step returns b phi.  Densities
     proportional to e^(-U) carry zero flux, so the discrete equilibria
-    are the self-consistency fixed points.  Every k_n > 0 makes the
-    interaction energy concave on mass-preserving perturbations, so this
-    is a convex splitting (Eyre): positivity, mass and energy decay hold
-    with no step limit.  Raises DivergenceError when a Boltzmann factor
-    vanishes or the new density is negative or not finite."""
+    are the self-consistency fixed points.  Every k_n >= 0 (KernelSpec
+    checks it) makes the interaction energy concave on mass-preserving
+    perturbations, so this is a convex splitting (Eyre): positivity, mass
+    and energy decay hold with no step limit.  Raises DivergenceError when
+    a Boltzmann factor vanishes or the new density is negative or not
+    finite."""
     f = np.asarray(f, dtype=float)
     potential = potential_on_grid(f, spec, lam, grid)
     volumes, _, _ = _moment_tables(grid.D, grid.G, 1)

@@ -47,7 +47,9 @@ class KernelSpec:
     """Truncated even-zonal expansion of an interaction kernel.
 
     K(gamma) = k0 - sum_{n=1}^{n_max} k_n P_{2n}(D, cos gamma), with k0 the
-    kernel mean over the sphere and sup_norm_khat = ||K - k0||_inf.
+    kernel mean over the sphere and sup_norm_khat = ||K - k0||_inf.  Every
+    k_n >= 0: the symmetric spectrum of the Jacobian (`solver._spectrum`)
+    and the convex splitting of `dynamics.step` both rest on it.
     """
 
     D: int
@@ -67,6 +69,12 @@ class KernelSpec:
                 f"need n_max >= 1 coefficients, got {len(self.coeffs)}")
         if not np.all(np.isfinite(self.coeffs)):
             raise ValidationError("coefficients must be finite")
+        negative = np.flatnonzero(self.coeffs < 0)
+        if negative.size:
+            n = int(negative[0]) + 1
+            raise ValidationError(
+                f"coefficient k_{n} = {self.coeffs[n - 1]} is negative",
+                index=n)
         self.coeffs.setflags(write=False)
 
     def coeff(self, n: int) -> float:

@@ -1,6 +1,7 @@
 """Axially symmetric self-consistency solver: states u(theta) =
 sum_n u_n P_{2n}(D, cos theta), the mean-field operator, its Jacobian,
-Picard/Newton iteration, density recovery and free energy."""
+the spectrum of I - J, Newton iteration, density recovery and free
+energy."""
 
 import math
 from dataclasses import dataclass
@@ -19,7 +20,6 @@ __all__ = [
     "DEFAULT_ORDER",
     "state_norm",
     "state_sup_norm",
-    "gtilde",
     "zonal_moments",
     "apply_G",
     "residual",
@@ -81,7 +81,6 @@ class SolutionReport:
     lam: float
     residual_norm: float
     iterations: int
-    method: str
     converged: bool
     sup_norm_u: float
     index: int | None = None
@@ -93,7 +92,6 @@ class SolutionReport:
             "modes": [float(c) for c in self.state.coeffs],
             "residual_norm": self.residual_norm,
             "iterations": self.iterations,
-            "method": self.method,
             "converged": self.converged,
             "index": self.index,
             "sup_norm_u": self.sup_norm_u,
@@ -169,26 +167,12 @@ def _density_weights(D: int, coeffs: np.ndarray, order: int):
     return gw, table, (table @ gw[..., None])[..., 0] - base
 
 
-def gtilde(state: AxisymState, theta, order: int = DEFAULT_ORDER):
-    """Orientation density in theta:
-    e^(-u) sin^(D-2) theta / int_0^pi e^(-u) sin^(D-2)."""
-    th = np.asarray(theta, dtype=float)
-    if np.any(th < 0.0) or np.any(th > math.pi):
-        raise ValueError("theta outside [0, pi]")
-    nodes, weights, table, _, _ = _mode_tables(state.D, state.N, order)
-    u_nodes = state.coeffs @ table
-    shift = u_nodes.min()
-    z = float(np.dot(weights, np.exp(-(u_nodes - shift))))
-    u_th = state.eval(np.cos(th))
-    out = (np.exp(-(np.atleast_1d(u_th) - shift))
-           * np.sin(np.atleast_1d(th)) ** (state.D - 2) / z)
-    return float(out[0]) if np.ndim(theta) == 0 else out
-
-
 def zonal_moments(state: AxisymState, N: int | None = None,
                   order: int = DEFAULT_ORDER) -> np.ndarray:
-    """Moments a_n = int_0^pi gtilde(theta) P_{2n}(D, cos theta) dtheta
-    for n = 1..N (default: the state's truncation).  All |a_n| <= 1."""
+    """Moments a_n = int_0^pi g(theta) P_{2n}(D, cos theta) dtheta of the
+    orientation density in theta,
+    g = e^(-u) sin^(D-2) / int_0^pi e^(-u) sin^(D-2), for n = 1..N
+    (default: the state's truncation).  All |a_n| <= 1."""
     work = state if N is None or N == state.N else state.padded(max(N, state.N))
     _, _, moments = _density_weights(work.D, work.coeffs, order)
     return moments if N is None or N >= state.N else moments[:N]
@@ -211,7 +195,7 @@ def residual(state: AxisymState, spec: KernelSpec, lam: float,
 def jacobian(state: AxisymState, spec: KernelSpec, lam: float,
              order: int = DEFAULT_ORDER) -> np.ndarray:
     """Matrix J_mn = d(lam G(u))_m / du_n
-    = lam k_m (<P_2n P_2m>_gtilde - a_n a_m).
+    = lam k_m (<P_2n P_2m>_g - a_n a_m), g the density of zonal_moments.
 
     At u = 0 this is diag(lam k_n / N(D, 2n)).
     """
@@ -227,8 +211,9 @@ def _check_kernel(spec: KernelSpec, D: int, N: int):
 
 def _residual_and_jacobian(state: AxisymState, spec: KernelSpec, lam: float,
                            order: int):
-    """residual() and jacobian() from one density pass, with the same
-    arithmetic as each, so both agree with the separate calls bit for
+    """residual(), jacobian() and the density covariance Cov (J =
+    diag(lam k) Cov) from one density pass, with the same arithmetic as
+    each, so residual and Jacobian agree with the separate calls bit for
     bit."""
     _check_kernel(spec, state.D, state.N)
     return _fused_pass(spec, lam, state.coeffs, order)
@@ -236,26 +221,44 @@ def _residual_and_jacobian(state: AxisymState, spec: KernelSpec, lam: float,
 
 def _fused_pass(spec: KernelSpec, lam: float, coeffs: np.ndarray,
                 order: int):
-    """Residual u - lam G(u) and Jacobian of lam G for one state (coeffs
-    of shape (N,)) or a stack (S, N), each row bitwise what its state
-    alone gives."""
+    """Residual u - lam G(u), Jacobian J = diag(lam k) Cov of lam G and
+    the density covariance Cov for one state (coeffs of shape (N,)) or a
+    stack (S, N), each row bitwise what its state alone gives."""
     gw, table, a = _density_weights(spec.D, coeffs, order)
     k = spec.coeffs[:coeffs.shape[-1]]
     res = coeffs - (-lam * k * a)
     second = (table * gw[..., None, :]) @ table.T
     cov = second - a[..., :, None] * a[..., None, :]
-    return res, lam * k[:, None] * cov
+    return res, lam * k[:, None] * cov, cov
 
 
-def _make_report(state, res, spec, lam, iterations, method, tol):
+def _spectrum(spec: KernelSpec, lam: float, cov: np.ndarray):
+    """Eigenvalues g of I - J, ascending, for one covariance Cov (N, N) or
+    a stack (S, N, N), and a flag per matrix that is True where I - J is
+    degenerate: min |g| <= 1e-12 max(1, max |g|).
+
+    With d = sqrt(lam k) (real: lam >= 0 and every k_n >= 0), J =
+    diag(d)^2 Cov has the spectrum of the symmetric diag(d) Cov diag(d),
+    so g is real and comes from eigvalsh.  This is the one linear
+    analysis: Newton's singularity test, the Brouwer index and the
+    stability all read it.
+    """
+    N = cov.shape[-1]
+    d = np.sqrt(lam * spec.coeffs[:N])
+    g = np.linalg.eigvalsh(np.eye(N) - d[:, None] * cov * d)
+    size = np.abs(g)
+    return g, size.min(axis=-1) <= 1e-12 * np.maximum(size.max(axis=-1), 1.0)
+
+
+def _make_report(state, res, spec, lam, iterations, tol):
     """Report for state, whose residual res the caller has computed."""
     res_norm = state_norm(state.D, res)
     sup_u = state_sup_norm(state)
     lam_khat = lam * spec.sup_norm_khat
     converged = res_norm <= tol and sup_u <= lam_khat + 1e-8
     return SolutionReport(state=state, lam=lam, residual_norm=res_norm,
-                          iterations=iterations, method=method,
-                          converged=converged, sup_norm_u=sup_u)
+                          iterations=iterations, converged=converged,
+                          sup_norm_u=sup_u)
 
 
 def _polish(state: AxisymState, res: np.ndarray, jac: np.ndarray,
@@ -273,8 +276,8 @@ def _polish(state: AxisymState, res: np.ndarray, jac: np.ndarray,
         except np.linalg.LinAlgError:
             break
         candidate = AxisymState(state.D, state.coeffs + delta)
-        cand_res, cand_jac = _residual_and_jacobian(candidate, spec, lam,
-                                                    order)
+        cand_res, cand_jac, _ = _residual_and_jacobian(candidate, spec,
+                                                       lam, order)
         if state_norm(state.D, cand_res) >= state_norm(state.D, res):
             break
         state, res, jac = candidate, cand_res, cand_jac
@@ -287,10 +290,10 @@ def _newton(spec: KernelSpec, lam: float, D: int, starts: np.ndarray,
     starts (S, N) at once.
 
     Each row takes exactly the steps it would take alone: it stops when
-    its residual norm is <= tol (then _polish), when I - J is singular
-    (the row is dropped), before an update that is not finite, or after
-    max_iter updates.  Returns, per row in start order, (state, residual,
-    iterations), or None for a dropped row.
+    its residual norm is <= tol (then _polish), when _spectrum finds
+    I - J degenerate (the row is dropped), before an update that is not
+    finite, or after max_iter updates.  Returns, per row in start order,
+    (state, residual, iterations), or None for a dropped row.
     """
     S, N = starts.shape
     _check_kernel(spec, D, N)
@@ -299,7 +302,7 @@ def _newton(spec: KernelSpec, lam: float, D: int, starts: np.ndarray,
     out = [None] * S
     rows, coeffs = np.arange(S), starts
     for it in range(1, max_iter + 1):
-        res, jac = _fused_pass(spec, lam, coeffs, order)
+        res, jac, cov = _fused_pass(spec, lam, coeffs, order)
         # state_norm of each row, as the same dot product
         done = np.sqrt((res ** 2)[:, None, :] @ l2w)[:, 0] <= tol
         for j in np.flatnonzero(done):
@@ -310,9 +313,7 @@ def _newton(spec: KernelSpec, lam: float, D: int, starts: np.ndarray,
         if not rows.size:
             return out
         system = eye - jac[~done]
-        # scale-invariant singularity test: reciprocal condition number
-        svals = np.linalg.svd(system, compute_uv=False)
-        keep = svals[:, -1] > 1e-12 * np.maximum(svals[:, 0], 1.0)
+        keep = ~_spectrum(spec, lam, cov[~done])[1]
         rows, coeffs, res = rows[keep], coeffs[keep], res[keep]
         if not rows.size:
             return out
@@ -337,40 +338,23 @@ def _check_tol_lambda(tol: float, lam: float):
 
 
 def solve(spec: KernelSpec, lam: float, init: AxisymState,
-          method: str = "newton", tol: float = 1e-10, max_iter: int = 200,
-          order: int = DEFAULT_ORDER, damping: float = 1.0,
-          ) -> SolutionReport:
-    """Solve u = lam G(u) from the given initial state.
-
-    Picard iterates u <- (1-w) u + w lam G(u); Newton solves
+          tol: float = 1e-10, max_iter: int = 200,
+          order: int = DEFAULT_ORDER) -> SolutionReport:
+    """Solve u = lam G(u) from the given initial state by Newton's method,
     (I - J) delta = -(u - lam G(u)), as the one-row case of the batched
     loop multistart runs.  Non-convergence yields a report with
     converged=False; a singular Newton system raises
     SingularLinearizationError.
     """
     _check_tol_lambda(tol, lam)
-    if method not in ("picard", "newton"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "newton":
-        outcome = _newton(spec, lam, init.D, init.coeffs[None, :], tol,
-                          max_iter, order)[0]
-        if outcome is None:
-            raise SingularLinearizationError(
-                f"Newton linearization singular at lambda={lam}; "
-                "perturb lambda away from critical values")
-        state, res, iterations = outcome
-        return _make_report(state, res, spec, lam, iterations, method, tol)
-    state = init
-    for it in range(1, max_iter + 1):
-        res = residual(state, spec, lam, order=order)
-        if state_norm(state.D, res) <= tol:
-            return _make_report(state, res, spec, lam, it - 1, method, tol)
-        new_coeffs = state.coeffs - damping * res
-        if not np.all(np.isfinite(new_coeffs)):
-            return _make_report(state, res, spec, lam, it, method, tol)
-        state = AxisymState(state.D, new_coeffs)
-    return _make_report(state, residual(state, spec, lam, order=order), spec,
-                        lam, max_iter, method, tol)
+    outcome = _newton(spec, lam, init.D, init.coeffs[None, :], tol,
+                      max_iter, order)[0]
+    if outcome is None:
+        raise SingularLinearizationError(
+            f"Newton linearization singular at lambda={lam}; "
+            "perturb lambda away from critical values")
+    state, res, iterations = outcome
+    return _make_report(state, res, spec, lam, iterations, tol)
 
 
 # Starts per Newton batch: bounds the (rows, N, order) temporary of the
@@ -408,8 +392,7 @@ def multistart(spec: KernelSpec, lam: float, n_starts: int, seed: int,
             if outcome is None:
                 continue
             state, res, iterations = outcome
-            report = _make_report(state, res, spec, lam, iterations,
-                                  "newton", tol)
+            report = _make_report(state, res, spec, lam, iterations, tol)
             if report.converged and all(
                     state_norm(spec.D, state.coeffs - other.state.coeffs)
                     > 10.0 * tol for other in found):

@@ -184,10 +184,10 @@ def test_degree_sum_is_one_across_truncations(factor):
 def test_trivial_index_flip_is_compensated_by_branches():
     below = solve(SPEC3, 0.9 * LAM1, AxisymState(3, np.zeros(8)))
     above = solve(SPEC3, 1.5 * LAM1, AxisymState(3, np.zeros(8)))
-    assert index_of(below, SPEC3, 0.9 * LAM1) == 1
-    assert index_of(above, SPEC3, 1.5 * LAM1) == -1
+    assert index_of(below, SPEC3) == 1
+    assert index_of(above, SPEC3) == -1
     census = multistart(SPEC3, 1.5 * LAM1, 30, seed=0, N=8)
-    branch_indices = [index_of(r, SPEC3, 1.5 * LAM1) for r in census
+    branch_indices = [index_of(r, SPEC3) for r in census
                       if state_norm(3, r.state.coeffs) > 1e-6]
     assert branch_indices == [1, 1]
 

@@ -114,7 +114,7 @@ def test_trivial_index_factorizes_over_modes():
             math.copysign(1, 1 - lam * SPEC3.coeff(n)
                           / harmonic_count(3, 2 * n))
             for n in range(1, 7)]))
-        assert index_of(report, SPEC3, lam) == expected
+        assert index_of(report, SPEC3) == expected
         checked += 1
 
 
@@ -125,14 +125,14 @@ def test_trivial_index_flips_across_critical_values(n):
     signs = []
     for lam in (crit[n - 1] - eps, crit[n - 1] + eps):
         report = solve(SPEC3, lam, AxisymState(3, np.zeros(6)))
-        signs.append(index_of(report, SPEC3, lam))
+        signs.append(index_of(report, SPEC3))
     assert signs[0] == -signs[1]
 
 
 def test_index_degenerate_at_critical_value():
     report = solve(SPEC3, LAM1, AxisymState(3, np.zeros(6)))
     with pytest.raises(DegenerateIndexError):
-        index_of(report, SPEC3, LAM1)
+        index_of(report, SPEC3)
 
 
 def test_index_requires_convergence():
@@ -140,7 +140,7 @@ def test_index_requires_convergence():
                    max_iter=0)
     assert not report.converged
     with pytest.raises(ValueError):
-        index_of(report, SPEC3, 15.0)
+        index_of(report, SPEC3)
 
 
 def test_degree_audit_below_first_critical_value():
@@ -238,9 +238,9 @@ def test_branch_json_dict():
 def test_trivial_solution_stability_switches_at_lambda1():
     trivial = AxisymState(3, np.zeros(4))
     below = solve(SPEC3, 5.0, trivial)
-    assert classify_stability((5.0, below), SPEC3) == "stable"
+    assert classify_stability(below, SPEC3) == "stable"
     above = solve(SPEC3, 1.1 * LAM1, trivial)
-    assert classify_stability((1.1 * LAM1, above), SPEC3) == "unstable"
+    assert classify_stability(above, SPEC3) == "unstable"
 
 
 def test_nematic_solution_is_stable():
@@ -248,11 +248,11 @@ def test_nematic_solution_is_stable():
     census = multistart(SPEC3, lam, 20, seed=2, N=6)
     nematic = census[-1]
     assert state_norm(3, nematic.state.coeffs) > 0.1
-    assert classify_stability((lam, nematic), SPEC3) == "stable"
+    assert classify_stability(nematic, SPEC3) == "stable"
 
 
 def test_classify_stability_requires_convergence():
     report = solve(SPEC3, 15.0, AxisymState(3, [0.5] + [0.0] * 5),
                    max_iter=0)
     with pytest.raises(ValueError):
-        classify_stability((15.0, report), SPEC3)
+        classify_stability(report, SPEC3)

@@ -276,6 +276,7 @@ def test_config_keys_are_flag_names(tmp_path, capsys, argv, config, check):
     ("coeffs", '{"dim": "three"}'),
     ("solve", '{"lambda": "12x"}'),
     ("coeffs", '{"method": "spline"}'),
+    ("solve", '{"lambda": 12, "solver": "newton"}'),
     ("coeffs", '{"config": "other.json"}'),
     ("coeffs", '{"nmax": 4'),
 ])
@@ -299,6 +300,7 @@ def test_bad_config_exits_2(tmp_path, capsys, command, text):
     (["evolve", "--lambda", "11.3", "--tol", "1e-3"], "--tol"),
     (["audit-degree", "--lambda", "15", "--max-iter", "5"], "--max-iter"),
     (["solve", "--lambda", "12", "--seed", "1"], "--seed"),
+    (["solve", "--lambda", "12", "--solver", "newton"], "--solver"),
 ])
 def test_flags_a_command_ignores_are_rejected(tmp_path, capsys, argv, flag):
     out = tmp_path / "t.csv"
@@ -313,7 +315,7 @@ HONOURED = {
     "coeffs": {"dim", "nmax", "method"},
     "thresholds": {"dim", "nmax"},
     "solve": {"dim", "nmax", "tol", "max-iter", "order", "lambda", "modes",
-              "init", "solver"},
+              "init"},
     "sweep": {"dim", "nmax", "tol", "max-iter", "seed", "order",
               "lambda-min", "lambda-max", "steps", "modes", "starts"},
     "audit-degree": {"dim", "nmax", "seed", "lambda", "starts",
@@ -333,7 +335,7 @@ def test_each_command_accepts_exactly_its_honoured_flags():
         flags.discard("help")
         assert flags == HONOURED[command] | {"output", "format", "config"}
         pairs += len(flags)
-    assert pairs == 57
+    assert pairs == 56
 
 
 def test_command_help_exits_0(capsys):

@@ -221,6 +221,25 @@ def test_spec_field_validation():
                    sup_norm_khat=1.0, source="bogus")
 
 
+def test_spec_rejects_negative_coefficients():
+    # k_n >= 0 is what makes the Jacobian's spectrum symmetric and the
+    # dynamics step a convex splitting; zero stays allowed
+    KernelSpec(D=3, n_max=3, coeffs=np.array([1.0, 0.0, 0.5]), k0=0.0,
+               sup_norm_khat=1.0, source="custom")
+    with pytest.raises(ValidationError) as err:
+        KernelSpec(D=3, n_max=3, coeffs=np.array([1.0, 0.5, -1e-300]),
+                   k0=0.0, sup_norm_khat=1.0, source="custom")
+    assert err.value.index == 3
+    data = build_kernel_spec(4, 5, "onsager-recurrence").to_json_dict()
+    data["coeffs"][1] = -data["coeffs"][1]
+    with pytest.raises(ValidationError) as err:
+        KernelSpec.from_json_dict(data)
+    assert err.value.index == 2
+    with pytest.raises(ValidationError) as err:
+        build_kernel_spec(3, 2, "custom", custom_coeffs=[-1.0, 0.5])
+    assert err.value.index == 1
+
+
 def test_tail_bound_dominates_true_tail():
     long_spec = build_kernel_spec(3, 80, "onsager-recurrence")
     for n_max in (4, 8, 16):

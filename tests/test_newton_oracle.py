@@ -33,10 +33,10 @@ def oracle_solve(spec, lam, init, tol, max_iter, order=DEFAULT_ORDER):
     """Newton's method on one start, one state at a time."""
     state = init
     for it in range(1, max_iter + 1):
-        res, jac = _residual_and_jacobian(state, spec, lam, order)
+        res, jac, _ = _residual_and_jacobian(state, spec, lam, order)
         if state_norm(state.D, res) <= tol:
             state, res = _polish(state, res, jac, spec, lam, order)
-            return _make_report(state, res, spec, lam, it - 1, "newton", tol)
+            return _make_report(state, res, spec, lam, it - 1, tol)
         system = np.eye(state.N) - jac
         # scale-invariant singularity test: reciprocal condition number
         svals = np.linalg.svd(system, compute_uv=False)
@@ -46,10 +46,10 @@ def oracle_solve(spec, lam, init, tol, max_iter, order=DEFAULT_ORDER):
         delta = np.linalg.solve(system, -res)
         new_coeffs = state.coeffs + delta
         if not np.all(np.isfinite(new_coeffs)):
-            return _make_report(state, res, spec, lam, it, "newton", tol)
+            return _make_report(state, res, spec, lam, it, tol)
         state = AxisymState(state.D, new_coeffs)
     return _make_report(state, residual(state, spec, lam, order=order), spec,
-                        lam, max_iter, "newton", tol)
+                        lam, max_iter, tol)
 
 
 def oracle_starts(spec, lam, n_starts, seed, N):
@@ -101,7 +101,7 @@ def test_batched_newton_matches_per_start_loop(seed, N, lam, max_iter):
         except SingularLinearizationError:
             expected = None
         got = None if outcome is None else _make_report(
-            *outcome[:2], SPEC, lam, outcome[2], "newton", TOL)
+            *outcome[:2], SPEC, lam, outcome[2], TOL)
         assert _outcome(got) == _outcome(expected)
         if expected is not None:
             assert got.iterations == expected.iterations
@@ -136,8 +136,8 @@ def test_max_iter_census_drops_unconverged_starts():
     starts = oracle_starts(SPEC, 15.0, STARTS, 0, 8)
     outcomes = _newton(SPEC, 15.0, 3, np.array(starts), TOL, 3,
                        DEFAULT_ORDER)
-    converged = [_make_report(o[0], o[1], SPEC, 15.0, o[2], "newton",
-                              TOL).converged for o in outcomes]
+    converged = [_make_report(o[0], o[1], SPEC, 15.0, o[2], TOL).converged
+                 for o in outcomes]
     assert 0 < sum(converged) < len(converged)
 
 
@@ -150,7 +150,7 @@ def test_start_converging_on_the_last_update_counts_as_converged():
     row = int(np.argmax(needed))
     outcome = _newton(SPEC, 15.0, 3, starts, TOL, needed[row],
                       DEFAULT_ORDER)[row]
-    got = _make_report(*outcome[:2], SPEC, 15.0, outcome[2], "newton", TOL)
+    got = _make_report(*outcome[:2], SPEC, 15.0, outcome[2], TOL)
     expected = oracle_solve(SPEC, 15.0, AxisymState(3, starts[row]), TOL,
                             needed[row])
     assert got.converged and expected.converged
@@ -163,7 +163,7 @@ def test_start_converging_on_the_last_update_counts_as_converged():
 
 def test_singular_row_is_dropped_and_the_others_converge():
     # I - J vanishes to rounding at u = 0.3 for this lambda (one mode), so
-    # the first row fails the singular-value test on its first step; the
+    # the first row fails the degeneracy test on its first step; the
     # trivial start converges at once and the other two after some steps
     spec1 = build_kernel_spec(3, 1, "custom", custom_coeffs=[SPEC.coeff(1)])
     lam = 1.0 / jacobian(AxisymState(3, [0.3]), spec1, 1.0)[0, 0]
@@ -173,8 +173,7 @@ def test_singular_row_is_dropped_and_the_others_converge():
     outcomes = _newton(spec1, lam, 3, starts, TOL, 200, DEFAULT_ORDER)
     assert outcomes[0] is None
     for coeffs, outcome in zip(starts[1:], outcomes[1:]):
-        report = _make_report(*outcome[:2], spec1, lam, outcome[2],
-                              "newton", TOL)
+        report = _make_report(*outcome[:2], spec1, lam, outcome[2], TOL)
         assert report.converged
         expected = oracle_solve(spec1, lam, AxisymState(3, coeffs), TOL, 200)
         assert report.iterations == expected.iterations

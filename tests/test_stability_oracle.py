@@ -19,7 +19,7 @@ SPEC6 = build_kernel_spec(3, 6, "onsager-quadrature")
 LAM1 = 32.0 / math.pi
 
 
-def dynamics_stability(point, spec, grid_points=64, horizon=2.0, eps=1e-3,
+def dynamics_stability(report, spec, grid_points=64, horizon=2.0, eps=1e-3,
                        rate_tol=1e-8):
     """Stability of a solution under the relaxation dynamics.
 
@@ -29,7 +29,7 @@ def dynamics_stability(point, spec, grid_points=64, horizon=2.0, eps=1e-3,
     Stable means every rate is negative; a rate inside (-rate_tol,
     rate_tol) is inconclusive.
     """
-    lam, report = point
+    lam = report.lam
     if not report.converged:
         raise ValueError("stability is only defined at converged solutions")
     grid = make_grid(spec.D, grid_points)
@@ -61,9 +61,9 @@ def dynamics_stability(point, spec, grid_points=64, horizon=2.0, eps=1e-3,
     return "stable" if all(r < 0 for r in rates) else "unstable"
 
 
-def _agree(lam, report):
-    verdict = classify_stability((lam, report), SPEC6)
-    assert verdict == dynamics_stability((lam, report), SPEC6)
+def _agree(report):
+    verdict = classify_stability(report, SPEC6)
+    assert verdict == dynamics_stability(report, SPEC6)
     return verdict
 
 
@@ -71,7 +71,7 @@ def _agree(lam, report):
                                            (1.1 * LAM1, "unstable")])
 def test_trivial_state_on_both_sides_of_lambda1(lam, expected):
     report = solve(SPEC6, lam, AxisymState(3, np.zeros(1)))
-    assert _agree(lam, report) == expected
+    assert _agree(report) == expected
 
 
 def test_nontrivial_states_at_six_modes():
@@ -80,7 +80,7 @@ def test_nontrivial_states_at_six_modes():
     lam = 9.0
     census = multistart(SPEC6, lam, 20, seed=2, N=6)
     nontrivial = [r for r in census if state_norm(3, r.state.coeffs) > 0.1]
-    verdicts = [_agree(lam, r) for r in nontrivial]
+    verdicts = [_agree(r) for r in nontrivial]
     assert verdicts == ["unstable", "stable"]
 
 
@@ -94,5 +94,5 @@ def test_branch_sign_families():
     for sign in (1, -1):
         point = [p for p in branch.points
                  if math.copysign(1, p.report.state.coeffs[0]) == sign][-1]
-        assert _agree(point.lam, point.report) == (
+        assert _agree(point.report) == (
             "stable" if point.stable else "unstable")
