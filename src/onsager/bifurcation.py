@@ -13,7 +13,6 @@ from .errors import (
     DegenerateIndexError,
     InconclusiveAuditError,
     MarginalStabilityError,
-    SingularLinearizationError,
     ThresholdUndefinedError,
     ValidationError,
 )
@@ -23,10 +22,11 @@ from .solver import (
     DEFAULT_ORDER,
     AxisymState,
     SolutionReport,
+    _fused_pass,
+    _make_report,
     _residual_and_jacobian,
     _spectrum,
     multistart,
-    solve,
     state_norm,
 )
 
@@ -98,7 +98,8 @@ class Branch:
     def amplitudes(self, sign: int) -> list:
         """Norms of the stored points with the given sign of u_mode,
         nearest the origin first."""
-        return [_norm(p.report.state) for p in self.points
+        return [state_norm(p.report.state.D, p.report.state.coeffs)
+                for p in self.points
                 if math.copysign(1, p.report.state.coeffs[self.mode - 1])
                 == sign]
 
@@ -132,10 +133,6 @@ class DegreeReport:
             "stable_across_truncations": self.stable_across_truncations,
             "solutions": [r.to_json_dict() for r in self.solutions],
         }
-
-
-def _norm(state: AxisymState) -> float:
-    return state_norm(state.D, state.coeffs)
 
 
 def critical_values(spec: KernelSpec) -> list:
@@ -228,6 +225,8 @@ def degree_audit(spec: KernelSpec, lam: float, n_starts: int, seed: int,
                 f"lambda = {lam} is within 1e-6 of critical value "
                 f"lambda_{n}", index=n)
     truncations = tuple(truncations)
+    if not truncations:
+        raise ValueError("truncations must name at least one truncation")
     sums = []
     last_solutions = None
     for N in truncations:
@@ -250,105 +249,97 @@ def degree_audit(spec: KernelSpec, lam: float, n_starts: int, seed: int,
     )
 
 
-def _seed_solution(spec, n, lam, sign, delta, n_modes, tol):
-    """Converged nontrivial solution near onset, seeded on mode n with the
-    requested coefficient sign; amplitude escalation handles seeds that
-    fall back to the trivial basin."""
-    for j in range(9):
-        coeffs = np.zeros(n_modes)
-        coeffs[n - 1] = sign * delta * 2.0 ** j
-        guess = AxisymState(D=spec.D, coeffs=coeffs)
+# Arclength step control in the Euclidean norm of (u, lambda): the first
+# step, cap and floor; a failed corrector halves the step, one converging
+# within _FAST updates grows it by _GROW.
+_DS_FIRST, _DS_MAX, _DS_MIN = 1e-2, 0.2, 1e-8
+_GROW, _FAST, _CORRECTOR_ITERS, _MAX_STEPS = 1.5, 3, 12, 5000
+
+
+def _corrector(spec, y, tangent, tol):
+    """Newton's method on F = u - lam G(u) = 0 from y = (u, lam) within
+    the hyperplane through y normal to the tangent, with the bordered
+    matrix [[I - J, dF/dlam], [tangent]] from one density pass (F is
+    linear in lam: dF/dlam = (F - u) / lam).  Returns (y, F, matrix,
+    updates) at the first y with state_norm(F) <= tol, or None."""
+    for it in range(_CORRECTOR_ITERS + 1):
+        u, lam = y[:-1], y[-1]
+        res, jac, _ = _fused_pass(spec, lam, u, DEFAULT_ORDER)
+        matrix = np.block([[np.eye(u.size) - jac, ((res - u) / lam)[:, None]],
+                           [tangent]])
+        if state_norm(spec.D, res) <= tol:
+            return y, res, matrix, it
         try:
-            report = solve(spec, lam, guess, tol=tol)
-        except SingularLinearizationError:
-            continue
-        u = report.state.coeffs
-        if (report.converged and _norm(report.state) > 100 * tol
-                and math.copysign(1, u[n - 1]) == sign):
-            return report
+            y = y + np.linalg.solve(matrix, -np.append(res, 0.0))
+        except np.linalg.LinAlgError:
+            return None
+        if not (np.all(np.isfinite(y)) and y[-1] > 0.0):
+            return None
     return None
 
 
-def trace_branch(spec: KernelSpec, n: int, lambda_end: float, steps: int,
-                 eps0: float = 5e-2, delta: float = 1e-2,
+def _family(spec, n, origin, sign, lambda_max, n_modes, tol):
+    """Points of the family leaving (0, origin) along sign e_n, in
+    arclength order, up to the first with lambda > lambda_max, a sign
+    change of u_n or a return to the trivial state (|u| < _DS_FIRST / 2),
+    or until the step falls below _DS_MIN or _MAX_STEPS steps."""
+    unit = np.eye(n_modes + 1)
+    x, tangent = origin * unit[-1], sign * unit[n - 1]
+    ds, points = _DS_FIRST, []
+    for _ in range(_MAX_STEPS):
+        found = _corrector(spec, x + ds * tangent, tangent, tol)
+        if found is None:
+            ds /= 2.0
+            if ds < _DS_MIN:
+                break
+            continue
+        x, res, matrix, iterations = found
+        u, lam = x[:-1], float(x[-1])
+        if (lam > lambda_max or sign * u[n - 1] <= 0
+                or np.linalg.norm(u) < _DS_FIRST / 2):
+            break
+        report = _make_report(AxisymState(spec.D, u), res, spec, lam,
+                              iterations, tol)
+        points.append(BranchPoint(lam=lam, report=report, stable=None))
+        # the next tangent t solves the same bordered system:
+        # (I - J) t_u + dF/dlam t_lam = 0 and old tangent . t = 1
+        tangent = np.linalg.solve(matrix, unit[-1])
+        tangent /= np.linalg.norm(tangent)
+        if iterations <= _FAST:
+            ds = min(_GROW * ds, _DS_MAX)
+    return points
+
+
+def trace_branch(spec: KernelSpec, n: int, lambda_max: float,
                  n_modes: int | None = None, tol: float = 1e-10,
                  classify: bool = False) -> Branch:
-    """Natural-parameter continuation of the mode-n solution family.
+    """Pseudo-arclength continuation (Keller) of the mode-n solution
+    family through its folds.
 
-    Each coefficient sign is probed near the origin lambda_n on both
-    sides (the branch direction is measured, not assumed), sampled at the
-    onsets origin(1 +/- eps), eps = eps0, eps0/2, eps0/4 with up to six
-    further halvings on failure, then continued toward lambda_end with
-    the previous solution seeding the next solve.  Continuation stops at
-    nonconvergence, collapse to the trivial solution or a coefficient
-    sign flip.
+    Each coefficient sign starts at (0, lambda_n) along +-e_n.  A step
+    predicts along the unit tangent of (u, lambda), then Newton's method
+    on u - lam G(u) = 0 bordered by the tangent corrects it until the
+    solver's own test state_norm(residual) <= tol holds.  Only points with
+    lambda <= lambda_max are kept.
     """
     if n < 1 or n > spec.n_max:
         raise ValueError(f"mode must be in 1..{spec.n_max}, got {n}")
+    n_modes = spec.n_max if n_modes is None else n_modes
+    if not n <= n_modes <= spec.n_max:
+        raise ValueError(f"n_modes must be in {n}..{spec.n_max}, "
+                         f"got {n_modes}")
     if spec.coeff(n) <= 0:
         raise BranchNotFoundError(
             f"k_{n} = {spec.coeff(n)} admits no bifurcation")
     origin = harmonic_count(spec.D, 2 * n) / spec.coeff(n)
-    if n_modes is None:
-        n_modes = spec.n_max
-    preferred = 1.0 if lambda_end >= origin else -1.0
-
-    points = []
-    for sign in (1, -1):
-        # probe both sides and keep the one whose onset solution is the
-        # smaller: only the genuinely bifurcating side has amplitude -> 0
-        onset = None
-        for side in (preferred, -preferred):
-            eps = eps0
-            for _ in range(7):
-                lam = origin * (1.0 + side * eps)
-                report = _seed_solution(spec, n, lam, sign, delta,
-                                        n_modes, tol)
-                if report is not None:
-                    if onset is None or _norm(report.state) < onset[2]:
-                        onset = (side, eps, _norm(report.state))
-                    break
-                eps /= 2.0
-        if onset is None:
-            continue
-        side, eps, _ = onset
-        # three geometric onset samples, nearest the origin first
-        family = []
-        ok = True
-        for e in (eps / 4.0, eps / 2.0, eps):
-            lam = origin * (1.0 + side * e)
-            report = _seed_solution(spec, n, lam, sign, delta, n_modes, tol)
-            if report is None:
-                ok = False
-                break
-            family.append(BranchPoint(lam=lam, report=report, stable=None))
-        if not ok:
-            continue
-        lam = family[-1].lam
-        state = family[-1].report.state
-        if steps > 0 and abs(lambda_end - lam) > 0:
-            for lam_next in np.linspace(lam, lambda_end, steps + 1)[1:]:
-                try:
-                    report = solve(spec, float(lam_next), state, tol=tol)
-                except SingularLinearizationError:
-                    break
-                u = report.state.coeffs
-                # a collapse by an order of magnitude means the
-                # continuation fell back to the trivial solution
-                if (not report.converged
-                        or _norm(report.state) <= max(100 * tol,
-                                                      0.1 * _norm(state))
-                        or math.copysign(1, u[n - 1]) != sign):
-                    break
-                family.append(BranchPoint(lam=float(lam_next),
-                                          report=report, stable=None))
-                state = report.state
-        points.extend(family)
-
+    if not lambda_max > origin:
+        raise ValueError(f"lambda_max must exceed lambda_{n} = {origin}, "
+                         f"got {lambda_max}")
+    points = [p for sign in (1, -1) for p in _family(
+        spec, n, origin, sign, lambda_max, n_modes, tol)]
     if not points:
         raise BranchNotFoundError(
-            f"no nontrivial mode-{n} solutions found near lambda_{n} = "
-            f"{origin}")
+            f"no mode-{n} continuation points below {lambda_max}")
     if classify:
         points = [replace(p, stable=(classify_stability(p.report, spec)
                                      == "stable"))

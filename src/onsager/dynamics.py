@@ -163,6 +163,8 @@ def step(f: np.ndarray, spec: KernelSpec, lam: float, dt: float,
     and energy decay hold with no step limit.  Raises DivergenceError when
     a Boltzmann factor vanishes or the new density is negative or not
     finite."""
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     f = np.asarray(f, dtype=float)
     potential = potential_on_grid(f, spec, lam, grid)
     volumes, _, _ = _moment_tables(grid.D, grid.G, 1)
@@ -221,12 +223,18 @@ def evolve(f0: np.ndarray, spec: KernelSpec, lam: float, dt: float,
     record_every steps; the last step is shortened to end at t_max, and
     the run stops early once ||f_next - f|| / dt < settle_tol.
     """
+    if not (0 < dt < math.inf and 0 <= t_max < math.inf and record_every >= 1):
+        raise ValueError("need finite dt > 0 and t_max >= 0 and record_every "
+                         f">= 1, got {dt}, {t_max}, {record_every}")
     f = np.array(f0, dtype=float)
     mass = grid_mass(f, grid)
     if mass <= 0 or not math.isfinite(mass):
         raise ValueError("initial density must have positive finite mass")
     f /= mass
-    n_steps = int(math.ceil(t_max / dt))
+    n_steps = math.ceil(t_max / dt)
+    if n_steps and (n_steps - 1) * dt >= t_max:
+        # t_max / dt rounded up past a whole number of steps
+        n_steps -= 1
     traj = Trajectory(times=[0.0], densities=[f.copy()],
                       energies=[grid_energy(f, spec, lam, grid)], grid=grid)
     t = 0.0
@@ -249,7 +257,7 @@ def evolve(f0: np.ndarray, spec: KernelSpec, lam: float, dt: float,
     return traj
 
 
-def density_on_grid(state, lam: float, grid: ThetaGrid) -> np.ndarray:
+def density_on_grid(state, grid: ThetaGrid) -> np.ndarray:
     """Grid samples of the density e^(-u)/beta defined by a solver state,
     normalized in the grid's discrete measure."""
     u = state.eval(np.cos(grid.points))

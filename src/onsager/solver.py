@@ -402,7 +402,7 @@ def multistart(spec: KernelSpec, lam: float, n_starts: int, seed: int,
     return found
 
 
-def recover_density(state: AxisymState, spec: KernelSpec, lam: float,
+def recover_density(state: AxisymState,
                     order: int = DEFAULT_ORDER) -> DensityProfile:
     """Orientation density f = e^(-u) / int e^(-u) dsigma at the zonal
     quadrature nodes."""

@@ -162,13 +162,12 @@ def test_bifurcation_census_three_solutions():
 
 
 def test_branch_amplitude_vanishes_toward_onset():
-    branch = trace_branch(SPEC3, 1, lambda_end=1.3 * LAM1, steps=4,
-                          eps0=0.1)
+    branch = trace_branch(SPEC3, 1, 1.3 * LAM1)
     for sign in (1, -1):
         amps = branch.amplitudes(sign)
         assert len(amps) >= 3
-        # samples approach the critical value geometrically; amplitudes
-        # must shrink with them
+        # the first samples are the arclength steps out of the critical
+        # value; amplitudes must shrink toward it
         assert all(b > a for a, b in zip(amps[:3], amps[1:3]))
 
 
@@ -212,7 +211,7 @@ def test_relaxation_lands_on_solver_branch():
     # the perturbation feeds the polar (u_1 < 0) family
     report = solve(SPEC3, lam, AxisymState(3, [-4.0] + [0.0] * 11))
     assert report.converged and report.state.coeffs[0] < -1
-    target = density_on_grid(report.state, lam, grid)
+    target = density_on_grid(report.state, grid)
     assert grid_norm(traj.final_density - target, grid) <= 1e-5
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from natural_branch_oracle import trace_branch as natural_branch
 
 from onsager import bifurcation
 from onsager.bifurcation import (
@@ -118,14 +119,16 @@ def test_trivial_index_factorizes_over_modes():
         checked += 1
 
 
+@pytest.mark.parametrize("D", [3, 4, 5, 7, 10])
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_trivial_index_flips_across_critical_values(n):
-    crit = critical_values(SPEC3)
+def test_trivial_index_flips_across_critical_values(n, D):
+    spec = build_kernel_spec(D, 6, "onsager-quadrature")
+    crit = critical_values(spec)
     eps = 1e-3 * crit[n - 1]
     signs = []
     for lam in (crit[n - 1] - eps, crit[n - 1] + eps):
-        report = solve(SPEC3, lam, AxisymState(3, np.zeros(6)))
-        signs.append(index_of(report, SPEC3))
+        report = solve(spec, lam, AxisymState(D, np.zeros(6)))
+        signs.append(index_of(report, spec))
     assert signs[0] == -signs[1]
 
 
@@ -175,6 +178,11 @@ def test_degree_audit_rejects_near_critical_lambda():
     assert err.value.index == 1
 
 
+def test_degree_audit_rejects_empty_truncations():
+    with pytest.raises(ValueError):
+        degree_audit(SPEC3, 5.0, 5, 0, ())
+
+
 def test_degree_audit_json_dict():
     data = degree_audit(SPEC3, 5.0, n_starts=10, seed=0,
                         truncations=(6,)).to_json_dict()
@@ -184,7 +192,7 @@ def test_degree_audit_json_dict():
 
 
 def test_trace_branch_amplitudes_grow_from_onset():
-    branch = trace_branch(SPEC3, 1, lambda_end=1.3 * LAM1, steps=6)
+    branch = trace_branch(SPEC3, 1, 1.3 * LAM1)
     assert branch.origin == pytest.approx(LAM1, rel=1e-10)
     for sign in (1, -1):
         amps = branch.amplitudes(sign)
@@ -195,43 +203,104 @@ def test_trace_branch_amplitudes_grow_from_onset():
 
 
 def test_trace_branch_mode_one_dominates():
-    branch = trace_branch(SPEC3, 1, lambda_end=1.3 * LAM1, steps=6)
+    branch = trace_branch(SPEC3, 1, 1.3 * LAM1)
     for point in branch.points:
         u = point.report.state.coeffs
         assert abs(u[0]) >= 0.9 * np.max(np.abs(u))
 
 
+# fold lambda* of the u_1 < 0 family by dimension, to the digits given
+FOLDS = {3: 8.87663, 4: 12.6759, 5: 16.2940, 7: 23.2629, 10: 33.4212}
+
+
+def _flips(values):
+    return [i for i in range(1, len(values)) if values[i] != values[i - 1]]
+
+
+@pytest.mark.parametrize("D", sorted(FOLDS))
+def test_trace_branch_passes_the_fold(D):
+    spec = build_kernel_spec(D, 16, "onsager-quadrature")
+    thresholds = uniqueness_thresholds(spec)
+    lam1 = thresholds.lambda_crit[0]
+    branch = trace_branch(spec, 1, 1.3 * lam1, classify=True)
+    assert all(p.report.converged and p.lam <= 1.3 * lam1
+               for p in branch.points)
+    oblate = [p for p in branch.points if p.report.state.coeffs[0] > 0]
+    prolate = [p for p in branch.points if p.report.state.coeffs[0] < 0]
+    assert oblate and all(p.stable for p in oblate)
+    lams = [p.lam for p in prolate]
+    fold = int(np.argmin(lams))
+    assert thresholds.lambda_0 < lams[fold] < lam1
+    assert lams[fold] == pytest.approx(FOLDS[D], rel=1e-3)
+    # the saddle leaving lambda_1 becomes the stable prolate state at
+    # the fold: one eigenvalue of I - J changes sign there
+    indices = [index_of(p.report, spec) for p in prolate]
+    for flips in (_flips(indices), _flips([p.stable for p in prolate])):
+        assert len(flips) == 1 and flips[0] in (fold, fold + 1)
+    assert indices[0] == -1 and not prolate[0].stable
+
+
+def test_trace_branch_points_are_the_natural_continuation_points():
+    # every point the lambda-stepping oracle reaches is where Newton
+    # lands from the nearest continuation point
+    for spec, args, kwargs in (
+            (SPEC3, (1, 1.3 * LAM1), {"steps": 6}),
+            (build_kernel_spec(3, 6, "onsager-quadrature"), (1, 12.0),
+             {"steps": 2, "n_modes": 2})):
+        n_modes = kwargs.get("n_modes")
+        oracle = natural_branch(spec, *args, **kwargs)
+        branch = trace_branch(spec, *args, n_modes=n_modes)
+        path = np.array([np.append(p.report.state.coeffs, p.lam)
+                         for p in branch.points])
+        for point in oracle.points:
+            u = point.report.state.coeffs
+            distance = np.linalg.norm(path - np.append(u, point.lam), axis=1)
+            start = branch.points[int(np.argmin(distance))].report.state
+            report = solve(spec, point.lam, start)
+            assert report.converged
+            assert state_norm(3, report.state.coeffs - u) <= 1e-10
+
+
 def test_trace_branch_validation_and_missing_branch():
     with pytest.raises(ValueError):
-        trace_branch(SPEC3, 0, lambda_end=5.0, steps=2)
+        trace_branch(SPEC3, 0, 5.0)
     with pytest.raises(ValueError):
-        trace_branch(SPEC3, 13, lambda_end=5.0, steps=2)
+        trace_branch(SPEC3, 13, 5.0)
+    for n_modes in (0, 13):
+        with pytest.raises(ValueError):
+            trace_branch(SPEC3, 1, 1.3 * LAM1, n_modes=n_modes)
+    with pytest.raises(ValueError):
+        trace_branch(SPEC3, 2, 1.3 * LAM1, n_modes=1)
+    for lambda_max in (0.5 * LAM1, LAM1):
+        with pytest.raises(ValueError):
+            trace_branch(SPEC3, 1, lambda_max)
     with pytest.raises(BranchNotFoundError):
-        trace_branch(_degenerate_spec(), 2, lambda_end=5.0, steps=2)
+        trace_branch(_degenerate_spec(), 2, 5.0)
 
 
 @pytest.mark.parametrize("fail_above", [0.0, 1.06 * LAM1])
 def test_trace_branch_propagates_programming_errors(monkeypatch,
                                                     fail_above):
-    # onset seeding stays within 5% of lambda_1, so 0 breaks the seeding
-    # solves and 1.06 lambda_1 only the continuation solves
-    real_solve = bifurcation.solve
+    # 0 breaks the first corrector step; 1.06 lambda_1 only the steps of
+    # the u_1 > 0 family past it
+    real_pass = bifurcation._fused_pass
 
-    def broken_solve(spec, lam, *args, **kwargs):
+    def broken_pass(spec, lam, *args, **kwargs):
         if lam > fail_above:
-            raise TypeError("broken solve")
-        return real_solve(spec, lam, *args, **kwargs)
+            raise TypeError("broken density pass")
+        return real_pass(spec, lam, *args, **kwargs)
 
-    monkeypatch.setattr(bifurcation, "solve", broken_solve)
+    monkeypatch.setattr(bifurcation, "_fused_pass", broken_pass)
     with pytest.raises(TypeError):
-        trace_branch(SPEC3, 1, lambda_end=1.3 * LAM1, steps=6)
+        trace_branch(SPEC3, 1, 1.3 * LAM1)
 
 
 def test_branch_json_dict():
-    branch = trace_branch(SPEC3, 1, lambda_end=1.2 * LAM1, steps=2)
+    branch = trace_branch(SPEC3, 1, 1.2 * LAM1)
     data = branch.to_json_dict()
     assert data["mode"] == 1
     assert data["origin"] == branch.origin
+    assert len(data["points"]) == len(branch.points)
     assert all("lambda" in p and "stable" in p for p in data["points"])
 
 

@@ -73,7 +73,7 @@ def test_uniform_potential_is_constant_mean():
 def test_grid_moments_match_spectral_moments():
     grid = make_grid(3, 128)
     state = AxisymState(3, [0.9, -0.3, 0.05, 0.0, 0.0, 0.0])
-    f = density_on_grid(state, 1.0, grid)
+    f = density_on_grid(state, grid)
     assert np.allclose(grid_moments(f, grid, 6), zonal_moments(state),
                        atol=1e-12)
 
@@ -179,7 +179,7 @@ def test_solver_solution_is_discretely_stationary():
     assert report.converged
     for G in (64, 128):
         grid = make_grid(3, G)
-        f = density_on_grid(report.state, lam, grid)
+        f = density_on_grid(report.state, grid)
         dt = grid.h ** 2 / 8
         change = grid_norm(step(f, SPEC3, lam, dt, grid) - f, grid)
         assert change <= 1e-8 * dt
@@ -206,7 +206,7 @@ def test_evolve_limit_matches_solver_branch():
     grid = make_grid(3, 128)
     traj = evolve(_bump(grid, amp=0.01), SPEC3, lam, DT_PER_H2 * grid.h ** 2,
                   60.0, grid, record_every=5000, settle_tol=1e-10)
-    target = density_on_grid(report.state, lam, grid)
+    target = density_on_grid(report.state, grid)
     assert grid_norm(traj.final_density - target, grid) <= 1e-5
 
 
@@ -249,6 +249,24 @@ def test_last_step_ends_at_t_max():
     assert evolve(f0, SPEC3, 11.3, dt, 0.01, grid).times == [0.0, 0.01]
     traj = evolve(f0, SPEC3, 11.3, dt, 2.5 * dt, grid)
     assert traj.times == [0.0, dt, 2 * dt, 2.5 * dt]
+    # 3 * 0.1 / 0.1 rounds to 3.0000000000000004: still three steps
+    traj = evolve(f0, SPEC3, 11.3, 0.1, 3 * 0.1, grid, settle_tol=0.0)
+    assert traj.times == [0.0, 0.1, 0.2, 3 * 0.1]
+
+
+@pytest.mark.parametrize("dt, t_max, record_every", [
+    (-0.01, 1.0, 1), (0.0, 1.0, 1), (math.nan, 1.0, 1), (math.inf, 1.0, 1),
+    (0.01, math.nan, 1), (0.01, math.inf, 1), (0.01, -1.0, 1),
+    (0.01, 1.0, 0),
+])
+def test_evolve_and_step_reject_bad_inputs(dt, t_max, record_every):
+    grid = make_grid(3, 32)
+    f0 = _bump(grid)
+    with pytest.raises(ValueError):
+        evolve(f0, SPEC3, 11.3, dt, t_max, grid, record_every=record_every)
+    if not 0 < dt < math.inf:
+        with pytest.raises(ValueError):
+            step(f0, SPEC3, 11.3, dt, grid)
 
 
 def test_grid_norm_is_scaled_against_overflow():

@@ -205,7 +205,7 @@ def test_multistart_distinct_solutions_are_well_separated():
 
 def test_recover_density_normalized_and_positive():
     state = AxisymState(D=3, coeffs=[1.5, -0.2])
-    profile = recover_density(state, SPEC3, 12.0)
+    profile = recover_density(state)
     assert np.all(profile.values > 0)
     from onsager.polybasis import zonal_rule
     _, weights = zonal_rule(3, profile.order)
@@ -219,7 +219,7 @@ def test_recover_density_normalized_and_positive():
 
 def test_free_energy_of_uniform_state():
     state = AxisymState(D=3, coeffs=np.zeros(4))
-    profile = recover_density(state, SPEC3, 7.0)
+    profile = recover_density(state)
     energy = free_energy(profile, SPEC3, 7.0)
     sigma = surface_area(3)
     expected = math.log(1.0 / sigma) + 0.5 * 7.0 * SPEC3.k0
@@ -232,8 +232,7 @@ def test_free_energy_decreases_on_nematic_branch():
     census = multistart(SPEC3, lam, 20, seed=2, N=8)
     report = census[-1]
     assert report.converged and state_norm(3, report.state.coeffs) > 0.1
-    e_trivial = free_energy(recover_density(
-        AxisymState(3, np.zeros(8)), SPEC3, lam), SPEC3, lam)
-    e_branch = free_energy(recover_density(report.state, SPEC3, lam),
-                           SPEC3, lam)
+    e_trivial = free_energy(recover_density(AxisymState(3, np.zeros(8))),
+                            SPEC3, lam)
+    e_branch = free_energy(recover_density(report.state), SPEC3, lam)
     assert e_branch < e_trivial

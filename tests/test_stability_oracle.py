@@ -33,7 +33,7 @@ def dynamics_stability(report, spec, grid_points=64, horizon=2.0, eps=1e-3,
     if not report.converged:
         raise ValueError("stability is only defined at converged solutions")
     grid = make_grid(spec.D, grid_points)
-    base = density_on_grid(report.state, lam, grid)
+    base = density_on_grid(report.state, grid)
     dt = grid.h ** 2 / 8.0
     n_steps = max(2, round(horizon / dt))
     half = n_steps // 2
@@ -85,14 +85,24 @@ def test_nontrivial_states_at_six_modes():
 
 
 def test_branch_sign_families():
-    branch = trace_branch(SPEC6, 1, 12.0, steps=2, n_modes=2, classify=True)
-    # the dynamics classifier's verdicts on all eight points (the u_1 > 0
-    # family continues above lambda_1 and is stable, the u_1 < 0 family
-    # bends back below it and is not); rerunning it on every point takes
-    # about 10 s, so only the last point of each family is rechecked here
-    assert [p.stable for p in branch.points] == [True] * 5 + [False] * 3
-    for sign in (1, -1):
-        point = [p for p in branch.points
-                 if math.copysign(1, p.report.state.coeffs[0]) == sign][-1]
-        assert _agree(point.report) == (
+    branch = trace_branch(SPEC6, 1, 12.0, n_modes=2, classify=True)
+    families = {sign: [p for p in branch.points
+                       if math.copysign(1, p.report.state.coeffs[0]) == sign]
+                for sign in (1, -1)}
+    # the u_1 > 0 family continues above lambda_1 and is stable; the
+    # u_1 < 0 family bends back below it unstable and turns stable at
+    # the fold
+    assert all(p.stable for p in families[1])
+    prolate = [p.stable for p in families[-1]]
+    flip = prolate.index(True)
+    assert flip > 0 and not any(prolate[:flip]) and all(prolate[flip:])
+    # the dynamics classifier takes about 1 s per point, so it rechecks
+    # the last point of each family and the two points beside the flip.
+    # There one eigenvalue of I - J is near 0 and its slow decay shows in
+    # the separation only after the faster modes have gone, so those two
+    # get twice the default horizon.
+    checks = [(families[1][-1], 2.0), (families[-1][-1], 2.0),
+              (families[-1][flip - 1], 4.0), (families[-1][flip], 4.0)]
+    for point, horizon in checks:
+        assert dynamics_stability(point.report, SPEC6, horizon=horizon) == (
             "stable" if point.stable else "unstable")
