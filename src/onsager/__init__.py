@@ -29,10 +29,8 @@ from .dynamics import (
 from .errors import (
     AccuracyError,
     BranchNotFoundError,
-    DegenerateIndexError,
     DivergenceError,
     InconclusiveAuditError,
-    MarginalStabilityError,
     OnsagerError,
     SingularLinearizationError,
     ThresholdUndefinedError,
@@ -51,8 +49,6 @@ from .kernel import (
     tail_bound,
 )
 from .polybasis import (
-    BasisIndex,
-    gegenbauer_eval,
     harmonic_count,
     legendre_eval,
     legendre_table,

@@ -10,21 +10,20 @@ from scipy.special import lambertw
 
 from .errors import (
     BranchNotFoundError,
-    DegenerateIndexError,
     InconclusiveAuditError,
-    MarginalStabilityError,
+    SingularLinearizationError,
     ThresholdUndefinedError,
     ValidationError,
 )
 from .kernel import KernelSpec, tail_bound
 from .polybasis import harmonic_count
 from .solver import (
-    DEFAULT_ORDER,
     AxisymState,
     SolutionReport,
+    _check_kernel,
+    _check_tol_lambda,
     _fused_pass,
     _make_report,
-    _residual_and_jacobian,
     _spectrum,
     multistart,
     state_norm,
@@ -185,28 +184,31 @@ def uniqueness_thresholds(spec: KernelSpec) -> ThresholdReport:
     )
 
 
-def _report_spectrum(report: SolutionReport, spec: KernelSpec,
-                     degenerate: type) -> np.ndarray:
+def _report_spectrum(report: SolutionReport, spec: KernelSpec) -> np.ndarray:
     """Eigenvalues g of I - J at a converged solution, at the report's own
     truncation and lambda, from `solver._spectrum`: the one linear
-    analysis behind index and stability.  Raises `degenerate` where that
-    flags I - J as degenerate.
+    analysis behind Newton, index and stability.  Raises
+    SingularLinearizationError where that flags I - J as degenerate, as
+    Newton does.
     """
     if not report.converged:
         raise ValueError("index and stability are only defined at "
                          "converged solutions")
-    cov = _residual_and_jacobian(report.state, spec, report.lam,
-                                 DEFAULT_ORDER)[2]
+    state = report.state
+    _check_kernel(spec, state.D, state.N)
+    cov = _fused_pass(spec, report.lam, state.coeffs)[2]
     g, singular = _spectrum(spec, report.lam, cov)
     if singular:
-        raise degenerate(f"I - J degenerate at lambda = {report.lam}")
+        raise SingularLinearizationError(
+            f"I - J degenerate at lambda = {report.lam}")
     return g
 
 
 def index_of(report: SolutionReport, spec: KernelSpec) -> int:
     """Brouwer index sign det(I - J) at a converged solution, at the
-    report's lambda: (-1)^#{g < 0} over the real eigenvalues g of I - J."""
-    g = _report_spectrum(report, spec, DegenerateIndexError)
+    report's lambda: (-1)^#{g < 0} over the real eigenvalues g of I - J.
+    I - J singular to rounding raises SingularLinearizationError."""
+    g = _report_spectrum(report, spec)
     return -1 if np.count_nonzero(g < 0.0) % 2 else 1
 
 
@@ -264,7 +266,7 @@ def _corrector(spec, y, tangent, tol):
     updates) at the first y with state_norm(F) <= tol, or None."""
     for it in range(_CORRECTOR_ITERS + 1):
         u, lam = y[:-1], y[-1]
-        res, jac, _ = _fused_pass(spec, lam, u, DEFAULT_ORDER)
+        res, jac, _ = _fused_pass(spec, lam, u)
         matrix = np.block([[np.eye(u.size) - jac, ((res - u) / lam)[:, None]],
                            [tangent]])
         if state_norm(spec.D, res) <= tol:
@@ -320,8 +322,10 @@ def trace_branch(spec: KernelSpec, n: int, lambda_max: float,
     predicts along the unit tangent of (u, lambda), then Newton's method
     on u - lam G(u) = 0 bordered by the tangent corrects it until the
     solver's own test state_norm(residual) <= tol holds.  Only points with
-    lambda <= lambda_max are kept.
+    lambda <= lambda_max are kept.  tol must be positive and lambda_max
+    nonnegative, both finite.
     """
+    _check_tol_lambda(tol, lambda_max)
     if n < 1 or n > spec.n_max:
         raise ValueError(f"mode must be in 1..{spec.n_max}, got {n}")
     n_modes = spec.n_max if n_modes is None else n_modes
@@ -351,7 +355,7 @@ def classify_stability(report: SolutionReport, spec: KernelSpec) -> str:
     """Stability of a converged solution under the relaxation dynamics, at
     the report's lambda: "stable" when every eigenvalue g of I - J at the
     report's truncation is positive, "unstable" otherwise.  I - J
-    singular to rounding raises MarginalStabilityError.
+    singular to rounding raises SingularLinearizationError.
     """
-    g = _report_spectrum(report, spec, MarginalStabilityError)
+    g = _report_spectrum(report, spec)
     return "stable" if np.all(g > 0.0) else "unstable"

@@ -119,8 +119,6 @@ _FLAGS = {
     "tol": dict(type=float, default=1e-10),
     "max-iter": dict(type=int, default=200),
     "seed": dict(type=int, default=0),
-    "order": dict(type=int, default=solver.DEFAULT_ORDER,
-                  help="quadrature order"),
     "method": dict(choices=("quadrature", "recurrence", "both"),
                    default="both"),
     "lambda": dict(type=float, default=None),
@@ -151,10 +149,9 @@ _COMMON = ("dim", "nmax", "output", "format", "config")
 _COMMAND_FLAGS = {
     "coeffs": _COMMON + ("method",),
     "thresholds": _COMMON,
-    "solve": _COMMON + ("lambda", "modes", "init", "tol", "max-iter",
-                        "order"),
+    "solve": _COMMON + ("lambda", "modes", "init", "tol", "max-iter"),
     "sweep": _COMMON + ("lambda-min", "lambda-max", "steps", "modes",
-                        "starts", "seed", "tol", "max-iter", "order"),
+                        "starts", "seed", "tol", "max-iter"),
     "audit-degree": _COMMON + ("lambda", "truncations", "starts", "seed"),
     "evolve": _COMMON + ("lambda", "grid", "t-max", "dt", "perturb",
                          "record-every"),
@@ -212,7 +209,7 @@ def _config_argv(path: str) -> list:
     return argv
 
 
-_POSITIVE = ("nmax", "tol", "max_iter", "order", "lambda", "lambda_min",
+_POSITIVE = ("nmax", "tol", "max_iter", "lambda", "lambda_min",
              "lambda_max", "steps", "starts", "t_max", "perturb",
              "record_every")
 
@@ -293,8 +290,7 @@ def _run_solve(cfg, spec):
     coeffs[:len(given)] = given
     report = solver.solve(spec, cfg["lambda"],
                           AxisymState(D=cfg["dim"], coeffs=coeffs),
-                          tol=cfg["tol"], max_iter=cfg["max_iter"],
-                          order=cfg["order"])
+                          tol=cfg["tol"], max_iter=cfg["max_iter"])
     record = {
         "lambda": cfg["lambda"],
         "converged": report.converged,
@@ -314,8 +310,7 @@ def _run_sweep(cfg, spec):
         census = solver.multistart(spec, float(lam), cfg["starts"],
                                    seed=cfg["seed"], N=modes,
                                    tol=cfg["tol"],
-                                   max_iter=cfg["max_iter"],
-                                   order=cfg["order"])
+                                   max_iter=cfg["max_iter"])
         for branch, report in enumerate(census):
             record = {
                 "lambda": float(lam),

@@ -25,11 +25,9 @@ class ValidationError(OnsagerError):
 
 
 class SingularLinearizationError(OnsagerError):
-    """Newton linearization is singular; lambda is likely at a critical value."""
-
-
-class DegenerateIndexError(OnsagerError):
-    """det(I - J) is too close to zero to assign a sign."""
+    """I - J is singular to rounding, so neither a Newton step nor the
+    index or stability of a solution is defined; lambda is likely at a
+    critical value or a fold."""
 
 
 class InconclusiveAuditError(OnsagerError):
@@ -41,11 +39,8 @@ class InconclusiveAuditError(OnsagerError):
 
 
 class BranchNotFoundError(OnsagerError):
-    """Continuation probes on both sides of a critical value failed."""
-
-
-class MarginalStabilityError(OnsagerError):
-    """Stability probe decay rate is below the decision threshold."""
+    """No solution family bifurcates at the critical value, or its
+    continuation found no point below lambda_max."""
 
 
 class ThresholdUndefinedError(OnsagerError):

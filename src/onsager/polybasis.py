@@ -3,18 +3,14 @@ harmonic dimension counts, sphere areas and quadrature against the zonal
 surface measure."""
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
 __all__ = [
-    "BasisIndex",
     "harmonic_count",
     "surface_area",
-    "gegenbauer_eval",
-    "gegenbauer_at_one",
     "legendre_eval",
     "legendre_table",
     "zonal_rule",
@@ -22,22 +18,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BasisIndex:
-    """Degree-n zonal polynomial index for the sphere S^(D-1)."""
-
-    D: int
-    n: int
-
-    def __post_init__(self):
-        if self.D < 3:
-            raise ValueError(f"dimension must be >= 3, got {self.D}")
-        if self.n < 0:
-            raise ValueError(f"degree must be >= 0, got {self.n}")
-
-    @property
-    def alpha(self) -> float:
-        return (self.D - 2) / 2
+def _check_index(D: int, n: int):
+    if D < 3:
+        raise ValueError(f"dimension must be >= 3, got {D}")
+    if n < 0:
+        raise ValueError(f"degree must be >= 0, got {n}")
 
 
 def harmonic_count(D: int, n: int) -> int:
@@ -46,10 +31,7 @@ def harmonic_count(D: int, n: int) -> int:
     Computed in exact integer arithmetic:
     (2n + D - 2) * (n + D - 3)! / ((D - 2)! * n!).
     """
-    if D < 3:
-        raise ValueError(f"dimension must be >= 3, got {D}")
-    if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
+    _check_index(D, n)
     num = (2 * n + D - 2) * math.factorial(n + D - 3)
     den = math.factorial(D - 2) * math.factorial(n)
     count, rem = divmod(num, den)
@@ -91,41 +73,24 @@ def _gegenbauer_rows(alpha: float, max_degree: int, t: np.ndarray):
         yield c
 
 
-def gegenbauer_eval(idx: BasisIndex, t, deriv: int = 0):
-    """Value (deriv=0) or first derivative (deriv=1) of C_n^(alpha) at t.
-
-    Uses d/dt C_n^(alpha) = 2 alpha C_(n-1)^(alpha+1) for the derivative.
-    """
-    t_arr = _check_domain(t)
-    if deriv not in (0, 1):
-        raise ValueError("deriv must be 0 or 1")
-    if deriv == 0:
-        *_, out = _gegenbauer_rows(idx.alpha, idx.n, t_arr)
-    elif idx.n == 0:
-        out = np.zeros_like(t_arr)
-    else:
-        *_, c = _gegenbauer_rows(idx.alpha + 1.0, idx.n - 1, t_arr)
-        out = 2.0 * idx.alpha * c
-    return float(out) if np.ndim(t) == 0 else out
-
-
-def gegenbauer_at_one(alpha: float, n: int) -> float:
-    """C_n^(alpha)(1) = prod_{k=0}^{n-1} (2 alpha + k) / (1 + k)."""
-    value = 1.0
-    for k in range(n):
-        value *= (2.0 * alpha + k) / (1.0 + k)
-    return value
-
-
-def legendre_eval(D: int, n: int, t, deriv: int = 0):
+def legendre_eval(D: int, n: int, t):
     """Zonal polynomial P_n(D, t) = C_n^(alpha)(t) / C_n^(alpha)(1),
-    alpha = (D - 2)/2, normalized so P_n(D, 1) = 1.
+    alpha = (D - 2)/2, normalized so P_n(D, 1) = 1: the last row of the
+    recurrence legendre_table runs, divided by the same running product
+    C_n^(alpha)(1) = prod_{k<n} (2 alpha + k) / (1 + k), so the two agree
+    bit for bit; no lower degree is stored.
 
     Reduces to the classical Legendre polynomial for D = 3.
     """
-    idx = BasisIndex(D, n)
-    raw = gegenbauer_eval(idx, t, deriv)
-    return raw / gegenbauer_at_one(idx.alpha, n)
+    _check_index(D, n)
+    t_arr = _check_domain(t)
+    alpha = (D - 2) / 2
+    *_, raw = _gegenbauer_rows(alpha, n, t_arr)
+    at_one = 1.0
+    for k in range(n):
+        at_one *= (2.0 * alpha + k) / (1.0 + k)
+    out = raw / at_one
+    return float(out) if np.ndim(t) == 0 else out
 
 
 def legendre_table(D: int, max_degree: int, t: np.ndarray) -> np.ndarray:
@@ -136,7 +101,7 @@ def legendre_table(D: int, max_degree: int, t: np.ndarray) -> np.ndarray:
     t = _check_domain(t)
     alpha = (D - 2) / 2
     table = np.empty((max_degree + 1, t.size))
-    at_one = 1.0  # gegenbauer_at_one(alpha, k): the same products in order
+    at_one = 1.0  # C_k^(alpha)(1), the running product of legendre_eval
     for k, c in enumerate(_gegenbauer_rows(alpha, max_degree, t)):
         table[k] = c / at_one
         at_one *= (2.0 * alpha + k) / (1.0 + k)

@@ -6,28 +6,21 @@ solution exactly when every mu < 1, which is the stability criterion."""
 
 import numpy as np
 
-from onsager.solver import (
-    DEFAULT_ORDER,
-    AxisymState,
-    _make_report,
-    residual,
-    state_norm,
-)
+from onsager.solver import AxisymState, _make_report, residual, state_norm
 
 
-def picard(spec, lam, init, tol=1e-10, max_iter=200, order=DEFAULT_ORDER,
-           damping=1.0):
+def picard(spec, lam, init, tol=1e-10, max_iter=200, damping=1.0):
     """Picard's method from init.  Stops when the residual norm is <= tol,
     before an update that is not finite, or after max_iter updates, and
     returns the report of the last state."""
     state = init
     for it in range(1, max_iter + 1):
-        res = residual(state, spec, lam, order=order)
+        res = residual(state, spec, lam)
         if state_norm(state.D, res) <= tol:
             return _make_report(state, res, spec, lam, it - 1, tol)
         new_coeffs = state.coeffs - damping * res
         if not np.all(np.isfinite(new_coeffs)):
             return _make_report(state, res, spec, lam, it, tol)
         state = AxisymState(state.D, new_coeffs)
-    return _make_report(state, residual(state, spec, lam, order=order), spec,
-                        lam, max_iter, tol)
+    return _make_report(state, residual(state, spec, lam), spec, lam,
+                        max_iter, tol)

@@ -15,7 +15,7 @@ from onsager.bifurcation import (
 )
 from onsager.errors import (
     BranchNotFoundError,
-    DegenerateIndexError,
+    SingularLinearizationError,
     ThresholdUndefinedError,
     ValidationError,
 )
@@ -133,9 +133,12 @@ def test_trivial_index_flips_across_critical_values(n, D):
 
 
 def test_index_degenerate_at_critical_value():
+    # the degeneracy Newton refuses to step through, with its exception
     report = solve(SPEC3, LAM1, AxisymState(3, np.zeros(6)))
-    with pytest.raises(DegenerateIndexError):
+    with pytest.raises(SingularLinearizationError):
         index_of(report, SPEC3)
+    with pytest.raises(SingularLinearizationError):
+        classify_stability(report, SPEC3)
 
 
 def test_index_requires_convergence():
@@ -181,6 +184,40 @@ def test_degree_audit_rejects_near_critical_lambda():
 def test_degree_audit_rejects_empty_truncations():
     with pytest.raises(ValueError):
         degree_audit(SPEC3, 5.0, 5, 0, ())
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("call", [
+    lambda: solve(SPEC3, NAN, AxisymState(3, np.zeros(4))),
+    lambda: solve(SPEC3, INF, AxisymState(3, np.zeros(4))),
+    lambda: solve(SPEC3, 5.0, AxisymState(3, np.zeros(4)), tol=NAN),
+    lambda: solve(SPEC3, 5.0, AxisymState(3, np.zeros(4)), tol=INF),
+    lambda: solve(SPEC3, 5.0, AxisymState(3, np.zeros(4)), tol=0.0),
+    lambda: multistart(SPEC3, NAN, 5, seed=0),
+    lambda: multistart(SPEC3, INF, 5, seed=0),
+    lambda: multistart(SPEC3, 5.0, 5, seed=0, tol=NAN),
+    lambda: multistart(SPEC3, 5.0, 5, seed=0, tol=-1.0),
+    lambda: degree_audit(SPEC3, NAN, 5, 0, (4,)),
+    lambda: degree_audit(SPEC3, INF, 5, 0, (4,)),
+    lambda: degree_audit(SPEC3, -1.0, 5, 0, (4,)),
+    lambda: trace_branch(SPEC3, 1, 1.3 * LAM1, tol=-1.0),
+    lambda: trace_branch(SPEC3, 1, 1.3 * LAM1, tol=NAN),
+    lambda: trace_branch(SPEC3, 1, 1.3 * LAM1, tol=INF),
+    lambda: trace_branch(SPEC3, 1, NAN),
+    lambda: trace_branch(SPEC3, 1, INF),
+], ids=["solve-lam-nan", "solve-lam-inf", "solve-tol-nan", "solve-tol-inf",
+        "solve-tol-0", "multistart-lam-nan", "multistart-lam-inf",
+        "multistart-tol-nan", "multistart-tol-neg", "audit-lam-nan",
+        "audit-lam-inf", "audit-lam-neg", "branch-tol-neg", "branch-tol-nan",
+        "branch-tol-inf", "branch-lam-nan", "branch-lam-inf"])
+def test_entry_points_reject_non_finite_lambda_and_tol(call):
+    # lambda must be finite and >= 0, tol finite and > 0; before the check,
+    # these raised LinAlgError or OverflowError, returned an unconverged
+    # report or ended in BranchNotFoundError
+    with pytest.raises(ValueError, match="finite"):
+        call()
 
 
 def test_degree_audit_json_dict():

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -232,14 +233,21 @@ def test_config_file_missing_exits_2(tmp_path):
                      str(tmp_path / "nope.json")]) == 2
 
 
-def test_order_flag_and_config_give_identical_output(tmp_path, capsys):
+def test_order_flag_and_config_key_exit_2(tmp_path, capsys):
+    # the solver has one fixed quadrature rule, so no command sets its order
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"order": 64}))
-    argv = ["solve", "--lambda", "5", "--modes", "4"]
-    assert cli.main(argv + ["--order", "64"]) == 0
-    by_flag = capsys.readouterr().out
-    assert cli.main(argv + ["--config", str(cfg)]) == 0
-    assert capsys.readouterr().out == by_flag
+    out = tmp_path / "t.csv"
+    for argv in (["solve", "--lambda", "5"],
+                 ["sweep", "--lambda-min", "9", "--lambda-max", "13"]):
+        for extra in (["--order", "64"], ["--config", str(cfg)]):
+            assert cli.main(argv + extra + ["--output", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("onsager: ")
+            assert captured.err.count("\n") == 1
+            assert "--order" in captured.err
+            assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, config, check", [
@@ -314,10 +322,9 @@ def test_flags_a_command_ignores_are_rejected(tmp_path, capsys, argv, flag):
 HONOURED = {
     "coeffs": {"dim", "nmax", "method"},
     "thresholds": {"dim", "nmax"},
-    "solve": {"dim", "nmax", "tol", "max-iter", "order", "lambda", "modes",
-              "init"},
-    "sweep": {"dim", "nmax", "tol", "max-iter", "seed", "order",
-              "lambda-min", "lambda-max", "steps", "modes", "starts"},
+    "solve": {"dim", "nmax", "tol", "max-iter", "lambda", "modes", "init"},
+    "sweep": {"dim", "nmax", "tol", "max-iter", "seed", "lambda-min",
+              "lambda-max", "steps", "modes", "starts"},
     "audit-degree": {"dim", "nmax", "seed", "lambda", "starts",
                      "truncations"},
     "evolve": {"dim", "nmax", "lambda", "grid", "t-max", "dt", "perturb",
@@ -335,7 +342,7 @@ def test_each_command_accepts_exactly_its_honoured_flags():
         flags.discard("help")
         assert flags == HONOURED[command] | {"output", "format", "config"}
         pairs += len(flags)
-    assert pairs == 56
+    assert pairs == 54
 
 
 def test_command_help_exits_0(capsys):
@@ -343,6 +350,45 @@ def test_command_help_exits_0(capsys):
     out = capsys.readouterr().out
     assert "--lambda" in out and "--init" in out
     assert "--seed" not in out
+
+
+def _readme_flag_table():
+    """{command: {flag: parenthesized default or None}} from the README's
+    per-command flag table; the row "every command" is keyed None."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    body = readme.split("| command | flags |\n| --- | --- |\n", 1)[1]
+    table = {}
+    for line in body.split("\n\n", 1)[0].splitlines():
+        name, cell = line.strip("|").split("|", 1)
+        name = name.strip()
+        command = None if name == "every command" else name.strip("`")
+        # a flag, its optional metavar, and an optional "(default; note)"
+        table[command] = {
+            flag: default.split(";")[0] if default else None
+            for flag, default in re.findall(
+                r"`--([a-z-]+)[^`]*`(?: \(([^)]*)\))?", cell)}
+    return table
+
+
+def test_readme_flag_table_matches_the_parser():
+    table = _readme_flag_table()
+    assert set(table) == set(cli.COMMANDS) | {None}
+    for command, flags in table.items():
+        expected = (cli._COMMON if command is None else
+                    set(cli._COMMAND_FLAGS[command]) - set(cli._COMMON))
+        assert set(flags) == set(expected), command
+        for flag, text in flags.items():
+            default = cli._FLAGS[flag]["default"]
+            if default is None:
+                # no value default: the README names a behaviour, not a
+                # value, or nothing
+                if text is not None:
+                    with pytest.raises(ValueError):
+                        float(text.replace("`", ""))
+            else:
+                shown = default if isinstance(default, str) else format(
+                    default, "g")
+                assert text == shown, (command, flag)
 
 
 def test_readme_command_lines_parse_and_validate():

@@ -11,12 +11,11 @@ from onsager.errors import SingularLinearizationError
 from onsager.kernel import build_kernel_spec
 from onsager.polybasis import harmonic_count
 from onsager.solver import (
-    DEFAULT_ORDER,
     AxisymState,
+    _fused_pass,
     _make_report,
     _newton,
     _polish,
-    _residual_and_jacobian,
     jacobian,
     multistart,
     residual,
@@ -29,13 +28,13 @@ STARTS = 20
 TOL = 1e-10
 
 
-def oracle_solve(spec, lam, init, tol, max_iter, order=DEFAULT_ORDER):
+def oracle_solve(spec, lam, init, tol, max_iter):
     """Newton's method on one start, one state at a time."""
     state = init
     for it in range(1, max_iter + 1):
-        res, jac, _ = _residual_and_jacobian(state, spec, lam, order)
+        res, jac, _ = _fused_pass(spec, lam, state.coeffs)
         if state_norm(state.D, res) <= tol:
-            state, res = _polish(state, res, jac, spec, lam, order)
+            state, res = _polish(state, res, jac, spec, lam)
             return _make_report(state, res, spec, lam, it - 1, tol)
         system = np.eye(state.N) - jac
         # scale-invariant singularity test: reciprocal condition number
@@ -48,8 +47,8 @@ def oracle_solve(spec, lam, init, tol, max_iter, order=DEFAULT_ORDER):
         if not np.all(np.isfinite(new_coeffs)):
             return _make_report(state, res, spec, lam, it, tol)
         state = AxisymState(state.D, new_coeffs)
-    return _make_report(state, residual(state, spec, lam, order=order), spec,
-                        lam, max_iter, tol)
+    return _make_report(state, residual(state, spec, lam), spec, lam,
+                        max_iter, tol)
 
 
 def oracle_starts(spec, lam, n_starts, seed, N):
@@ -92,8 +91,7 @@ def _outcome(report):
 @pytest.mark.parametrize("seed", range(5))
 def test_batched_newton_matches_per_start_loop(seed, N, lam, max_iter):
     starts = oracle_starts(SPEC, lam, STARTS, seed, N)
-    batched = _newton(SPEC, lam, 3, np.array(starts), TOL, max_iter,
-                      DEFAULT_ORDER)
+    batched = _newton(SPEC, lam, 3, np.array(starts), TOL, max_iter)
     for coeffs, outcome in zip(starts, batched, strict=True):
         try:
             expected = oracle_solve(SPEC, lam, AxisymState(3, coeffs), TOL,
@@ -134,8 +132,7 @@ def test_census_split_into_batches_matches_per_start_loop(monkeypatch):
 def test_max_iter_census_drops_unconverged_starts():
     # the max_iter=3 cases above only mean something if some starts fail
     starts = oracle_starts(SPEC, 15.0, STARTS, 0, 8)
-    outcomes = _newton(SPEC, 15.0, 3, np.array(starts), TOL, 3,
-                       DEFAULT_ORDER)
+    outcomes = _newton(SPEC, 15.0, 3, np.array(starts), TOL, 3)
     converged = [_make_report(o[0], o[1], SPEC, 15.0, o[2], TOL).converged
                  for o in outcomes]
     assert 0 < sum(converged) < len(converged)
@@ -145,11 +142,9 @@ def test_start_converging_on_the_last_update_counts_as_converged():
     # with max_iter equal to the updates a start needs, its last update
     # lands inside tol and is reported as converged, without the polish
     starts = np.array(oracle_starts(SPEC, 15.0, STARTS, 0, 8))
-    needed = [o[2] for o in _newton(SPEC, 15.0, 3, starts, TOL, 200,
-                                    DEFAULT_ORDER)]
+    needed = [o[2] for o in _newton(SPEC, 15.0, 3, starts, TOL, 200)]
     row = int(np.argmax(needed))
-    outcome = _newton(SPEC, 15.0, 3, starts, TOL, needed[row],
-                      DEFAULT_ORDER)[row]
+    outcome = _newton(SPEC, 15.0, 3, starts, TOL, needed[row])[row]
     got = _make_report(*outcome[:2], SPEC, 15.0, outcome[2], TOL)
     expected = oracle_solve(SPEC, 15.0, AxisymState(3, starts[row]), TOL,
                             needed[row])
@@ -170,7 +165,7 @@ def test_singular_row_is_dropped_and_the_others_converge():
     system = 1.0 - jacobian(AxisymState(3, [0.3]), spec1, lam)
     assert abs(system[0, 0]) <= 1e-12
     starts = np.array([[0.3], [0.0], [2.0], [-1.0]])
-    outcomes = _newton(spec1, lam, 3, starts, TOL, 200, DEFAULT_ORDER)
+    outcomes = _newton(spec1, lam, 3, starts, TOL, 200)
     assert outcomes[0] is None
     for coeffs, outcome in zip(starts[1:], outcomes[1:]):
         report = _make_report(*outcome[:2], spec1, lam, outcome[2], TOL)

@@ -6,9 +6,6 @@ from scipy.integrate import quad
 from scipy.special import eval_gegenbauer, eval_legendre
 
 from onsager.polybasis import (
-    BasisIndex,
-    gegenbauer_at_one,
-    gegenbauer_eval,
     harmonic_count,
     legendre_eval,
     legendre_table,
@@ -49,8 +46,8 @@ def test_surface_area_closed_forms(D, expected):
     lambda: harmonic_count(2, 1),
     lambda: harmonic_count(3, -1),
     lambda: surface_area(1),
-    lambda: BasisIndex(2, 1),
-    lambda: BasisIndex(3, -2),
+    lambda: legendre_eval(2, 1, 0.5),
+    lambda: legendre_eval(3, -2, 0.5),
     lambda: zonal_rule(3, 0),
     lambda: zonal_rule(2, 8),
 ])
@@ -60,34 +57,14 @@ def test_input_validation(bad_call):
 
 
 def test_gegenbauer_matches_scipy():
+    # P_n(D, t) C_n^alpha(1) is the raw Gegenbauer polynomial C_n^alpha(t)
     t = np.linspace(-1.0, 1.0, 31)
     for D in (3, 4, 5, 7):
         alpha = (D - 2) / 2
         for n in range(0, 9):
-            ours = gegenbauer_eval(BasisIndex(D, n), t)
+            ours = legendre_eval(D, n, t) * eval_gegenbauer(n, alpha, 1.0)
             ref = eval_gegenbauer(n, alpha, t)
             assert np.allclose(ours, ref, rtol=1e-12, atol=1e-12)
-
-
-def test_gegenbauer_derivative_matches_finite_difference():
-    rng = np.random.default_rng(11)
-    t = rng.uniform(-0.95, 0.95, size=16)
-    h = 1e-6
-    for D in (3, 5):
-        for n in (1, 3, 6):
-            idx = BasisIndex(D, n)
-            deriv = gegenbauer_eval(idx, t, deriv=1)
-            fd = (gegenbauer_eval(idx, t + h)
-                  - gegenbauer_eval(idx, t - h)) / (2 * h)
-            assert np.allclose(deriv, fd, rtol=1e-7, atol=1e-7)
-
-
-def test_gegenbauer_at_one_matches_recurrence():
-    for D in (3, 4, 6):
-        alpha = (D - 2) / 2
-        for n in range(10):
-            assert gegenbauer_at_one(alpha, n) == pytest.approx(
-                eval_gegenbauer(n, alpha, 1.0), rel=1e-13)
 
 
 def test_legendre_reduces_to_classical_for_d3():
@@ -111,13 +88,13 @@ def test_legendre_table_matches_single_evaluations():
         table = legendre_table(D, 10, t)
         assert table.shape == (11, t.size)
         for n in range(11):
-            assert np.allclose(table[n], legendre_eval(D, n, t),
-                               rtol=1e-13, atol=1e-13)
+            # the same recurrence and running product: bit for bit
+            assert np.array_equal(table[n], legendre_eval(D, n, t))
 
 
 def test_scalar_arguments_return_floats():
     assert isinstance(legendre_eval(3, 4, 0.3), float)
-    assert isinstance(gegenbauer_eval(BasisIndex(4, 3), -0.2), float)
+    assert isinstance(legendre_eval(4, 3, -0.2), float)
 
 
 def test_domain_check():

@@ -10,9 +10,8 @@ from picard_oracle import picard
 from onsager.bifurcation import classify_stability, critical_values, index_of
 from onsager.kernel import build_kernel_spec
 from onsager.solver import (
-    DEFAULT_ORDER,
     AxisymState,
-    _residual_and_jacobian,
+    _fused_pass,
     _spectrum,
     jacobian,
     multistart,
@@ -31,8 +30,7 @@ def _census(D, lam):
 
 def _symmetric_mu(report, spec):
     """Eigenvalues 1 - g of J from the symmetric spectrum, ascending."""
-    cov = _residual_and_jacobian(report.state, spec, report.lam,
-                                 DEFAULT_ORDER)[2]
+    cov = _fused_pass(spec, report.lam, report.state.coeffs)[2]
     g, degenerate = _spectrum(spec, report.lam, cov)
     assert not degenerate
     return np.sort(1.0 - g)

@@ -10,7 +10,6 @@ from explicit_oracle import explicit_step
 
 from onsager.bifurcation import classify_stability, trace_branch
 from onsager.dynamics import density_on_grid, grid_norm, make_grid
-from onsager.errors import MarginalStabilityError
 from onsager.kernel import build_kernel_spec
 from onsager.polybasis import legendre_eval
 from onsager.solver import AxisymState, multistart, solve, state_norm
@@ -27,7 +26,7 @@ def dynamics_stability(report, spec, grid_points=64, horizon=2.0, eps=1e-3,
     perturbed and unperturbed densities side by side and measures the
     growth rate of their separation over the second half of the horizon.
     Stable means every rate is negative; a rate inside (-rate_tol,
-    rate_tol) is inconclusive.
+    rate_tol) is inconclusive and fails the calling test.
     """
     lam = report.lam
     if not report.converged:
@@ -50,13 +49,11 @@ def dynamics_stability(report, spec, grid_points=64, horizon=2.0, eps=1e-3,
             if k == half:
                 d_half = grid_norm(f - fb, grid)
         d_end = grid_norm(f - fb, grid)
-        if d_half <= 0 or d_end <= 0:
-            raise MarginalStabilityError(
-                f"mode {mode} perturbation vanished identically")
+        assert d_half > 0 and d_end > 0, (
+            f"mode {mode} perturbation vanished identically")
         rate = math.log(d_end / d_half) / ((n_steps - half) * dt)
-        if abs(rate) < rate_tol:
-            raise MarginalStabilityError(
-                f"mode {mode} decay rate {rate} is inconclusive")
+        assert abs(rate) >= rate_tol, (
+            f"mode {mode} decay rate {rate} is inconclusive")
         rates.append(rate)
     return "stable" if all(r < 0 for r in rates) else "unstable"
 
