@@ -5,7 +5,6 @@ dynamics."""
 
 from .bifurcation import (
     Branch,
-    BranchPoint,
     DegreeReport,
     ThresholdReport,
     classify_stability,
@@ -45,7 +44,6 @@ from .kernel import (
     khat_eval,
     mean_value,
     onsager_mean,
-    sup_norm,
     tail_bound,
 )
 from .polybasis import (

@@ -32,7 +32,6 @@ from .solver import (
 __all__ = [
     "ThresholdReport",
     "Branch",
-    "BranchPoint",
     "DegreeReport",
     "critical_values",
     "uniqueness_thresholds",
@@ -47,47 +46,26 @@ __all__ = [
 class ThresholdReport:
     """Uniqueness and bifurcation thresholds for one kernel.
 
-    lambda_0 is the conservative (lower) endpoint of lambda_0_interval,
-    whose width reflects the tail of the coefficient sum; lambda_exp_bound
+    lambda_0 lies in lambda_0_interval, whose lower endpoint is the
+    conservative value and whose width reflects the tail of the
+    coefficient sum; lambda_exp_bound
     is the largest lam satisfying lam e^(4 lam ||K||_inf) sum k_m < 1/2,
     reported separately because it is not comparable to lambda_tilde0 by
     construction.
     """
 
     lambda_tilde0: float
-    lambda_0: float
     lambda_0_interval: tuple
     lambda_exp_bound: float
     lambda_crit: list
     tail_bound: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "lambda_tilde0": self.lambda_tilde0,
-            "lambda_0": self.lambda_0,
-            "lambda_0_interval": list(self.lambda_0_interval),
-            "lambda_exp_bound": self.lambda_exp_bound,
-            "lambda_crit": list(self.lambda_crit),
-            "tail_bound": self.tail_bound,
-        }
-
-
-@dataclass(frozen=True)
-class BranchPoint:
-    """One continuation sample: concentration, solution, stability flag
-    (None when stability was not requested)."""
-
-    lam: float
-    report: SolutionReport
-    stable: bool | None
-
-
 @dataclass(frozen=True)
 class Branch:
     """Solution family attached to the critical value origin = lambda_n.
 
-    points holds both coefficient-sign families, each ordered from the
-    samples nearest the origin outward.
+    points holds the SolutionReports of both coefficient-sign families,
+    each ordered from the samples nearest the origin outward.
     """
 
     mode: int
@@ -97,21 +75,8 @@ class Branch:
     def amplitudes(self, sign: int) -> list:
         """Norms of the stored points with the given sign of u_mode,
         nearest the origin first."""
-        return [state_norm(p.report.state.D, p.report.state.coeffs)
-                for p in self.points
-                if math.copysign(1, p.report.state.coeffs[self.mode - 1])
-                == sign]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "origin": self.origin,
-            "points": [
-                {"lambda": p.lam, "stable": p.stable,
-                 **p.report.to_json_dict()}
-                for p in self.points
-            ],
-        }
+        return [state_norm(p.state.D, p.state.coeffs) for p in self.points
+                if math.copysign(1, p.state.coeffs[self.mode - 1]) == sign]
 
 
 @dataclass(frozen=True)
@@ -123,15 +88,6 @@ class DegreeReport:
     degree_sum: int
     truncations_checked: tuple
     stable_across_truncations: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "degree_sum": self.degree_sum,
-            "truncations_checked": list(self.truncations_checked),
-            "stable_across_truncations": self.stable_across_truncations,
-            "solutions": [r.to_json_dict() for r in self.solutions],
-        }
 
 
 def critical_values(spec: KernelSpec) -> list:
@@ -157,17 +113,14 @@ def uniqueness_thresholds(spec: KernelSpec) -> ThresholdReport:
     lam = W(4 ||K||_inf / (2 (S + tail))) / (4 ||K||_inf) with W the
     principal branch of the Lambert W function.
     """
-    coeffs = spec.coeffs
-    if not np.all(np.isfinite(coeffs)) or np.any(coeffs <= 0):
+    if np.any(spec.coeffs <= 0):
         raise ThresholdUndefinedError(
-            "thresholds require positive finite coefficients")
-    partial = float(coeffs.sum())
+            "thresholds require positive coefficients")
+    partial = float(spec.coeffs.sum())
     tail = tail_bound(spec)
     total = partial + tail
-    if not math.isfinite(total) or total <= 0:
+    if not math.isfinite(total):
         raise ThresholdUndefinedError("coefficient sum is not summable")
-    if spec.sup_norm_khat <= 0:
-        raise ThresholdUndefinedError("kernel has no mean-zero part")
     lam_tilde = 0.2 / spec.sup_norm_khat
     interval = (1.0 / total, 1.0 / partial)
     # full kernel sup norm: the exact |sin| profile lies in [0, 1], custom
@@ -176,7 +129,6 @@ def uniqueness_thresholds(spec: KernelSpec) -> ThresholdReport:
     lam_exp = lambertw(4.0 * knorm * (0.5 / total)).real / (4.0 * knorm)
     return ThresholdReport(
         lambda_tilde0=lam_tilde,
-        lambda_0=interval[0],
         lambda_0_interval=interval,
         lambda_exp_bound=float(lam_exp),
         lambda_crit=critical_values(spec),
@@ -302,7 +254,7 @@ def _family(spec, n, origin, sign, lambda_max, n_modes, tol):
             break
         report = _make_report(AxisymState(spec.D, u), res, spec, lam,
                               iterations, tol)
-        points.append(BranchPoint(lam=lam, report=report, stable=None))
+        points.append(report)
         # the next tangent t solves the same bordered system:
         # (I - J) t_u + dF/dlam t_lam = 0 and old tangent . t = 1
         tangent = np.linalg.solve(matrix, unit[-1])
@@ -313,8 +265,7 @@ def _family(spec, n, origin, sign, lambda_max, n_modes, tol):
 
 
 def trace_branch(spec: KernelSpec, n: int, lambda_max: float,
-                 n_modes: int | None = None, tol: float = 1e-10,
-                 classify: bool = False) -> Branch:
+                 n_modes: int | None = None, tol: float = 1e-10) -> Branch:
     """Pseudo-arclength continuation (Keller) of the mode-n solution
     family through its folds.
 
@@ -344,10 +295,6 @@ def trace_branch(spec: KernelSpec, n: int, lambda_max: float,
     if not points:
         raise BranchNotFoundError(
             f"no mode-{n} continuation points below {lambda_max}")
-    if classify:
-        points = [replace(p, stable=(classify_stability(p.report, spec)
-                                     == "stable"))
-                  for p in points]
     return Branch(mode=n, origin=origin, points=tuple(points))
 
 

@@ -272,7 +272,7 @@ def _run_thresholds(cfg, spec):
     report = bifurcation.uniqueness_thresholds(spec)
     records = [
         {"name": "lambda_tilde0", "value": report.lambda_tilde0},
-        {"name": "lambda_0", "value": report.lambda_0},
+        {"name": "lambda_0", "value": report.lambda_0_interval[0]},
         {"name": "lambda_0_lower", "value": report.lambda_0_interval[0]},
         {"name": "lambda_0_upper", "value": report.lambda_0_interval[1]},
         {"name": "lambda_exp_bound", "value": report.lambda_exp_bound},

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import DivergenceError
 from .kernel import KernelSpec
-from .polybasis import _jacobi_rule_cached, legendre_table, surface_area
+from .polybasis import legendre_table, surface_area, zonal_rule
 
 __all__ = [
     "ThetaGrid",
@@ -81,7 +81,7 @@ def _moment_tables(D: int, G: int, n_modes: int):
     """
     h = math.pi / (G + 1)
     theta = h * np.arange(1, G + 1)
-    nodes, jw = _jacobi_rule_cached(G // 2 + 2, (D - 3) / 2)
+    nodes, jw = zonal_rule(D, G // 2 + 2)
     # U_k(cos phi) = sin((k+1) phi) / sin phi
     phi = np.arccos(nodes)
     m = np.sin(np.outer(np.arange(1, G + 1), phi)) @ (jw / np.sin(phi))

@@ -2,20 +2,20 @@
 S^(D-1): the even-zonal expansion coefficients k_n, the kernel mean and the
 sup norm of the mean-zero part."""
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import AccuracyError, ValidationError
 from .polybasis import (
-    _jacobi_rule_cached,
+    MAX_DIM,
     harmonic_count,
     legendre_eval,
     legendre_table,
     surface_area,
+    zonal_rule,
 )
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "coeff_by_recurrence",
     "build_kernel_spec",
     "khat_eval",
-    "sup_norm",
     "tail_bound",
 ]
 
@@ -47,63 +46,54 @@ class KernelSpec:
     """Truncated even-zonal expansion of an interaction kernel.
 
     K(gamma) = k0 - sum_{n=1}^{n_max} k_n P_{2n}(D, cos gamma), with k0 the
-    kernel mean over the sphere and sup_norm_khat = ||K - k0||_inf.  Every
-    k_n >= 0: the symmetric spectrum of the Jacobian (`solver._spectrum`)
-    and the convex splitting of `dynamics.step` both rest on it.
+    kernel mean over the sphere.  Every k_n >= 0: the symmetric spectrum
+    of the Jacobian (`solver._spectrum`) and the convex splitting of
+    `dynamics.step` both rest on it.
+
+    n_max and sup_norm_khat = ||K - k0||_inf are derived.  For the
+    |sin gamma| sources the exact profile |sin gamma| - k0 takes values in
+    [-k0, 1 - k0].  A custom kernel is its truncated series, whose sup
+    norm is sum_n k_n, attained at gamma = 0: |P_2n(D, t)| <= 1 =
+    P_2n(D, 1) on [-1, 1] and every k_n >= 0.
     """
 
     D: int
-    n_max: int
     coeffs: np.ndarray
     k0: float
-    sup_norm_khat: float
     source: str
+    n_max: int = field(init=False)
+    sup_norm_khat: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs",
-                           np.array(self.coeffs, dtype=float, copy=True))
+        coeffs = np.array(self.coeffs, dtype=float, copy=True)
+        object.__setattr__(self, "coeffs", coeffs)
         if self.source not in SOURCES:
             raise ValidationError(f"unknown source {self.source!r}")
-        if self.n_max < 1 or len(self.coeffs) != self.n_max:
+        if not 3 <= self.D <= MAX_DIM:
             raise ValidationError(
-                f"need n_max >= 1 coefficients, got {len(self.coeffs)}")
-        if not np.all(np.isfinite(self.coeffs)):
+                f"dimension must be in 3..{MAX_DIM}, got {self.D}")
+        if not (math.isfinite(self.k0) and self.k0 >= 0):
+            raise ValidationError(
+                f"kernel mean k0 must be finite and >= 0, got {self.k0}")
+        if coeffs.ndim != 1 or coeffs.size < 1:
+            raise ValidationError(
+                f"need at least one coefficient, got {coeffs.size}")
+        if not np.all(np.isfinite(coeffs)):
             raise ValidationError("coefficients must be finite")
-        negative = np.flatnonzero(self.coeffs < 0)
+        negative = np.flatnonzero(coeffs < 0)
         if negative.size:
             n = int(negative[0]) + 1
             raise ValidationError(
-                f"coefficient k_{n} = {self.coeffs[n - 1]} is negative",
-                index=n)
-        self.coeffs.setflags(write=False)
+                f"coefficient k_{n} = {coeffs[n - 1]} is negative", index=n)
+        coeffs.setflags(write=False)
+        object.__setattr__(self, "n_max", coeffs.size)
+        object.__setattr__(self, "sup_norm_khat", float(coeffs.sum())
+                           if self.source == "custom"
+                           else max(self.k0, 1.0 - self.k0))
 
     def coeff(self, n: int) -> float:
         """k_n for 1 <= n <= n_max."""
         return float(self.coeffs[n - 1])
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": self.D,
-            "n_max": self.n_max,
-            "source": self.source,
-            "k0": self.k0,
-            "coeffs": [float(c) for c in self.coeffs],
-            "sup_norm_khat": self.sup_norm_khat,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "KernelSpec":
-        return cls(D=data["dim"], n_max=data["n_max"],
-                   coeffs=np.array(data["coeffs"], dtype=float),
-                   k0=data["k0"], sup_norm_khat=data["sup_norm_khat"],
-                   source=data["source"])
-
-    @classmethod
-    def from_json(cls, text: str) -> "KernelSpec":
-        return cls.from_json_dict(json.loads(text))
 
 
 def mean_value(kernel_profile, D: int, tol: float = 1e-12,
@@ -170,7 +160,8 @@ def coeff_by_quadrature(D: int, n: int) -> float:
     prefac = -surface_area(D - 1) * harmonic_count(D, 2 * n) / surface_area(D)
 
     def estimate(order):
-        nodes, weights = _jacobi_rule_cached(order, (D - 2) / 2)
+        # (1 - t^2)^((D-2)/2) is the zonal weight one dimension up
+        nodes, weights = zonal_rule(D + 1, order)
         p2n = legendre_eval(D, 2 * n, nodes)
         return prefac * float(np.dot(weights, p2n))
 
@@ -217,43 +208,15 @@ def coeff_by_recurrence(D: int, n_max: int) -> np.ndarray:
     return (k1 * np.cumprod(np.append(1, coeff_ratio(D, n)))).astype(float)
 
 
-def _dense_sup(spec_D, coeffs, samples=4096, refinements=2):
-    """Sup of |sum_n k_n P_{2n}(D, cos gamma)| by sampling plus local
-    refinement around the coarse argmax."""
-    max_degree = 2 * len(coeffs)
-    kvec = np.asarray(coeffs, dtype=float)
-
-    def series_abs(gamma):
-        table = legendre_table(spec_D, max_degree, np.cos(gamma))
-        return np.abs(kvec @ table[2::2])
-
-    gamma = np.linspace(0.0, math.pi, samples)
-    vals = series_abs(gamma)
-    best = float(vals.max())
-    center = gamma[int(vals.argmax())]
-    half = math.pi / samples
-    for _ in range(refinements):
-        local = np.linspace(max(0.0, center - half),
-                            min(math.pi, center + half), 2001)
-        lv = series_abs(local)
-        best = max(best, float(lv.max()))
-        center = local[int(lv.argmax())]
-        half /= 100.0
-    return best
-
-
 def build_kernel_spec(D: int, n_max: int, source: str,
-                      custom_coeffs=None, validate: bool = False,
-                      ) -> KernelSpec:
+                      custom_coeffs=None) -> KernelSpec:
     """Assemble a KernelSpec.
 
     For the |sin gamma| kernel, "onsager-recurrence" is the closed-form
     table of `coeff_by_recurrence`, the one every solving command uses;
     "onsager-quadrature" evaluates each defining integral
-    (`coeff_by_quadrature`) and is kept as its cross-check.  The mean and
-    sup norm come from the exact profile.  Custom kernels are
-    given by their coefficient list (mean-zero part only); `validate`
-    additionally enforces positivity and strict decrease.
+    (`coeff_by_quadrature`) and is kept as its cross-check.  Custom
+    kernels are given by their coefficient list (mean-zero part only).
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -265,17 +228,7 @@ def build_kernel_spec(D: int, n_max: int, source: str,
         if len(coeffs) != n_max:
             raise ValueError(
                 f"expected {n_max} coefficients, got {len(coeffs)}")
-        if validate:
-            for i, k in enumerate(coeffs, start=1):
-                if k <= 0:
-                    raise ValidationError(
-                        f"coefficient k_{i} = {k} is not positive", index=i)
-                if i < len(coeffs) and coeffs[i] >= k:
-                    raise ValidationError(
-                        f"coefficient k_{i + 1} does not decrease", index=i + 1)
-        sup = 0.0 if not np.any(coeffs) else _dense_sup(D, coeffs)
-        return KernelSpec(D=D, n_max=n_max, coeffs=coeffs, k0=0.0,
-                          sup_norm_khat=sup, source=source)
+        return KernelSpec(D=D, coeffs=coeffs, k0=0.0, source=source)
 
     if source == "onsager-quadrature":
         coeffs = np.array([coeff_by_quadrature(D, n)
@@ -291,11 +244,7 @@ def build_kernel_spec(D: int, n_max: int, source: str,
             raise ValidationError(
                 "coefficients must be positive and strictly decreasing",
                 index=i + 1)
-    k0 = onsager_mean(D)
-    # exact profile |sin gamma| - k0 takes values in [-k0, 1 - k0]
-    sup = max(k0, 1.0 - k0)
-    return KernelSpec(D=D, n_max=n_max, coeffs=coeffs, k0=k0,
-                      sup_norm_khat=sup, source=source)
+    return KernelSpec(D=D, coeffs=coeffs, k0=onsager_mean(D), source=source)
 
 
 def khat_eval(spec: KernelSpec, gamma):
@@ -306,15 +255,6 @@ def khat_eval(spec: KernelSpec, gamma):
     table = legendre_table(spec.D, 2 * spec.n_max, np.atleast_1d(np.cos(g)))
     out = -(spec.coeffs @ table[2::2])
     return float(out[0]) if np.ndim(gamma) == 0 else out
-
-
-def sup_norm(spec: KernelSpec) -> float:
-    """||K_hat||_inf over gamma in [0, pi]."""
-    if spec.source == "custom":
-        if not np.any(spec.coeffs):
-            return 0.0
-        return _dense_sup(spec.D, spec.coeffs)
-    return max(spec.k0, 1.0 - spec.k0)
 
 
 def tail_bound(spec: KernelSpec) -> float:

@@ -98,6 +98,7 @@ def legendre_table(D: int, max_degree: int, t: np.ndarray) -> np.ndarray:
 
     Returns an array of shape (max_degree + 1, len(t)).
     """
+    _check_index(D, max_degree)
     t = _check_domain(t)
     alpha = (D - 2) / 2
     table = np.empty((max_degree + 1, t.size))
@@ -108,35 +109,24 @@ def legendre_table(D: int, max_degree: int, t: np.ndarray) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=128)
-def _legendre_rule_cached(order: int):
-    return roots_legendre(order)
-
-
 @lru_cache(maxsize=256)
-def _jacobi_rule_cached(order: int, expo: float):
-    """Gauss rule for the weight (1 - t^2)^expo on [-1, 1].
-
-    The weight is built into the returned weights, so plain sums of
-    f(node)*weight approximate the weighted integral of f.
-    """
-    if expo == 0.0:
-        return _legendre_rule_cached(order)
-    nodes, weights = roots_jacobi(order, expo, expo)
-    return nodes, weights
-
-
 def zonal_rule(D: int, order: int):
     """Nodes and weights for integrals against (1 - t^2)^((D-3)/2) dt.
 
-    The zonal weight is exact (Gauss-Jacobi), so polynomial integrands of
-    degree <= 2*order - 1 are integrated exactly for every D >= 3.
+    The zonal weight is exact (Gauss-Legendre at D = 3, Gauss-Jacobi
+    above), so polynomial integrands of degree <= 2*order - 1 are
+    integrated exactly for every D >= 3; plain sums of f(node)*weight
+    give the weighted integral.  Cached: the arrays are shared, not
+    copied.
     """
     if D < 3:
         raise ValueError(f"dimension must be >= 3, got {D}")
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    return _jacobi_rule_cached(order, (D - 3) / 2)
+    if D == 3:
+        return roots_legendre(order)
+    expo = (D - 3) / 2
+    return roots_jacobi(order, expo, expo)
 
 
 def weighted_integral(f, D: int, order: int) -> float:

@@ -88,18 +88,6 @@ class SolutionReport:
     sup_norm_u: float
     index: int | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "dim": self.state.D,
-            "modes": [float(c) for c in self.state.coeffs],
-            "residual_norm": self.residual_norm,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "index": self.index,
-            "sup_norm_u": self.sup_norm_u,
-        }
-
 
 @dataclass(frozen=True)
 class DensityProfile:

@@ -4,11 +4,10 @@ lambda range it can reach: it steps in lambda from onset samples found by
 probing both sides of lambda_n, so it cannot pass a fold."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
-from onsager.bifurcation import Branch, BranchPoint, classify_stability
+from onsager.bifurcation import Branch
 from onsager.errors import BranchNotFoundError, SingularLinearizationError
 from onsager.kernel import KernelSpec
 from onsager.polybasis import harmonic_count
@@ -40,8 +39,7 @@ def _seed_solution(spec, n, lam, sign, delta, n_modes, tol):
 
 def trace_branch(spec: KernelSpec, n: int, lambda_end: float, steps: int,
                  eps0: float = 5e-2, delta: float = 1e-2,
-                 n_modes: int | None = None, tol: float = 1e-10,
-                 classify: bool = False) -> Branch:
+                 n_modes: int | None = None, tol: float = 1e-10) -> Branch:
     """Natural-parameter continuation of the mode-n solution family.
 
     Each coefficient sign is probed near the origin lambda_n on both
@@ -50,7 +48,8 @@ def trace_branch(spec: KernelSpec, n: int, lambda_end: float, steps: int,
     further halvings on failure, then continued toward lambda_end with
     the previous solution seeding the next solve.  Continuation stops at
     nonconvergence, collapse to the trivial solution or a coefficient
-    sign flip.
+    sign flip.  Each point is the SolutionReport of its solve, at the
+    report's own lambda.
     """
     if n < 1 or n > spec.n_max:
         raise ValueError(f"mode must be in 1..{spec.n_max}, got {n}")
@@ -90,11 +89,11 @@ def trace_branch(spec: KernelSpec, n: int, lambda_end: float, steps: int,
             if report is None:
                 ok = False
                 break
-            family.append(BranchPoint(lam=lam, report=report, stable=None))
+            family.append(report)
         if not ok:
             continue
         lam = family[-1].lam
-        state = family[-1].report.state
+        state = family[-1].state
         if steps > 0 and abs(lambda_end - lam) > 0:
             for lam_next in np.linspace(lam, lambda_end, steps + 1)[1:]:
                 try:
@@ -109,8 +108,7 @@ def trace_branch(spec: KernelSpec, n: int, lambda_end: float, steps: int,
                                                       0.1 * _norm(state))
                         or math.copysign(1, u[n - 1]) != sign):
                     break
-                family.append(BranchPoint(lam=float(lam_next),
-                                          report=report, stable=None))
+                family.append(report)
                 state = report.state
         points.extend(family)
 
@@ -118,8 +116,4 @@ def trace_branch(spec: KernelSpec, n: int, lambda_end: float, steps: int,
         raise BranchNotFoundError(
             f"no nontrivial mode-{n} solutions found near lambda_{n} = "
             f"{origin}")
-    if classify:
-        points = [replace(p, stable=(classify_stability(p.report, spec)
-                                     == "stable"))
-                  for p in points]
     return Branch(mode=n, origin=origin, points=tuple(points))

@@ -133,7 +133,7 @@ def test_jacobian_against_finite_differences():
 
 
 def test_uniqueness_regime_only_trivial_solution():
-    lam0 = uniqueness_thresholds(SPEC3).lambda_0
+    lam0 = uniqueness_thresholds(SPEC3).lambda_0_interval[0]
     rng = np.random.default_rng(23)
     for lam in rng.uniform(0.05, 0.999 * lam0, size=20):
         census = multistart(SPEC3, float(lam), 50, seed=0, N=8)

@@ -28,8 +28,8 @@ LAM1 = 32.0 / math.pi
 
 
 def _degenerate_spec():
-    return KernelSpec(D=3, n_max=2, coeffs=np.array([1.0, 0.0]), k0=0.0,
-                      sup_norm_khat=1.0, source="custom")
+    return KernelSpec(D=3, coeffs=np.array([1.0, 0.0]), k0=0.0,
+                      source="custom")
 
 
 def test_first_critical_value_closed_forms():
@@ -68,7 +68,7 @@ def test_thresholds_single_mode_custom():
     report = uniqueness_thresholds(spec)
     # no tail: the bracket collapses to the exact value 1 / k_1
     assert report.tail_bound == 0.0
-    assert report.lambda_0 == pytest.approx(1.0, rel=1e-14)
+    assert report.lambda_0_interval[0] == pytest.approx(1.0, rel=1e-14)
     assert report.lambda_0_interval[0] == report.lambda_0_interval[1]
 
 
@@ -82,7 +82,7 @@ def test_threshold_exp_bound_satisfies_defining_equation():
 def test_threshold_ordering():
     report = uniqueness_thresholds(SPEC3)
     lo, hi = report.lambda_0_interval
-    assert 0 < lo <= report.lambda_0 <= hi
+    assert 0 < lo <= hi
     assert hi < report.lambda_crit[0]
     assert report.lambda_tilde0 < report.lambda_crit[0]
     assert 0 < report.lambda_exp_bound < report.lambda_crit[0]
@@ -91,13 +91,6 @@ def test_threshold_ordering():
 def test_thresholds_undefined_for_degenerate_kernel():
     with pytest.raises(ThresholdUndefinedError):
         uniqueness_thresholds(_degenerate_spec())
-
-
-def test_threshold_report_json_dict():
-    data = uniqueness_thresholds(SPEC3).to_json_dict()
-    assert set(data) == {"lambda_tilde0", "lambda_0", "lambda_0_interval",
-                         "lambda_exp_bound", "lambda_crit", "tail_bound"}
-    assert len(data["lambda_crit"]) == SPEC3.n_max
 
 
 def test_trivial_index_factorizes_over_modes():
@@ -220,14 +213,6 @@ def test_entry_points_reject_non_finite_lambda_and_tol(call):
         call()
 
 
-def test_degree_audit_json_dict():
-    data = degree_audit(SPEC3, 5.0, n_starts=10, seed=0,
-                        truncations=(6,)).to_json_dict()
-    assert data["lambda"] == 5.0
-    assert data["degree_sum"] == 1
-    assert data["truncations_checked"] == [6]
-
-
 def test_trace_branch_amplitudes_grow_from_onset():
     branch = trace_branch(SPEC3, 1, 1.3 * LAM1)
     assert branch.origin == pytest.approx(LAM1, rel=1e-10)
@@ -242,7 +227,7 @@ def test_trace_branch_amplitudes_grow_from_onset():
 def test_trace_branch_mode_one_dominates():
     branch = trace_branch(SPEC3, 1, 1.3 * LAM1)
     for point in branch.points:
-        u = point.report.state.coeffs
+        u = point.state.coeffs
         assert abs(u[0]) >= 0.9 * np.max(np.abs(u))
 
 
@@ -259,22 +244,23 @@ def test_trace_branch_passes_the_fold(D):
     spec = build_kernel_spec(D, 16, "onsager-quadrature")
     thresholds = uniqueness_thresholds(spec)
     lam1 = thresholds.lambda_crit[0]
-    branch = trace_branch(spec, 1, 1.3 * lam1, classify=True)
-    assert all(p.report.converged and p.lam <= 1.3 * lam1
-               for p in branch.points)
-    oblate = [p for p in branch.points if p.report.state.coeffs[0] > 0]
-    prolate = [p for p in branch.points if p.report.state.coeffs[0] < 0]
-    assert oblate and all(p.stable for p in oblate)
+    branch = trace_branch(spec, 1, 1.3 * lam1)
+    assert all(p.converged and p.lam <= 1.3 * lam1 for p in branch.points)
+    oblate = [p for p in branch.points if p.state.coeffs[0] > 0]
+    prolate = [p for p in branch.points if p.state.coeffs[0] < 0]
+    assert oblate and all(classify_stability(p, spec) == "stable"
+                          for p in oblate)
     lams = [p.lam for p in prolate]
     fold = int(np.argmin(lams))
-    assert thresholds.lambda_0 < lams[fold] < lam1
+    assert thresholds.lambda_0_interval[0] < lams[fold] < lam1
     assert lams[fold] == pytest.approx(FOLDS[D], rel=1e-3)
     # the saddle leaving lambda_1 becomes the stable prolate state at
     # the fold: one eigenvalue of I - J changes sign there
-    indices = [index_of(p.report, spec) for p in prolate]
-    for flips in (_flips(indices), _flips([p.stable for p in prolate])):
+    indices = [index_of(p, spec) for p in prolate]
+    stable = [classify_stability(p, spec) == "stable" for p in prolate]
+    for flips in (_flips(indices), _flips(stable)):
         assert len(flips) == 1 and flips[0] in (fold, fold + 1)
-    assert indices[0] == -1 and not prolate[0].stable
+    assert indices[0] == -1 and not stable[0]
 
 
 def test_trace_branch_points_are_the_natural_continuation_points():
@@ -287,12 +273,12 @@ def test_trace_branch_points_are_the_natural_continuation_points():
         n_modes = kwargs.get("n_modes")
         oracle = natural_branch(spec, *args, **kwargs)
         branch = trace_branch(spec, *args, n_modes=n_modes)
-        path = np.array([np.append(p.report.state.coeffs, p.lam)
+        path = np.array([np.append(p.state.coeffs, p.lam)
                          for p in branch.points])
         for point in oracle.points:
-            u = point.report.state.coeffs
+            u = point.state.coeffs
             distance = np.linalg.norm(path - np.append(u, point.lam), axis=1)
-            start = branch.points[int(np.argmin(distance))].report.state
+            start = branch.points[int(np.argmin(distance))].state
             report = solve(spec, point.lam, start)
             assert report.converged
             assert state_norm(3, report.state.coeffs - u) <= 1e-10
@@ -330,15 +316,6 @@ def test_trace_branch_propagates_programming_errors(monkeypatch,
     monkeypatch.setattr(bifurcation, "_fused_pass", broken_pass)
     with pytest.raises(TypeError):
         trace_branch(SPEC3, 1, 1.3 * LAM1)
-
-
-def test_branch_json_dict():
-    branch = trace_branch(SPEC3, 1, 1.2 * LAM1)
-    data = branch.to_json_dict()
-    assert data["mode"] == 1
-    assert data["origin"] == branch.origin
-    assert len(data["points"]) == len(branch.points)
-    assert all("lambda" in p and "stable" in p for p in data["points"])
 
 
 def test_trivial_solution_stability_switches_at_lambda1():

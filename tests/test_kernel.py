@@ -1,4 +1,3 @@
-import json
 import math
 
 import mpmath
@@ -16,10 +15,9 @@ from onsager.kernel import (
     khat_eval,
     mean_value,
     onsager_mean,
-    sup_norm,
     tail_bound,
 )
-from onsager.polybasis import harmonic_count
+from onsager.polybasis import MAX_DIM, harmonic_count, legendre_table
 
 
 def test_k1_closed_forms():
@@ -156,20 +154,18 @@ def test_build_kernel_spec_onsager(source):
 def test_sup_norm_is_max_of_profile_range():
     # |sin| - k0 ranges over [-k0, 1 - k0]; for D = 3 the max is k0 = pi/4
     spec = build_kernel_spec(3, 6, "onsager-quadrature")
-    assert sup_norm(spec) == pytest.approx(math.pi / 4, rel=1e-14)
+    assert spec.sup_norm_khat == pytest.approx(math.pi / 4, rel=1e-14)
 
 
 def test_custom_spec_and_validation():
-    spec = build_kernel_spec(3, 2, "custom", custom_coeffs=[1.0, 0.5],
-                             validate=True)
+    spec = build_kernel_spec(3, 2, "custom", custom_coeffs=[1.0, 0.5])
     assert spec.k0 == 0.0
+    assert spec.n_max == 2
     with pytest.raises(ValidationError) as err:
-        build_kernel_spec(3, 2, "custom", custom_coeffs=[1.0, -0.5],
-                          validate=True)
+        build_kernel_spec(3, 2, "custom", custom_coeffs=[1.0, -0.5])
     assert err.value.index == 2
-    with pytest.raises(ValidationError):
-        build_kernel_spec(3, 2, "custom", custom_coeffs=[0.5, 1.0],
-                          validate=True)
+    with pytest.raises(ValueError):
+        build_kernel_spec(3, 2, "custom", custom_coeffs=[1.0])
     with pytest.raises(ValueError):
         build_kernel_spec(3, 2, "custom")
     with pytest.raises(ValueError):
@@ -179,7 +175,35 @@ def test_custom_spec_and_validation():
 def test_custom_single_mode_sup_norm():
     # k_1 P_2 attains |P_2| = 1 at the poles
     spec = build_kernel_spec(3, 1, "custom", custom_coeffs=[1.0])
-    assert sup_norm(spec) == pytest.approx(1.0, rel=1e-10)
+    assert spec.sup_norm_khat == 1.0
+
+
+def _sampled_sup(D, coeffs, samples=4096):
+    """max of |sum_n k_n P_2n(D, cos gamma)| over an even grid of gamma
+    in [0, pi], gamma = 0 included."""
+    gamma = np.linspace(0.0, math.pi, samples)
+    table = legendre_table(D, 2 * len(coeffs), np.cos(gamma))
+    return float(np.max(np.abs(coeffs @ table[2::2])))
+
+
+@pytest.mark.parametrize("D", [3, 4, 7, 10, 343])
+def test_custom_sup_norm_is_coefficient_sum(D):
+    # every k_n >= 0 and |P_2n(D, t)| <= 1 = P_2n(D, 1), so the series
+    # peaks at gamma = 0 with the value sum_n k_n
+    rng = np.random.default_rng(D)
+    for trial in range(20):
+        n_max = int(rng.integers(1, 17))
+        coeffs = rng.uniform(0.0, 2.0, n_max)
+        coeffs[rng.random(n_max) < 0.3] = 0.0
+        if trial == 0:
+            coeffs[:] = 0.0
+        spec = build_kernel_spec(D, n_max, "custom", custom_coeffs=coeffs)
+        sampled = _sampled_sup(D, spec.coeffs)
+        assert spec.sup_norm_khat == pytest.approx(sampled, rel=1e-14,
+                                                   abs=0.0)
+        # no sample exceeds it beyond the few units in the last place of
+        # the sampled sum's own rounding
+        assert sampled <= spec.sup_norm_khat * (1 + 8 * np.finfo(float).eps)
 
 
 def test_khat_eval_matches_profile():
@@ -195,45 +219,43 @@ def test_khat_eval_matches_profile():
         khat_eval(spec, -0.1)
 
 
-def test_spec_json_round_trip():
-    spec = build_kernel_spec(4, 5, "onsager-recurrence")
-    restored = KernelSpec.from_json(spec.to_json())
-    assert restored.D == spec.D
-    assert restored.n_max == spec.n_max
-    assert restored.source == spec.source
-    assert restored.k0 == spec.k0
-    assert restored.sup_norm_khat == spec.sup_norm_khat
-    assert np.array_equal(restored.coeffs, spec.coeffs)
-    data = json.loads(spec.to_json())
-    assert set(data) == {"dim", "n_max", "source", "k0", "coeffs",
-                         "sup_norm_khat"}
-
-
 def test_spec_field_validation():
-    with pytest.raises(ValidationError):
-        KernelSpec(D=3, n_max=2, coeffs=np.array([1.0]), k0=0.0,
-                   sup_norm_khat=1.0, source="custom")
-    with pytest.raises(ValidationError):
-        KernelSpec(D=3, n_max=1, coeffs=np.array([np.inf]), k0=0.0,
-                   sup_norm_khat=1.0, source="custom")
-    with pytest.raises(ValidationError):
-        KernelSpec(D=3, n_max=1, coeffs=np.array([1.0]), k0=0.0,
-                   sup_norm_khat=1.0, source="bogus")
+    one = np.array([1.0])
+    for bad_call in (
+            lambda: KernelSpec(D=3, coeffs=np.array([]), k0=0.0,
+                               source="custom"),
+            lambda: KernelSpec(D=3, coeffs=np.array([np.inf]), k0=0.0,
+                               source="custom"),
+            lambda: KernelSpec(D=3, coeffs=one, k0=0.0, source="bogus"),
+            lambda: KernelSpec(D=2, coeffs=one, k0=0.0, source="custom"),
+            lambda: KernelSpec(D=1000, coeffs=one, k0=0.0, source="custom"),
+            lambda: KernelSpec(D=MAX_DIM + 1, coeffs=one, k0=0.0,
+                               source="custom"),
+            lambda: KernelSpec(D=3, coeffs=one, k0=-0.1, source="custom"),
+            lambda: KernelSpec(D=3, coeffs=one, k0=math.nan,
+                               source="custom"),
+            lambda: build_kernel_spec(2, 2, "custom",
+                                      custom_coeffs=[1.0, 0.5])):
+        with pytest.raises(ValidationError):
+            bad_call()
+    spec = KernelSpec(D=MAX_DIM, coeffs=one, k0=0.0, source="custom")
+    assert (spec.n_max, spec.sup_norm_khat) == (1, 1.0)
 
 
 def test_spec_rejects_negative_coefficients():
     # k_n >= 0 is what makes the Jacobian's spectrum symmetric and the
     # dynamics step a convex splitting; zero stays allowed
-    KernelSpec(D=3, n_max=3, coeffs=np.array([1.0, 0.0, 0.5]), k0=0.0,
-               sup_norm_khat=1.0, source="custom")
+    KernelSpec(D=3, coeffs=np.array([1.0, 0.0, 0.5]), k0=0.0,
+               source="custom")
     with pytest.raises(ValidationError) as err:
-        KernelSpec(D=3, n_max=3, coeffs=np.array([1.0, 0.5, -1e-300]),
-                   k0=0.0, sup_norm_khat=1.0, source="custom")
+        KernelSpec(D=3, coeffs=np.array([1.0, 0.5, -1e-300]), k0=0.0,
+                   source="custom")
     assert err.value.index == 3
-    data = build_kernel_spec(4, 5, "onsager-recurrence").to_json_dict()
-    data["coeffs"][1] = -data["coeffs"][1]
+    spec = build_kernel_spec(4, 5, "onsager-recurrence")
+    coeffs = spec.coeffs.copy()
+    coeffs[1] = -coeffs[1]
     with pytest.raises(ValidationError) as err:
-        KernelSpec.from_json_dict(data)
+        KernelSpec(D=4, coeffs=coeffs, k0=spec.k0, source=spec.source)
     assert err.value.index == 2
     with pytest.raises(ValidationError) as err:
         build_kernel_spec(3, 2, "custom", custom_coeffs=[-1.0, 0.5])

@@ -50,6 +50,8 @@ def test_surface_area_closed_forms(D, expected):
     lambda: legendre_eval(3, -2, 0.5),
     lambda: zonal_rule(3, 0),
     lambda: zonal_rule(2, 8),
+    lambda: legendre_table(2, 3, np.array([0.5])),
+    lambda: legendre_table(3, -1, np.array([0.5])),
 ])
 def test_input_validation(bad_call):
     with pytest.raises(ValueError):

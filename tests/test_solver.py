@@ -187,15 +187,6 @@ def test_solve_singular_linearization():
         solve(spec1, lam_star, init)
 
 
-def test_report_json_dict():
-    report = solve(SPEC3, 5.0, AxisymState(3, np.zeros(4)))
-    data = report.to_json_dict()
-    assert data["lambda"] == 5.0
-    assert data["dim"] == 3
-    assert data["converged"] is True
-    assert len(data["modes"]) == 4
-
-
 def test_multistart_census_and_determinism():
     census_a = multistart(SPEC3, 15.0, 25, seed=42, N=8)
     census_b = multistart(SPEC3, 15.0, 25, seed=42, N=8)

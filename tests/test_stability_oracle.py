@@ -82,15 +82,16 @@ def test_nontrivial_states_at_six_modes():
 
 
 def test_branch_sign_families():
-    branch = trace_branch(SPEC6, 1, 12.0, n_modes=2, classify=True)
-    families = {sign: [p for p in branch.points
-                       if math.copysign(1, p.report.state.coeffs[0]) == sign]
+    branch = trace_branch(SPEC6, 1, 12.0, n_modes=2)
+    families = {sign: [(p, classify_stability(p, SPEC6) == "stable")
+                       for p in branch.points
+                       if math.copysign(1, p.state.coeffs[0]) == sign]
                 for sign in (1, -1)}
     # the u_1 > 0 family continues above lambda_1 and is stable; the
     # u_1 < 0 family bends back below it unstable and turns stable at
     # the fold
-    assert all(p.stable for p in families[1])
-    prolate = [p.stable for p in families[-1]]
+    assert all(stable for _, stable in families[1])
+    prolate = [stable for _, stable in families[-1]]
     flip = prolate.index(True)
     assert flip > 0 and not any(prolate[:flip]) and all(prolate[flip:])
     # the dynamics classifier takes about 1 s per point, so it rechecks
@@ -100,6 +101,6 @@ def test_branch_sign_families():
     # get twice the default horizon.
     checks = [(families[1][-1], 2.0), (families[-1][-1], 2.0),
               (families[-1][flip - 1], 4.0), (families[-1][flip], 4.0)]
-    for point, horizon in checks:
-        assert dynamics_stability(point.report, SPEC6, horizon=horizon) == (
-            "stable" if point.stable else "unstable")
+    for (point, stable), horizon in checks:
+        assert dynamics_stability(point, SPEC6, horizon=horizon) == (
+            "stable" if stable else "unstable")
