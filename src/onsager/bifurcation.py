@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import lambertw
 
 from .errors import (
     BranchNotFoundError,
@@ -103,6 +102,23 @@ def critical_values(spec: KernelSpec) -> list:
     return out
 
 
+def _lambert_w(x: float) -> float:
+    """Principal branch W(x) of the Lambert W function, x >= 0, by
+    Halley's iteration (Corless et al., Adv. Comput. Math. 5, 1996,
+    eq. 5.9) from log(1 + x) >= W(x).  The iteration converges
+    cubically, so the step after one of relative size 1e-8 ends at
+    rounding."""
+    w = math.log1p(x)
+    for _ in range(100):
+        ew = math.exp(w)
+        f = w * ew - x
+        step = f / (ew * (w + 1) - (w + 2) * f / (2 * w + 2))
+        w -= step
+        if abs(step) <= 1e-8 * abs(w):
+            break
+    return w
+
+
 def uniqueness_thresholds(spec: KernelSpec) -> ThresholdReport:
     """Uniqueness thresholds and critical values in one report.
 
@@ -126,11 +142,11 @@ def uniqueness_thresholds(spec: KernelSpec) -> ThresholdReport:
     # full kernel sup norm: the exact |sin| profile lies in [0, 1], custom
     # kernels are their mean-zero part
     knorm = 1.0 if spec.source != "custom" else spec.sup_norm_khat
-    lam_exp = lambertw(4.0 * knorm * (0.5 / total)).real / (4.0 * knorm)
+    lam_exp = _lambert_w(4.0 * knorm * (0.5 / total)) / (4.0 * knorm)
     return ThresholdReport(
         lambda_tilde0=lam_tilde,
         lambda_0_interval=interval,
-        lambda_exp_bound=float(lam_exp),
+        lambda_exp_bound=lam_exp,
         lambda_crit=critical_values(spec),
         tail_bound=tail,
     )

@@ -4,7 +4,6 @@ sup norm of the mean-zero part."""
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -12,7 +11,6 @@ from .errors import AccuracyError, ValidationError
 from .polybasis import (
     MAX_DIM,
     harmonic_count,
-    legendre_eval,
     legendre_table,
     surface_area,
     zonal_rule,
@@ -35,9 +33,10 @@ SOURCES = ("onsager-quadrature", "onsager-recurrence", "custom")
 
 # Largest gap allowed between the two Gauss-Jacobi orders of
 # coeff_by_quadrature, relative to k_n.  The gap is rounding in the rule's
-# sum and grows with n and D: at D = 3 it stays below 1.7e-7 up to n = 400
-# (true error at most 1.3e-7), at D = 10 it passes 1e-6 at n = 45.  A
-# relative 1e-12 would fire from n = 6 or 7 for every D.
+# sum and grows with n and D: at D = 3 it stays below 4e-8 up to n = 400
+# (true error at most 2.5e-8), at D = 10 it first passes 1e-6 at
+# n_max = 50.  A relative 1e-12 would fire from n = 5 to 7 at D = 10 and
+# from n = 19 at D = 3.
 QUAD_RTOL = 1e-6
 
 
@@ -140,38 +139,40 @@ def onsager_mean(D: int) -> float:
     return mean
 
 
-@lru_cache(maxsize=1024)
-def coeff_by_quadrature(D: int, n: int) -> float:
-    """Expansion coefficient k_n of |sin gamma| from its defining integral.
+def coeff_by_quadrature(D: int, n_max: int) -> np.ndarray:
+    """Expansion coefficients k_1..k_n_max of |sin gamma| from their
+    defining integrals.
 
     k_n = -(sigma_(D-1) N(D,2n)/sigma_D) int (1-t^2)^((D-2)/2) P_{2n}(D,t) dt.
-    The (1-t^2)^((D-2)/2) factor is the Gauss-Jacobi weight, so the
-    integrand seen by the rule is the polynomial P_{2n} and the rule is
-    exact in exact arithmetic; in floating point the cancellation in the
-    sum grows with n and D, so a second rule 16 points larger guards the
-    result: AccuracyError when the two differ by more than QUAD_RTOL |k_n|.
-    This is the cross-check of `coeff_by_recurrence`, not a production
-    table.
+    The (1-t^2)^((D-2)/2) factor is the Gauss weight of the zonal rule one
+    dimension up, so the integrand seen by the rule is the polynomial
+    P_{2n}, and one rule of order max(2 n_max + 8, 32), exact in exact
+    arithmetic for every n <= n_max, gives the whole table from one
+    `legendre_table` pass.  In floating point the cancellation in the sum
+    grows with n and D, so a second rule 16 points larger guards the
+    result: AccuracyError for the first n whose two values differ by more
+    than QUAD_RTOL |k_n|.  This is the cross-check of
+    `coeff_by_recurrence`, not a production table.
     """
     if D < 3:
         raise ValueError(f"dimension must be >= 3, got {D}")
-    if n < 1:
-        raise ValueError(f"index must be >= 1, got {n}")
-    prefac = -surface_area(D - 1) * harmonic_count(D, 2 * n) / surface_area(D)
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    prefac = np.array([-surface_area(D - 1) * harmonic_count(D, 2 * n)
+                       / surface_area(D) for n in range(1, n_max + 1)])
 
     def estimate(order):
-        # (1 - t^2)^((D-2)/2) is the zonal weight one dimension up
         nodes, weights = zonal_rule(D + 1, order)
-        p2n = legendre_eval(D, 2 * n, nodes)
-        return prefac * float(np.dot(weights, p2n))
+        return prefac * (legendre_table(D, 2 * n_max, nodes)[2::2] @ weights)
 
-    order = max(2 * n + 8, 32)
+    order = max(2 * n_max + 8, 32)
     k = estimate(order)
-    check = estimate(order + 16)
-    err = abs(k - check)
-    if err > QUAD_RTOL * abs(k):
-        raise AccuracyError(
-            f"quadrature for k_{n} (D={D}) not converged", achieved=err)
+    err = np.abs(k - estimate(order + 16))
+    bad = np.flatnonzero(err > QUAD_RTOL * np.abs(k))
+    if bad.size:
+        n = int(bad[0]) + 1
+        raise AccuracyError(f"quadrature for k_{n} (D={D}) not converged",
+                            achieved=float(err[n - 1]))
     return k
 
 
@@ -231,19 +232,18 @@ def build_kernel_spec(D: int, n_max: int, source: str,
         return KernelSpec(D=D, coeffs=coeffs, k0=0.0, source=source)
 
     if source == "onsager-quadrature":
-        coeffs = np.array([coeff_by_quadrature(D, n)
-                           for n in range(1, n_max + 1)])
+        coeffs = coeff_by_quadrature(D, n_max)
     elif source == "onsager-recurrence":
         coeffs = coeff_by_recurrence(D, n_max)
     else:
         raise ValidationError(f"unknown source {source!r}")
 
-    for i in range(len(coeffs)):
-        if coeffs[i] <= 0 or (i + 1 < len(coeffs)
-                              and coeffs[i + 1] >= coeffs[i]):
-            raise ValidationError(
-                "coefficients must be positive and strictly decreasing",
-                index=i + 1)
+    bad = np.flatnonzero((coeffs <= 0)
+                         | np.append(np.diff(coeffs) >= 0, False))
+    if bad.size:
+        raise ValidationError(
+            "coefficients must be positive and strictly decreasing",
+            index=int(bad[0]) + 1)
     return KernelSpec(D=D, coeffs=coeffs, k0=onsager_mean(D), source=source)
 
 

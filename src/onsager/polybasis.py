@@ -6,7 +6,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 __all__ = [
     "harmonic_count",
@@ -113,20 +112,50 @@ def legendre_table(D: int, max_degree: int, t: np.ndarray) -> np.ndarray:
 def zonal_rule(D: int, order: int):
     """Nodes and weights for integrals against (1 - t^2)^((D-3)/2) dt.
 
-    The zonal weight is exact (Gauss-Legendre at D = 3, Gauss-Jacobi
-    above), so polynomial integrands of degree <= 2*order - 1 are
-    integrated exactly for every D >= 3; plain sums of f(node)*weight
-    give the weighted integral.  Cached: the arrays are shared, not
-    copied.
+    Gauss rule for the zonal weight itself (Gauss-Legendre at D = 3,
+    Gauss-Gegenbauer above), so polynomial integrands of degree
+    <= 2*order - 1 are integrated exactly for every D >= 3; plain sums of
+    f(node)*weight give the weighted integral.  Built by Golub-Welsch: the
+    nodes are the eigenvalues of the Jacobi matrix of the orthonormal
+    polynomials p_k of the weight, polished by two Newton steps on their
+    three-term recurrence, and the weights are the Christoffel numbers
+    mu_0 / sum_(k<order) (p_k / p_0)^2 with mu_0 = B(1/2, (D-1)/2) the
+    weight's mass, from lgamma so that D = 344 (used for the kernel
+    integrals at D = 343) does not overflow.  Nodes and weights are
+    symmetrised, so the middle node of an odd rule is exactly 0.  Cached:
+    the arrays are shared and read-only.
     """
     if D < 3:
         raise ValueError(f"dimension must be >= 3, got {D}")
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    if D == 3:
-        return roots_legendre(order)
-    expo = (D - 3) / 2
-    return roots_jacobi(order, expo, expo)
+    a = (D - 3) / 2
+    k = np.arange(1.0, order + 1)
+    # t p_k = b_(k+1) p_(k+1) + b_k p_(k-1) for the weight (1 - t^2)^a
+    b = np.sqrt(k * (k + 2 * a) / ((2 * k + 2 * a + 1) * (2 * k + 2 * a - 1)))
+    t = np.linalg.eigvalsh(np.diag(b[:-1], -1))
+    for _ in range(2):
+        # p runs over p_k / p_0 for k = 0..order, dp over its derivative
+        p_prev, p = np.zeros_like(t), np.ones_like(t)
+        dp_prev, dp = np.zeros_like(t), np.zeros_like(t)
+        squares = np.zeros_like(t)
+        b_k = 0.0
+        for b_next in b.tolist():
+            squares += p * p
+            p, p_prev = (t * p - b_k * p_prev) / b_next, p
+            dp, dp_prev = (p_prev + t * dp - b_k * dp_prev) / b_next, dp
+            b_k = b_next
+        # p is p_order, zero at the nodes; the step is at rounding after
+        # the first one, so `squares` holds at the final nodes too
+        t = t - p / dp
+    mu0 = math.exp(math.lgamma(0.5) + math.lgamma(a + 1)
+                   - math.lgamma(a + 1.5))
+    nodes = (t - t[::-1]) / 2
+    weights = mu0 / squares
+    weights = (weights + weights[::-1]) / 2
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def weighted_integral(f, D: int, order: int) -> float:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from natural_branch_oracle import trace_branch as natural_branch
+from scipy.special import lambertw
 
 from onsager import bifurcation
 from onsager.bifurcation import (
@@ -77,6 +78,16 @@ def test_threshold_exp_bound_satisfies_defining_equation():
     lam = report.lambda_exp_bound
     total = float(SPEC3.coeffs.sum()) + report.tail_bound
     assert lam * math.exp(4 * lam) * total == pytest.approx(0.5, rel=1e-12)
+
+
+def test_lambert_w_matches_scipy():
+    # the Halley iteration behind lambda_exp_bound, against scipy's
+    # principal branch
+    for x in np.geomspace(1e-8, 1e3, 2001):
+        ref = lambertw(x).real
+        assert abs(bifurcation._lambert_w(x) - ref) <= 1e-15 * ref, x
+    assert bifurcation._lambert_w(0.0) == 0.0
+    assert bifurcation._lambert_w(math.e) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_threshold_ordering():
@@ -294,7 +305,9 @@ def test_trace_branch_validation_and_missing_branch():
             trace_branch(SPEC3, 1, 1.3 * LAM1, n_modes=n_modes)
     with pytest.raises(ValueError):
         trace_branch(SPEC3, 2, 1.3 * LAM1, n_modes=1)
-    for lambda_max in (0.5 * LAM1, LAM1):
+    # lambda_1 of the spec itself: the closed form 32/pi differs from it
+    # by the rounding of the quadrature k_1
+    for lambda_max in (0.5 * LAM1, critical_values(SPEC3)[0]):
         with pytest.raises(ValueError):
             trace_branch(SPEC3, 1, lambda_max)
     with pytest.raises(BranchNotFoundError):

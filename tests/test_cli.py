@@ -391,11 +391,17 @@ def test_readme_flag_table_matches_the_parser():
                 assert text == shown, (command, flag)
 
 
-def test_readme_command_lines_parse_and_validate():
+def _readme_command_lines():
+    """The `onsager ...` example lines of the README's command-line
+    section, split into argv lists."""
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
-    lines = [shlex.split(line) for line in block.split("```", 1)[0]
-             .splitlines() if line.startswith("onsager ")]
+    return [shlex.split(line) for line in block.split("```", 1)[0]
+            .splitlines() if line.startswith("onsager ")]
+
+
+def test_readme_command_lines_parse_and_validate():
+    lines = _readme_command_lines()
     assert sorted(argv[1] for argv in lines) == sorted(cli.COMMANDS)
     for argv in lines:
         args = cli._build_parser(argv[1]).parse_args(argv[2:])
@@ -484,15 +490,38 @@ def test_negative_init_after_a_space(capsys, value):
     assert "\n12,true," in spaced
 
 
-def test_cli_import_loads_no_scipy_linalg_or_optimize():
-    # `onsager --help` pays for every module `import onsager.cli` loads
+def _src_env():
     src = str(Path(__file__).parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    probe = ("import sys, onsager.cli; print(sorted({m for m in sys.modules "
-             "if m.split('.')[:2] in (['scipy', 'linalg'], "
-             "['scipy', 'optimize'])}))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env,
+    return env
+
+
+def test_cli_import_loads_no_scipy_linalg_or_optimize():
+    # `onsager --help` pays for every module `import onsager.cli` loads;
+    # the package runs on numpy alone
+    probe = ("import sys, onsager.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=_src_env(),
                          capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def test_readme_examples_run_without_scipy(tmp_path):
+    # with scipy unimportable, every README example exits 0 and writes
+    # nothing to stderr
+    script = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from onsager import cli\n"
+        "for i, argv in enumerate(json.loads(sys.argv[1])):\n"
+        "    code = cli.main(argv + ['--output', f'out{i}.csv'])\n"
+        "    if code != 0:\n"
+        "        sys.exit(f'{argv} exited {code}')\n")
+    argvs = [argv[1:] for argv in _readme_command_lines()]
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                          env=_src_env(), cwd=tmp_path, capture_output=True,
+                          text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert len(list(tmp_path.glob("out*.csv"))) == len(argvs) == 6

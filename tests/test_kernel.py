@@ -7,6 +7,7 @@ from scipy.integrate import quad
 
 from onsager.errors import AccuracyError, ValidationError
 from onsager.kernel import (
+    QUAD_RTOL,
     KernelSpec,
     build_kernel_spec,
     coeff_by_quadrature,
@@ -21,16 +22,16 @@ from onsager.polybasis import MAX_DIM, harmonic_count, legendre_table
 
 
 def test_k1_closed_forms():
-    assert coeff_by_quadrature(3, 1) == pytest.approx(5 * math.pi / 32,
-                                                      rel=1e-13)
-    assert coeff_by_quadrature(4, 1) == pytest.approx(8 / (5 * math.pi),
-                                                      rel=1e-13)
+    assert coeff_by_quadrature(3, 1)[0] == pytest.approx(5 * math.pi / 32,
+                                                         rel=1e-13)
+    assert coeff_by_quadrature(4, 1)[0] == pytest.approx(8 / (5 * math.pi),
+                                                         rel=1e-13)
 
 
 def test_k2_closed_form_d3():
     # k_2 = k_1 * (9/40) = 9 pi / 256 for D = 3
-    assert coeff_by_quadrature(3, 2) == pytest.approx(9 * math.pi / 256,
-                                                      rel=1e-12)
+    assert coeff_by_quadrature(3, 2)[1] == pytest.approx(9 * math.pi / 256,
+                                                         rel=1e-12)
     assert coeff_ratio(3, 1) == pytest.approx(9 / 40, rel=1e-15)
 
 
@@ -69,8 +70,9 @@ def test_mean_value_accuracy_error_for_rough_profile():
 
 @pytest.mark.parametrize("D", [3, 4, 5, 7])
 def test_ratio_matches_quadrature(D):
+    table = coeff_by_quadrature(D, 12)
     for n in range(1, 12):
-        ratio = coeff_by_quadrature(D, n + 1) / coeff_by_quadrature(D, n)
+        ratio = table[n] / table[n - 1]
         assert coeff_ratio(D, n) == pytest.approx(ratio, rel=1e-9)
         assert 0.0 < coeff_ratio(D, n) < 1.0
 
@@ -86,16 +88,16 @@ def test_coeff_quadrature_matches_adaptive_integration():
             return (1 - t * t) ** ((D - 2) / 2) * legendre_eval(D, 2 * n, t)
 
         ref, _ = quad(integrand, -1.0, 1.0, epsabs=1e-13, epsrel=1e-13)
-        assert coeff_by_quadrature(D, n) == pytest.approx(prefac * ref,
-                                                          rel=1e-10)
+        assert coeff_by_quadrature(D, n)[-1] == pytest.approx(prefac * ref,
+                                                              rel=1e-10)
 
 
 def test_recurrence_chain():
     coeffs = coeff_by_recurrence(3, 10)
     assert len(coeffs) == 10
+    quadrature = coeff_by_quadrature(3, 10)
     for n in range(1, 11):
-        assert coeffs[n - 1] == pytest.approx(coeff_by_quadrature(3, n),
-                                              rel=1e-9)
+        assert coeffs[n - 1] == pytest.approx(quadrature[n - 1], rel=1e-9)
 
 
 def _gamma_product_reference(D, n):
@@ -127,13 +129,32 @@ def test_recurrence_matches_gamma_product_reference(D):
 
 
 def test_quadrature_guard_is_relative():
-    # the two quadrature orders differ by 2.4e-12 at D = 7, n = 25, far
-    # below k_25 = 1.4e-3 but above an absolute 1e-12
-    assert coeff_by_quadrature(7, 25) == pytest.approx(
-        coeff_by_recurrence(7, 25)[-1], rel=1e-6)
-    # at D = 10, n = 100 the orders differ by 7.9e-5 relative
-    with pytest.raises(AccuracyError):
+    # at D = 10 the two quadrature orders differ by up to 1.5e-11 for
+    # n <= 25, far below k_25 = 1.6e-3 but above an absolute 1e-12
+    assert coeff_by_quadrature(10, 25)[-1] == pytest.approx(
+        coeff_by_recurrence(10, 25)[-1], rel=1e-6)
+    # at D = 10, n_max = 100 they differ by up to 6.0e-5 relative; the
+    # error names the first n past QUAD_RTOL
+    with pytest.raises(AccuracyError, match=r"k_59 \(D=10\)") as err:
         coeff_by_quadrature(10, 100)
+    assert err.value.achieved > QUAD_RTOL * coeff_by_recurrence(10, 59)[-1]
+
+
+def test_quadrature_table_matches_recurrence_to_n_400():
+    # one rule pair for the whole table; its rounding stays below 2.5e-8
+    # relative at D = 3
+    quadrature = coeff_by_quadrature(3, 400)
+    recurrence = coeff_by_recurrence(3, 400)
+    assert quadrature.shape == (400,)
+    assert np.max(np.abs(quadrature - recurrence) / recurrence) <= 1e-7
+
+
+@pytest.mark.parametrize("D", [3, 4, 5, 7, 10])
+def test_quadrature_table_prefix_is_independent_of_n_max(D):
+    # a longer table uses a larger rule; its first entries agree to
+    # rounding
+    long, short = coeff_by_quadrature(D, 30), coeff_by_quadrature(D, 12)
+    np.testing.assert_allclose(long[:12], short, rtol=1e-9, atol=0)
 
 
 def test_recurrence_validation():

@@ -1,9 +1,15 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import eval_gegenbauer, eval_legendre
+from scipy.special import (
+    eval_gegenbauer,
+    eval_legendre,
+    roots_jacobi,
+    roots_legendre,
+)
 
 from onsager.polybasis import (
     harmonic_count,
@@ -118,6 +124,42 @@ def test_quadrature_exactness_degree():
         exact = 2.0 / (k + 1)
         got = float(np.dot(weights, nodes ** k))
         assert got == pytest.approx(exact, rel=1e-13)
+
+
+RULE_DIMS = (3, 4, 5, 7, 10, 50, 343)
+
+
+@pytest.mark.parametrize("D", RULE_DIMS)
+@pytest.mark.parametrize("order", [1, 2, 8, 128, 424])
+def test_zonal_rule_matches_scipy_gauss_rules(D, order):
+    # Golub-Welsch against scipy's Gauss-Legendre (D = 3) and
+    # Gauss-Jacobi rules
+    nodes, weights = zonal_rule(D, order)
+    expo = (D - 3) / 2
+    ref_nodes, ref_weights = (roots_legendre(order) if D == 3
+                              else roots_jacobi(order, expo, expo))
+    assert np.max(np.abs(nodes - ref_nodes)) <= 4e-16
+    assert (np.max(np.abs(weights - ref_weights))
+            <= 1e-11 * np.max(ref_weights))
+    assert np.array_equal(nodes, -nodes[::-1])
+    assert np.array_equal(weights, weights[::-1])
+    if order % 2:
+        assert nodes[order // 2] == 0.0
+    assert not nodes.flags.writeable and not weights.flags.writeable
+
+
+@pytest.mark.parametrize("D", RULE_DIMS)
+@pytest.mark.parametrize("order", [1, 2, 8, 128])
+def test_zonal_rule_integrates_even_monomials(D, order):
+    # int t^(2m) (1 - t^2)^((D-3)/2) dt = B(m + 1/2, (D-1)/2), exact for
+    # 2m <= 2 order - 1
+    nodes, weights = zonal_rule(D, order)
+    with mpmath.workdps(30):
+        for m in range(order):
+            exact = mpmath.beta(m + mpmath.mpf(1) / 2,
+                                mpmath.mpf(D - 1) / 2)
+            got = float(np.dot(weights, nodes ** (2 * m)))
+            assert abs(got - exact) <= 1e-13 * exact, m
 
 
 def test_weighted_integral_closed_forms():
