@@ -3,6 +3,7 @@ sum_n u_n P_{2n}(D, cos theta), the mean-field operator, its Jacobian,
 the spectrum of I - J, Newton iteration, density recovery and free
 energy."""
 
+import contextlib
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -123,10 +124,17 @@ def _l2_weights(D: int, N: int) -> np.ndarray:
     return weights
 
 
+def _norms(D: int, coeffs: np.ndarray) -> np.ndarray:
+    """Sphere L2 norm of a coefficient vector, or of each row of a stack by
+    one dot product per row; a norm that overflows is inf, silently."""
+    with np.errstate(over="ignore"):
+        return np.sqrt((coeffs ** 2)[..., None, :]
+                       @ _l2_weights(D, coeffs.shape[-1]))[..., 0]
+
+
 def state_norm(D: int, coeffs: np.ndarray) -> float:
     """Sphere L2 norm of a coefficient vector."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    return math.sqrt(float(np.dot(_l2_weights(D, coeffs.size), coeffs ** 2)))
+    return float(_norms(D, np.asarray(coeffs, dtype=float)))
 
 
 @lru_cache(maxsize=16)
@@ -212,22 +220,45 @@ def _fused_pass(spec: KernelSpec, lam: float, coeffs: np.ndarray):
     return res, lam * k[:, None] * cov, cov
 
 
+def _symmetric_system(spec: KernelSpec, lam: float, cov: np.ndarray):
+    """I - diag(d) Cov diag(d), d = sqrt(lam k), for one covariance or a
+    stack: symmetric, with the spectrum of I - J = I - diag(d)^2 Cov."""
+    d = np.sqrt(lam * spec.coeffs[:cov.shape[-1]])
+    return np.eye(cov.shape[-1]) - d[:, None] * cov * d
+
+
 def _spectrum(spec: KernelSpec, lam: float, cov: np.ndarray):
     """Eigenvalues g of I - J, ascending, for one covariance Cov (N, N) or
     a stack (S, N, N), and a flag per matrix that is True where I - J is
     degenerate: min |g| <= 1e-12 max(1, max |g|).
 
-    With d = sqrt(lam k) (real: lam >= 0 and every k_n >= 0), J =
-    diag(d)^2 Cov has the spectrum of the symmetric diag(d) Cov diag(d),
-    so g is real and comes from eigvalsh.  This is the one linear
-    analysis: Newton's singularity test, the Brouwer index and the
-    stability all read it.
+    d = sqrt(lam k) is real (lam >= 0 and every k_n >= 0), so g is real
+    and comes from eigvalsh of _symmetric_system.  This is the one linear
+    analysis: the Brouwer index and the stability read it, and its flag
+    is Newton's singularity test (which _singular mostly decides alone).
     """
-    N = cov.shape[-1]
-    d = np.sqrt(lam * spec.coeffs[:N])
-    g = np.linalg.eigvalsh(np.eye(N) - d[:, None] * cov * d)
+    g = np.linalg.eigvalsh(_symmetric_system(spec, lam, cov))
     size = np.abs(g)
     return g, size.min(axis=-1) <= 1e-12 * np.maximum(size.max(axis=-1), 1.0)
+
+
+def _singular(spec: KernelSpec, lam: float, cov: np.ndarray) -> np.ndarray:
+    """_spectrum(spec, lam, cov)[1] for a stack (S, N, N), from slogdet
+    where that settles it.  P = diag(d) Cov diag(d) is positive
+    semidefinite, so the g = 1 - p of I - J have max |g| <= max(1, tr P)
+    and all but the smallest |g| sum to at most N + tr P; by AM-GM,
+    min |g| >= |det(I - P)| e^-(1 + tr P).  So log |det(I - P)| -
+    (1 + tr P) > log(1e-11 max(1, tr P)) passes the 1e-12 test with 10
+    times to spare for rounding.  Every other matrix (near-singular, zero
+    sign, NaN or inf) gets _spectrum's flag."""
+    system = _symmetric_system(spec, lam, cov)
+    trace = cov.shape[-1] - np.trace(system, axis1=-2, axis2=-1)
+    with np.errstate(invalid="ignore"):  # NaN or inf entries
+        flag = ~(np.linalg.slogdet(system)[1] - (1.0 + trace)
+                 > np.log(1e-11 * np.maximum(trace, 1.0)))
+    if flag.any():
+        flag[flag] = _spectrum(spec, lam, cov[flag])[1]
+    return flag
 
 
 def _make_report(state, res, spec, lam, iterations, tol):
@@ -241,26 +272,38 @@ def _make_report(state, res, spec, lam, iterations, tol):
                           sup_norm_u=sup_u)
 
 
-def _polish(state: AxisymState, res: np.ndarray, jac: np.ndarray,
-            spec: KernelSpec, lam: float, target: float = 1e-14,
-            max_steps: int = 4):
-    """Extra Newton steps after convergence so that two runs landing on the
-    same root agree far inside the deduplication radius.  Takes the
-    residual and Jacobian at state and returns the final state with its
-    residual."""
-    for _ in range(max_steps):
-        if state_norm(state.D, res) <= target:
+def _polish(spec: KernelSpec, lam: float, coeffs, res, jac):
+    """Up to 4 more Newton steps on converged states (S, N), given with
+    their residuals and Jacobians (overwritten), so that two runs
+    landing on one root agree far inside the deduplication radius.  A row
+    stops at residual norm <= 1e-14, and keeps its state where I - J is
+    exactly singular or the candidate is not finite or does not lower the
+    residual norm: bitwise where polishing the row alone ends.  Returns
+    the final states and residuals."""
+    live, norm = np.arange(len(coeffs)), _norms(spec.D, res)
+    for _ in range(4):
+        live = live[~(norm[live] <= 1e-14)]
+        if not live.size:
             break
+        system, rhs = np.eye(coeffs.shape[1]) - jac[live], -res[live, :, None]
         try:
-            delta = np.linalg.solve(np.eye(state.N) - jac, -res)
-        except np.linalg.LinAlgError:
-            break
-        candidate = AxisymState(state.D, state.coeffs + delta)
-        cand_res, cand_jac, _ = _fused_pass(spec, lam, candidate.coeffs)
-        if state_norm(state.D, cand_res) >= state_norm(state.D, res):
-            break
-        state, res, jac = candidate, cand_res, cand_jac
-    return state, res
+            delta = np.linalg.solve(system, rhs)[..., 0]
+        except np.linalg.LinAlgError:  # row by row: only singular rows end
+            delta = np.full(rhs.shape[:2], np.nan)
+            for j in range(live.size):
+                with contextlib.suppress(np.linalg.LinAlgError):
+                    delta[j] = np.linalg.solve(system[j], rhs[j])[:, 0]
+        cand = coeffs[live] + delta
+        finite = np.isfinite(cand).all(axis=1)
+        live, cand = live[finite], cand[finite]
+        cand_res, cand_jac, _ = _fused_pass(spec, lam, cand)
+        cand_norm = _norms(spec.D, cand_res)
+        better = ~(cand_norm >= norm[live])
+        live = live[better]
+        coeffs[live], res[live], jac[live], norm[live] = (
+            cand[better], cand_res[better], cand_jac[better],
+            cand_norm[better])
+    return coeffs, res
 
 
 def _newton(spec: KernelSpec, lam: float, D: int, starts: np.ndarray,
@@ -269,44 +312,43 @@ def _newton(spec: KernelSpec, lam: float, D: int, starts: np.ndarray,
     starts (S, N) at once.
 
     Each row takes exactly the steps it would take alone: it stops when
-    its residual norm is <= tol (then _polish), when _spectrum finds
-    I - J degenerate (the row is dropped), before an update that is not
-    finite, or after max_iter updates.  Returns, per row in start order,
-    (state, residual, iterations), or None for a dropped row.
+    its residual norm is <= tol (then _polish, all such rows together),
+    when _singular finds I - J degenerate (the row is dropped), before an
+    update that is not finite, or after max_iter updates.  Returns, per
+    row in start order, (state, residual, iterations), or None for a
+    dropped row.
     """
     S, N = starts.shape
     _check_kernel(spec, D, N)
-    l2w = _l2_weights(D, N)
-    eye = np.eye(N)
-    out = [None] * S
+    end_u, end_res = np.empty((S, N)), np.empty((S, N))
+    end_jac, inside = np.empty((S, N, N)), np.zeros(S, dtype=bool)
+    its = np.full(S, -1)  # stays -1 for a dropped row
     rows, coeffs = np.arange(S), starts
     for it in range(1, max_iter + 1):
+        if not rows.size:
+            break
         res, jac, cov = _fused_pass(spec, lam, coeffs)
-        # state_norm of each row, as the same dot product
-        done = np.sqrt((res ** 2)[:, None, :] @ l2w)[:, 0] <= tol
-        for j in np.flatnonzero(done):
-            state, r = _polish(AxisymState(D, coeffs[j]), res[j], jac[j],
-                               spec, lam)
-            out[rows[j]] = (state, r, it - 1)
-        rows, coeffs, res = rows[~done], coeffs[~done], res[~done]
-        if not rows.size:
-            return out
-        system = eye - jac[~done]
-        keep = ~_spectrum(spec, lam, cov[~done])[1]
-        rows, coeffs, res = rows[keep], coeffs[keep], res[keep]
-        if not rows.size:
-            return out
-        new = coeffs + np.linalg.solve(system[keep], -res[..., None])[..., 0]
-        finite = np.isfinite(new).all(axis=1)
-        for j in np.flatnonzero(~finite):
-            out[rows[j]] = (AxisymState(D, coeffs[j]), res[j], it)
-        rows, coeffs = rows[finite], new[finite]
-        if not rows.size:
-            return out
-    res = _fused_pass(spec, lam, coeffs)[0]
-    for j, row in enumerate(rows):
-        out[row] = (AxisymState(D, coeffs[j]), res[j], max_iter)
-    return out
+        done = _norms(D, res) <= tol
+        end = rows[done]
+        end_u[end], end_res[end] = coeffs[done], res[done]
+        end_jac[end], its[end], inside[end] = jac[done], it - 1, True
+        go = ~done
+        go[go] = ~_singular(spec, lam, cov[go])
+        rows, coeffs, res, jac = rows[go], coeffs[go], res[go], jac[go]
+        new = coeffs + np.linalg.solve(np.eye(N) - jac,
+                                       -res[..., None])[..., 0]
+        bad = ~np.isfinite(new).all(axis=1)
+        end = rows[bad]
+        end_u[end], end_res[end], its[end] = coeffs[bad], res[bad], it
+        rows, coeffs = rows[~bad], new[~bad]
+    else:
+        end_u[rows], its[rows] = coeffs, max_iter
+        end_res[rows] = _fused_pass(spec, lam, coeffs)[0]
+    end_u[inside], end_res[inside] = _polish(
+        spec, lam, end_u[inside], end_res[inside], end_jac[inside])
+    return [None if its[i] < 0 else
+            (AxisymState(D, end_u[i]), end_res[i], int(its[i]))
+            for i in range(S)]
 
 
 def _check_tol_lambda(tol: float, lam: float):
@@ -348,11 +390,13 @@ def multistart(spec: KernelSpec, lam: float, n_starts: int, seed: int,
     """Enumerate solutions from random starts in the a priori box
     |u_n| <= lam ||K_hat||_inf.
 
-    Start 0 is the isotropic state.  All starts run as one Newton batch,
-    each with the steps solve() takes from it; starts with a singular
-    Newton system or without convergence are dropped.  Deterministic for
-    a fixed seed; converged solutions deduplicated in start order by
-    sphere-L2 distance <= 10 tol and returned sorted by (norm, coeffs).
+    Start 0 is the isotropic state.  The starts run in Newton batches of
+    _BATCH_ROWS, each with the steps solve() takes from it.  In start
+    order, a start is kept when its residual norm is <= tol, it lies
+    farther than 10 tol (sphere L2) from every solution kept before, and
+    its sup norm, taken only now, is inside the box; singular,
+    unconverged and duplicate starts are dropped.  Deterministic for a
+    fixed seed; returned sorted by (norm, coeffs).
     """
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
@@ -365,17 +409,17 @@ def multistart(spec: KernelSpec, lam: float, n_starts: int, seed: int,
     starts[1:] = rng.uniform(-box, box, size=(n_starts - 1, N))
     found: list[SolutionReport] = []
     for first in range(0, n_starts, _BATCH_ROWS):
-        for outcome in _newton(spec, lam, spec.D,
-                               starts[first:first + _BATCH_ROWS], tol,
-                               max_iter):
-            if outcome is None:
-                continue
-            state, res, iterations = outcome
-            report = _make_report(state, res, spec, lam, iterations, tol)
-            if report.converged and all(
+        outcomes = [o for o in _newton(spec, lam, spec.D,
+                                       starts[first:first + _BATCH_ROWS],
+                                       tol, max_iter) if o is not None]
+        norms = _norms(spec.D, np.reshape([o[1] for o in outcomes], (-1, N)))
+        for (state, res, iterations), norm in zip(outcomes, norms):
+            if norm <= tol and all(
                     state_norm(spec.D, state.coeffs - other.state.coeffs)
                     > 10.0 * tol for other in found):
-                found.append(report)
+                report = _make_report(state, res, spec, lam, iterations, tol)
+                if report.converged:
+                    found.append(report)
     found.sort(key=lambda r: (state_norm(spec.D, r.state.coeffs),
                               tuple(r.state.coeffs)))
     return found

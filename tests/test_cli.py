@@ -168,6 +168,40 @@ def test_evolve_at_dim_343_prints_no_warning(capsys):
     assert capsys.readouterr().err == ""
 
 
+SWEEP_AT_1E300 = ("lambda,branch,norm,residual," + ",".join(
+    f"u_{i}" for i in range(1, 13)) + "\n1.0000000000000001e+300"
+    + ",0" * 15 + "\n")
+AUDIT_AT_1E200 = (
+    "lambda,solution,index,degree_sum,stable_across_truncations,norm,"
+    "residual,u_1,u_2\n9.9999999999999997e+199,0,1,1,true,0,0,0,0\n")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    ("sweep --lambda-min 1e300 --lambda-max 1e300 --steps 1",
+     SWEEP_AT_1E300),
+    ("audit-degree --lambda 1e200 --truncations 2 --nmax 2", AUDIT_AT_1E200),
+    ("solve --lambda 12 --init 1e300", None),
+], ids=["sweep", "audit-degree", "solve"])
+def test_overflowing_norms_print_no_warning(capsys, argv, expected):
+    # starts of size 1e300 square to inf in the residual norm: inf is the
+    # verdict (not converged, not a duplicate), without a RuntimeWarning
+    assert cli.main(argv.split()) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    if expected is not None:
+        assert out == expected
+        return
+    header, row = out.splitlines()
+    assert header == "lambda,converged,iterations,residual,norm," + ",".join(
+        f"u_{i}" for i in range(1, 13))
+    assert row.startswith("12,true,26,")
+    values = [float(v) for v in row.split(",")[3:]]
+    assert values[0] <= 1e-14
+    assert values[1:4] == pytest.approx(
+        [1.5742363402989621, 0.99268091710727324, -0.033822482243169083],
+        rel=1e-12)
+
+
 def test_overflow_exits_3_with_error_record(tmp_path, capsys):
     # N(343, 2n) passes the largest double before n = 600
     out = tmp_path / "t.csv"

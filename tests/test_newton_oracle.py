@@ -1,7 +1,9 @@
 """The batched Newton loop of `multistart` against the per-start loop it
 replaced, kept here as the oracle: every start must end the same way
 (converged, unconverged or singular) after the same number of
-iterations at the same state."""
+iterations at the same state.  `oracle_polish` is the per-row polish the
+batched `solver._polish` replaced; `exact_solve` rebuilds one start from
+the single-row pieces, and the census must equal it bit for bit."""
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from onsager.solver import (
     _make_report,
     _newton,
     _polish,
+    _spectrum,
     jacobian,
     multistart,
     residual,
@@ -28,13 +31,32 @@ STARTS = 20
 TOL = 1e-10
 
 
+def oracle_polish(state, res, jac, spec, lam, target=1e-14, max_steps=4):
+    """Extra Newton steps after convergence, one state at a time: the
+    residual and Jacobian at state in, the final state and residual out.
+    A candidate that is not finite raises ValueError (AxisymState)."""
+    for _ in range(max_steps):
+        if state_norm(state.D, res) <= target:
+            break
+        try:
+            delta = np.linalg.solve(np.eye(state.N) - jac, -res)
+        except np.linalg.LinAlgError:
+            break
+        candidate = AxisymState(state.D, state.coeffs + delta)
+        cand_res, cand_jac, _ = _fused_pass(spec, lam, candidate.coeffs)
+        if state_norm(state.D, cand_res) >= state_norm(state.D, res):
+            break
+        state, res, jac = candidate, cand_res, cand_jac
+    return state, res
+
+
 def oracle_solve(spec, lam, init, tol, max_iter):
     """Newton's method on one start, one state at a time."""
     state = init
     for it in range(1, max_iter + 1):
         res, jac, _ = _fused_pass(spec, lam, state.coeffs)
         if state_norm(state.D, res) <= tol:
-            state, res = _polish(state, res, jac, spec, lam)
+            state, res = oracle_polish(state, res, jac, spec, lam)
             return _make_report(state, res, spec, lam, it - 1, tol)
         system = np.eye(state.N) - jac
         # scale-invariant singularity test: reciprocal condition number
@@ -60,22 +82,30 @@ def oracle_starts(spec, lam, n_starts, seed, N):
                             for _ in range(n_starts - 1)]
 
 
-def oracle_multistart(spec, lam, n_starts, seed, N, tol, max_iter):
+def oracle_census(reports, spec, tol):
+    """The census of per-start reports (None for a singular start) in
+    start order, as multistart keeps it: converged, then farther than
+    10 tol from every kept one; sorted by (norm, coeffs)."""
     found = []
-    for coeffs in oracle_starts(spec, lam, n_starts, seed, N):
-        try:
-            report = oracle_solve(spec, lam, AxisymState(spec.D, coeffs),
-                                  tol, max_iter)
-        except SingularLinearizationError:
-            continue
-        if not report.converged:
-            continue
-        if all(state_norm(spec.D, report.state.coeffs - other.state.coeffs)
-               > 10.0 * tol for other in found):
+    for report in reports:
+        if report is not None and report.converged and all(
+                state_norm(spec.D, report.state.coeffs - other.state.coeffs)
+                > 10.0 * tol for other in found):
             found.append(report)
     found.sort(key=lambda r: (state_norm(spec.D, r.state.coeffs),
                               tuple(r.state.coeffs)))
     return found
+
+
+def oracle_multistart(spec, lam, n_starts, seed, N, tol, max_iter):
+    reports = []
+    for coeffs in oracle_starts(spec, lam, n_starts, seed, N):
+        try:
+            reports.append(oracle_solve(spec, lam, AxisymState(
+                spec.D, coeffs), tol, max_iter))
+        except SingularLinearizationError:
+            reports.append(None)
+    return oracle_census(reports, spec, tol)
 
 
 def _outcome(report):
@@ -176,3 +206,86 @@ def test_singular_row_is_dropped_and_the_others_converge():
                                    expected.state.coeffs, rtol=0.0,
                                    atol=1e-12)
     assert max(o[2] for o in outcomes[1:]) > 1
+
+
+def exact_solve(spec, lam, coeffs, tol, max_iter):
+    """One start alone from the single-row pieces the batched loop stacks:
+    `_fused_pass`, the `_spectrum` verdict, `np.linalg.solve`,
+    `oracle_polish` and `_make_report`.  None for a singular start."""
+    state = AxisymState(spec.D, coeffs)
+    for it in range(1, max_iter + 1):
+        res, jac, cov = _fused_pass(spec, lam, state.coeffs)
+        if state_norm(spec.D, res) <= tol:
+            state, res = oracle_polish(state, res, jac, spec, lam)
+            return _make_report(state, res, spec, lam, it - 1, tol)
+        if _spectrum(spec, lam, cov)[1]:
+            return None
+        new = state.coeffs + np.linalg.solve(np.eye(state.N) - jac, -res)
+        if not np.all(np.isfinite(new)):
+            return _make_report(state, res, spec, lam, it, tol)
+        state = AxisymState(spec.D, new)
+    return _make_report(state, _fused_pass(spec, lam, state.coeffs)[0],
+                        spec, lam, max_iter, tol)
+
+
+def _assert_same_report(got, expected):
+    assert np.array_equal(got.state.coeffs, expected.state.coeffs)
+    assert got.residual_norm == expected.residual_norm
+    assert got.iterations == expected.iterations
+    assert got.sup_norm_u == expected.sup_norm_u
+    assert got.converged == expected.converged
+
+
+README_SPEC = build_kernel_spec(3, 16, "onsager-recurrence")
+
+
+# the README sweep (N = 16, lambda in [9, 13]) and audit (lambda = 15 at
+# truncations 8, 12, 16, seeds 0 and its recheck 1), 30 starts each
+@pytest.mark.parametrize(("lam", "N", "seed"), [
+    (lam, 16, seed) for lam in (9.0, 9.4, 10.2, 11.5, 13.0)
+    for seed in range(3)] + [
+    (15.0, N, seed) for N in (8, 12, 16) for seed in range(2)])
+def test_census_is_bitwise_the_per_start_loop(lam, N, seed):
+    starts = oracle_starts(README_SPEC, lam, 30, seed, N)
+    expected = [exact_solve(README_SPEC, lam, c, TOL, 200) for c in starts]
+    batched = _newton(README_SPEC, lam, 3, np.array(starts), TOL, 200)
+    for outcome, report in zip(batched, expected, strict=True):
+        assert (outcome is None) == (report is None)
+        if report is not None:
+            _assert_same_report(_make_report(*outcome[:2], README_SPEC, lam,
+                                             outcome[2], TOL), report)
+    census = multistart(README_SPEC, lam, 30, seed, N=N)
+    reference = oracle_census(expected, README_SPEC, TOL)
+    assert len(census) == len(reference) >= 1
+    for got, report in zip(census, reference):
+        _assert_same_report(got, report)
+
+
+def test_batched_polish_ends_only_the_rows_it_cannot_step():
+    # four starts a distance 1e-9 from a root: row 1 gets an exactly
+    # singular I - J, so the stacked solve raises LinAlgError; row 3 a
+    # step that overflows to a non-finite candidate, where the per-row
+    # polish raised ValueError.  Both keep their state, and rows 0 and 2
+    # polish as they would alone.
+    lam = 15.0
+    root = multistart(README_SPEC, lam, 30, 0, N=8)[-1].state.coeffs
+    coeffs = root + 1e-9 * np.random.default_rng(0).standard_normal((4, 8))
+    res, jac, _ = _fused_pass(README_SPEC, lam, coeffs)
+    jac[1] = np.eye(8)
+    res[3], jac[3] = 1e308, 0.5 * np.eye(8)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(np.eye(8) - jac, -res[..., None])
+    with pytest.raises(ValueError, match="finite"):
+        oracle_polish(AxisymState(3, coeffs[3]), res[3], jac[3],
+                      README_SPEC, lam)
+    expected = [oracle_polish(AxisymState(3, coeffs[j]), res[j], jac[j],
+                              README_SPEC, lam) for j in (0, 1, 2)]
+    got_coeffs, got_res = _polish(README_SPEC, lam, coeffs.copy(),
+                                  res.copy(), jac.copy())
+    for j, (state, r) in zip((0, 1, 2), expected):
+        assert np.array_equal(got_coeffs[j], state.coeffs)
+        assert np.array_equal(got_res[j], r)
+    assert np.array_equal(got_coeffs[[1, 3]], coeffs[[1, 3]])
+    assert np.array_equal(got_res[[1, 3]], res[[1, 3]])
+    assert state_norm(3, got_res[0]) < 1e-14 < state_norm(3, res[0])
+    assert state_norm(3, got_res[2]) < 1e-14 < state_norm(3, res[2])

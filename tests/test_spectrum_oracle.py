@@ -1,17 +1,21 @@
 """The symmetric spectrum of I - J that Newton, `index_of` and
 `classify_stability` read (`solver._spectrum`) checked against two
 independent oracles: the eigenvalues of the non-symmetric Jacobian, and
-Picard iteration, which converges locally exactly at stable solutions."""
+Picard iteration, which converges locally exactly at stable solutions.
+Newton's determinant certificate (`solver._singular`) must give the
+spectrum's degeneracy flag on every matrix."""
 
 import numpy as np
 import pytest
 from picard_oracle import picard
 
+from onsager import cli, solver
 from onsager.bifurcation import classify_stability, critical_values, index_of
 from onsager.kernel import build_kernel_spec
 from onsager.solver import (
     AxisymState,
     _fused_pass,
+    _singular,
     _spectrum,
     jacobian,
     multistart,
@@ -86,3 +90,81 @@ def test_picard_returns_exactly_to_stable_solutions(lam):
         verdicts.append(stable)
     # both verdicts occur, so the equivalence is tested both ways
     assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("argv", [
+    "sweep --lambda-min 9 --lambda-max 13 --steps 40 --modes 16 --nmax 16",
+    "audit-degree --lambda 15 --truncations 8,12,16 --nmax 16",
+], ids=["sweep", "audit-degree"])
+def test_certificate_decides_every_readme_census_matrix(monkeypatch,
+                                                        tmp_path, argv):
+    # the README censuses (seed 0) never fall back to eigvalsh: the
+    # speed of Newton's singularity test rests on it
+    seen, fallbacks = [], []
+
+    def recording_singular(spec, lam, cov):
+        seen.append((spec, lam, cov.copy()))
+        return _singular(spec, lam, cov)
+
+    def recording_spectrum(spec, lam, cov):
+        fallbacks.append(cov.shape)
+        return _spectrum(spec, lam, cov)
+
+    monkeypatch.setattr(solver, "_singular", recording_singular)
+    monkeypatch.setattr(solver, "_spectrum", recording_spectrum)
+    assert cli.main(argv.split() + ["--output", str(tmp_path / "t.csv")]) == 0
+    monkeypatch.undo()
+    assert fallbacks == []
+    assert sum(len(cov) for *_, cov in seen) > 900
+    for spec, lam, cov in seen:
+        assert np.array_equal(_singular(spec, lam, cov),
+                              _spectrum(spec, lam, cov)[1])
+
+
+@pytest.mark.parametrize("n", [1, 2, 16])
+@pytest.mark.parametrize("delta", [1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-8])
+def test_certificate_matches_the_spectrum_near_degeneracy(monkeypatch, n,
+                                                          delta):
+    # P = Q diag(p) Q^T with one eigenvalue 1 -+ delta, so I - J has one
+    # eigenvalue +-delta, on both sides of the 1e-12 test
+    spec, lam = SPECS[3], 12.0
+    d = np.sqrt(lam * spec.coeffs[:n])
+    rng = np.random.default_rng(n)
+    covs = []
+    for sign in (1, -1) * 10:
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        p = rng.uniform(0.0, 1.0 / n, n)
+        p[rng.integers(n)] = 1.0 + sign * delta
+        covs.append((q * p) @ q.T / np.outer(d, d))
+    covs = np.array(covs)
+    fallbacks = []
+
+    def recording_spectrum(spec, lam, cov):
+        fallbacks.append(len(cov))
+        return _spectrum(spec, lam, cov)
+
+    monkeypatch.setattr(solver, "_spectrum", recording_spectrum)
+    flags = _singular(spec, lam, covs)
+    assert np.array_equal(flags, _spectrum(spec, lam, covs)[1])
+    if delta <= 1e-13:
+        assert flags.all()
+    if delta >= 1e-8:
+        assert not flags.any() and not fallbacks  # certified
+
+
+def _verdict(flags_of, spec, lam, covs):
+    try:
+        return flags_of(spec, lam, covs).tolist()
+    except np.linalg.LinAlgError as err:  # eigvalsh on inf entries
+        return str(err)
+
+
+@pytest.mark.parametrize("entry", [(1, 2), (2, 1), (0, 0), (3, 1), (1, 3)])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_certificate_gives_non_finite_covariances_to_the_spectrum(entry,
+                                                                  value):
+    spec, lam = build_kernel_spec(3, 4, "onsager-recurrence"), 12.0
+    covs = np.tile(np.diag([0.2, 0.1, 0.05, 0.01]), (3, 1, 1))
+    covs[1][entry] = value
+    assert _verdict(_singular, spec, lam, covs) == _verdict(
+        lambda *args: _spectrum(*args)[1], spec, lam, covs)
