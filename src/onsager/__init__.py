@@ -58,6 +58,7 @@ from .solver import (
     DensityProfile,
     SolutionReport,
     apply_G,
+    censuses,
     free_energy,
     jacobian,
     multistart,

@@ -24,7 +24,7 @@ from .solver import (
     _fused_pass,
     _make_report,
     _spectrum,
-    multistart,
+    censuses,
     state_norm,
 )
 
@@ -186,8 +186,8 @@ def degree_audit(spec: KernelSpec, lam: float, n_starts: int, seed: int,
 
     The infinite-dimensional degree is realized as its own defining
     limit: Brouwer index sums at each truncation, checked for equality
-    across the list.  A second census at seed + 1 guards against
-    multistart instability.
+    across the list.  A second census at seed + 1, run in the same
+    Newton pool, guards against multistart instability.
     """
     for n, crit in enumerate(critical_values(spec), start=1):
         if abs(lam - crit) <= 1e-6 * crit:
@@ -200,8 +200,8 @@ def degree_audit(spec: KernelSpec, lam: float, n_starts: int, seed: int,
     sums = []
     last_solutions = None
     for N in truncations:
-        census = multistart(spec, lam, n_starts, seed=seed, N=N)
-        recheck = multistart(spec, lam, n_starts, seed=seed + 1, N=N)
+        census, recheck = censuses(spec, [lam], n_starts, [seed, seed + 1],
+                                   N=N)[0]
         if len(census) != len(recheck):
             raise InconclusiveAuditError(
                 f"censuses at N={N} disagree: {len(census)} vs "

@@ -52,9 +52,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _json_text(records) -> str:
+    """json.dumps(records, indent=2) + "\n" for nonempty records of scalar
+    values, from the C encoder: json.dumps with indent runs the
+    pure-Python one."""
+    items = (json.dumps(rec, separators=(",\n    ", ": "))[1:-1]
+             for rec in records)
+    return "[\n" + ",\n".join(f"  {{\n    {item}\n  }}"
+                               for item in items) + "\n]\n"
+
+
 def emit_table(records, path, fmt: str):
-    """Write records (list of dicts with identical keys) to path, or to
-    stdout when path is None.
+    """Write records (list of dicts with identical, nonempty keys and
+    scalar values) to path, or to stdout when path is None.
 
     CSV output carries 17 significant digits and LF line endings; a CSV
     file is accompanied by a JSON mirror at the same stem, JSON output
@@ -66,9 +76,11 @@ def emit_table(records, path, fmt: str):
     for rec in records:
         if list(rec.keys()) != keys:
             raise ValidationError("records have inconsistent columns")
+    if not keys:
+        raise ValidationError("records have no columns")
     if fmt not in ("csv", "json"):
         raise ValidationError(f"unknown format {fmt!r}")
-    json_text = json.dumps(records, indent=2) + "\n"
+    json_text = _json_text(records)
     if fmt == "json":
         text = json_text
     else:
@@ -237,6 +249,9 @@ def _validate(cfg: dict):
         fail("grid", f">= {dynamics.MIN_POINTS}")
     if "lambda_max" in cfg and cfg["lambda_max"] < cfg["lambda_min"]:
         raise ValidationError("--lambda-max must be >= --lambda-min")
+    if cfg.get("steps") == 1 and cfg["lambda_max"] != cfg["lambda_min"]:
+        raise ValidationError("--steps 1 needs --lambda-max equal to "
+                              "--lambda-min")
     if cfg.get("modes") is not None and not 1 <= cfg["modes"] <= cfg["nmax"]:
         fail("modes", f"in 1..{cfg['nmax']} (--nmax)")
     if "truncations" in cfg and max(cfg["truncations"]) > cfg["nmax"]:
@@ -304,16 +319,15 @@ def _run_solve(cfg, spec):
 
 def _run_sweep(cfg, spec):
     modes = cfg["modes"] if cfg["modes"] is not None else cfg["nmax"]
-    lams = np.linspace(cfg["lambda_min"], cfg["lambda_max"], cfg["steps"])
+    lams = [float(lam) for lam in np.linspace(
+        cfg["lambda_min"], cfg["lambda_max"], cfg["steps"])]
+    found = solver.censuses(spec, lams, cfg["starts"], [cfg["seed"]],
+                            N=modes, tol=cfg["tol"], max_iter=cfg["max_iter"])
     records = []
-    for lam in lams:
-        census = solver.multistart(spec, float(lam), cfg["starts"],
-                                   seed=cfg["seed"], N=modes,
-                                   tol=cfg["tol"],
-                                   max_iter=cfg["max_iter"])
+    for lam, (census,) in zip(lams, found):
         for branch, report in enumerate(census):
             record = {
-                "lambda": float(lam),
+                "lambda": lam,
                 "branch": branch,
                 "norm": solver.state_norm(cfg["dim"], report.state.coeffs),
                 "residual": report.residual_norm,

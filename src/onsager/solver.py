@@ -26,6 +26,7 @@ __all__ = [
     "jacobian",
     "solve",
     "multistart",
+    "censuses",
     "recover_density",
     "free_energy",
 ]
@@ -200,37 +201,41 @@ def jacobian(state: AxisymState, spec: KernelSpec, lam: float) -> np.ndarray:
 
 
 def _check_kernel(spec: KernelSpec, D: int, N: int):
+    if N < 1:
+        raise ValueError(f"truncation N must be >= 1, got {N}")
     if D != spec.D:
         raise ValueError("state and kernel dimension mismatch")
     if N > spec.n_max:
         raise ValueError("state truncation exceeds kernel table")
 
 
-def _fused_pass(spec: KernelSpec, lam: float, coeffs: np.ndarray):
+def _fused_pass(spec: KernelSpec, lam, coeffs: np.ndarray):
     """Residual u - lam G(u), Jacobian J = diag(lam k) Cov of lam G and
     the density covariance Cov for one state (coeffs of shape (N,)) or a
-    stack (S, N), each row bitwise what its state alone gives, and the
-    residual bitwise what residual() gives.  The caller checks the kernel
-    (_check_kernel)."""
+    stack (S, N), with lam a scalar or one per row (S,); each row bitwise
+    what its state and lam alone give, and the residual bitwise what
+    residual() gives.  The caller checks the kernel (_check_kernel)."""
     gw, table, a = _density_weights(spec.D, coeffs)
-    k = spec.coeffs[:coeffs.shape[-1]]
-    res = coeffs - (-lam * k * a)
+    lam_k = np.multiply.outer(lam, spec.coeffs[:coeffs.shape[-1]])
+    res = coeffs - (-lam_k * a)
     second = (table * gw[..., None, :]) @ table.T
     cov = second - a[..., :, None] * a[..., None, :]
-    return res, lam * k[:, None] * cov, cov
+    return res, lam_k[..., :, None] * cov, cov
 
 
-def _symmetric_system(spec: KernelSpec, lam: float, cov: np.ndarray):
+def _symmetric_system(spec: KernelSpec, lam, cov: np.ndarray):
     """I - diag(d) Cov diag(d), d = sqrt(lam k), for one covariance or a
-    stack: symmetric, with the spectrum of I - J = I - diag(d)^2 Cov."""
-    d = np.sqrt(lam * spec.coeffs[:cov.shape[-1]])
-    return np.eye(cov.shape[-1]) - d[:, None] * cov * d
+    stack, lam a scalar or one per matrix: symmetric, with the spectrum
+    of I - J = I - diag(d)^2 Cov."""
+    d = np.sqrt(np.multiply.outer(lam, spec.coeffs[:cov.shape[-1]]))
+    return np.eye(cov.shape[-1]) - d[..., :, None] * cov * d[..., None, :]
 
 
-def _spectrum(spec: KernelSpec, lam: float, cov: np.ndarray):
+def _spectrum(spec: KernelSpec, lam, cov: np.ndarray):
     """Eigenvalues g of I - J, ascending, for one covariance Cov (N, N) or
-    a stack (S, N, N), and a flag per matrix that is True where I - J is
-    degenerate: min |g| <= 1e-12 max(1, max |g|).
+    a stack (S, N, N) with lam a scalar or one per matrix, and a flag per
+    matrix that is True where I - J is degenerate:
+    min |g| <= 1e-12 max(1, max |g|).
 
     d = sqrt(lam k) is real (lam >= 0 and every k_n >= 0), so g is real
     and comes from eigvalsh of _symmetric_system.  This is the one linear
@@ -242,22 +247,31 @@ def _spectrum(spec: KernelSpec, lam: float, cov: np.ndarray):
     return g, size.min(axis=-1) <= 1e-12 * np.maximum(size.max(axis=-1), 1.0)
 
 
-def _singular(spec: KernelSpec, lam: float, cov: np.ndarray) -> np.ndarray:
-    """_spectrum(spec, lam, cov)[1] for a stack (S, N, N), from slogdet
-    where that settles it.  P = diag(d) Cov diag(d) is positive
-    semidefinite, so the g = 1 - p of I - J have max |g| <= max(1, tr P)
-    and all but the smallest |g| sum to at most N + tr P; by AM-GM,
-    min |g| >= |det(I - P)| e^-(1 + tr P).  So log |det(I - P)| -
-    (1 + tr P) > log(1e-11 max(1, tr P)) passes the 1e-12 test with 10
-    times to spare for rounding.  Every other matrix (near-singular, zero
-    sign, NaN or inf) gets _spectrum's flag."""
+def _singular(spec: KernelSpec, lam, cov: np.ndarray) -> np.ndarray:
+    """_spectrum(spec, lam, cov)[1] for a stack (S, N, N), lam a scalar or
+    one per matrix, from the trace or one slogdet where that settles it.
+    P = diag(d) Cov diag(d) is positive semidefinite, so a finite P with
+    tr P < 1 - 1e-11 has every g = 1 - p of I - J in (1e-11, 1]: it passes
+    the 1e-12 test with 10 times to spare for rounding.  Otherwise
+    max |g| <= max(1, tr P) and all but the smallest |g| sum to at most
+    N + tr P; by AM-GM, min |g| >= |det(I - P)| e^-(1 + tr P).  So
+    log |det(I - P)| - (1 + tr P) > log(1e-11 max(1, tr P)) passes it with
+    the same margin.  Every other matrix (near-singular, zero sign, NaN or
+    inf entries) gets _spectrum's flag."""
+    lam = np.broadcast_to(lam, cov.shape[:-2])
     system = _symmetric_system(spec, lam, cov)
     trace = cov.shape[-1] - np.trace(system, axis1=-2, axis2=-1)
-    with np.errstate(invalid="ignore"):  # NaN or inf entries
-        flag = ~(np.linalg.slogdet(system)[1] - (1.0 + trace)
-                 > np.log(1e-11 * np.maximum(trace, 1.0)))
+    finite = np.isfinite(system).all(axis=(-2, -1))
+    flag = ~(finite & (trace < 1.0 - 1e-11))
+    check = flag & finite
+    if check.any():
+        trace = trace[check]
+        with np.errstate(invalid="ignore"):  # inf - inf from an overflow
+            flag[check] = ~(np.linalg.slogdet(system[check])[1]
+                            - (1.0 + trace)
+                            > np.log(1e-11 * np.maximum(trace, 1.0)))
     if flag.any():
-        flag[flag] = _spectrum(spec, lam, cov[flag])[1]
+        flag[flag] = _spectrum(spec, lam[flag], cov[flag])[1]
     return flag
 
 
@@ -272,14 +286,16 @@ def _make_report(state, res, spec, lam, iterations, tol):
                           sup_norm_u=sup_u)
 
 
-def _polish(spec: KernelSpec, lam: float, coeffs, res, jac):
-    """Up to 4 more Newton steps on converged states (S, N), given with
-    their residuals and Jacobians (overwritten), so that two runs
-    landing on one root agree far inside the deduplication radius.  A row
-    stops at residual norm <= 1e-14, and keeps its state where I - J is
-    exactly singular or the candidate is not finite or does not lower the
-    residual norm: bitwise where polishing the row alone ends.  Returns
-    the final states and residuals."""
+def _polish(spec: KernelSpec, lam, coeffs, res, jac):
+    """Up to 4 more Newton steps on converged states (S, N), lam a scalar
+    or one per row, given with their residuals and Jacobians
+    (overwritten), so that two runs landing on one root agree far inside
+    the deduplication radius.  A row stops at residual norm <= 1e-14, and
+    keeps its state where I - J is exactly singular or the candidate is
+    not finite or does not lower the residual norm: bitwise where
+    polishing the row alone ends.  Returns the final states and
+    residuals."""
+    lam = np.broadcast_to(lam, len(coeffs))
     live, norm = np.arange(len(coeffs)), _norms(spec.D, res)
     for _ in range(4):
         live = live[~(norm[live] <= 1e-14)]
@@ -296,7 +312,7 @@ def _polish(spec: KernelSpec, lam: float, coeffs, res, jac):
         cand = coeffs[live] + delta
         finite = np.isfinite(cand).all(axis=1)
         live, cand = live[finite], cand[finite]
-        cand_res, cand_jac, _ = _fused_pass(spec, lam, cand)
+        cand_res, cand_jac, _ = _fused_pass(spec, lam[live], cand)
         cand_norm = _norms(spec.D, cand_res)
         better = ~(cand_norm >= norm[live])
         live = live[better]
@@ -306,49 +322,69 @@ def _polish(spec: KernelSpec, lam: float, coeffs, res, jac):
     return coeffs, res
 
 
-def _newton(spec: KernelSpec, lam: float, D: int, starts: np.ndarray,
-            tol: float, max_iter: int) -> list:
-    """Newton's method, (I - J) delta = -(u - lam G(u)), on every row of
-    starts (S, N) at once.
+# Rows of the Newton pool: bounds the (rows, N, _ORDER) temporary of the
+# second moments whatever the number of starts.  The README sweep takes
+# 162 density passes at 64 rows (466 with one batch per lambda), 319 at
+# 32, and 85 at 128, whose peak memory is 2.3 MB higher.
+_BATCH_ROWS = 64
 
-    Each row takes exactly the steps it would take alone: it stops when
-    its residual norm is <= tol (then _polish, all such rows together),
-    when _singular finds I - J degenerate (the row is dropped), before an
-    update that is not finite, or after max_iter updates.  Returns, per
-    row in start order, (state, residual, iterations), or None for a
-    dropped row.
+
+def _newton(spec: KernelSpec, lam, starts: np.ndarray, tol: float,
+            max_iter: int):
+    """Newton's method, (I - J) delta = -(u - lam G(u)), on every row of
+    starts (S, N), lam a scalar or one per row, in a pool of at most
+    _BATCH_ROWS rows that refills in start order as rows end.
+
+    Each row takes exactly the steps it would take alone: it ends when its
+    residual norm is <= tol (then _polish, up to _BATCH_ROWS such rows
+    together), when _singular finds I - J degenerate (the row is
+    dropped), before an update that is not finite, or after max_iter
+    updates of its own.  Returns the final states (S, N), their residuals
+    (S, N) and the updates each row took (S,), -1 for a dropped row
+    (whose state and residual are undefined).  The caller checks the
+    kernel, tol and lam.
     """
+    if not max_iter >= 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     S, N = starts.shape
-    _check_kernel(spec, D, N)
-    end_u, end_res = np.empty((S, N)), np.empty((S, N))
-    end_jac, inside = np.empty((S, N, N)), np.zeros(S, dtype=bool)
-    its = np.full(S, -1)  # stays -1 for a dropped row
-    rows, coeffs = np.arange(S), starts
-    for it in range(1, max_iter + 1):
-        if not rows.size:
-            break
-        res, jac, cov = _fused_pass(spec, lam, coeffs)
-        done = _norms(D, res) <= tol
-        end = rows[done]
-        end_u[end], end_res[end] = coeffs[done], res[done]
-        end_jac[end], its[end], inside[end] = jac[done], it - 1, True
-        go = ~done
-        go[go] = ~_singular(spec, lam, cov[go])
-        rows, coeffs, res, jac = rows[go], coeffs[go], res[go], jac[go]
-        new = coeffs + np.linalg.solve(np.eye(N) - jac,
-                                       -res[..., None])[..., 0]
-        bad = ~np.isfinite(new).all(axis=1)
-        end = rows[bad]
-        end_u[end], end_res[end], its[end] = coeffs[bad], res[bad], it
-        rows, coeffs = rows[~bad], new[~bad]
-    else:
-        end_u[rows], its[rows] = coeffs, max_iter
-        end_res[rows] = _fused_pass(spec, lam, coeffs)[0]
-    end_u[inside], end_res[inside] = _polish(
-        spec, lam, end_u[inside], end_res[inside], end_jac[inside])
-    return [None if its[i] < 0 else
-            (AxisymState(D, end_u[i]), end_res[i], int(its[i]))
-            for i in range(S)]
+    lam = np.broadcast_to(lam, S)
+    end_u, end_res, its = np.empty((S, N)), np.empty((S, N)), np.full(S, -1)
+    rows, taken, coeffs = np.empty(0, int), np.empty(0, int), np.empty((0, N))
+    waiting, wait_jac = np.empty(0, int), np.empty((0, N, N))  # to polish
+    queued = 0
+    while rows.size or queued < S or waiting.size:
+        new = np.arange(queued, min(S, queued + _BATCH_ROWS - rows.size))
+        if new.size:  # refill the pool from the queue
+            rows, queued = np.concatenate((rows, new)), new[-1] + 1
+            taken = np.concatenate((taken, np.zeros_like(new)))
+            coeffs = np.concatenate((coeffs, starts[new]))
+        if rows.size:
+            res, jac, cov = _fused_pass(spec, lam[rows], coeffs)
+            last = taken == max_iter
+            done = ~last & (_norms(spec.D, res) <= tol)
+            end = done | last
+            end_u[rows[end]], end_res[rows[end]] = coeffs[end], res[end]
+            its[rows[end]] = taken[end]
+            waiting = np.concatenate((waiting, rows[done]))
+            wait_jac = np.concatenate((wait_jac, jac[done]))
+            go = ~end
+            go[go] = ~_singular(spec, lam[rows[go]], cov[go])
+            rows, coeffs, res, jac = rows[go], coeffs[go], res[go], jac[go]
+            taken = taken[go] + 1
+            new = coeffs + np.linalg.solve(np.eye(N) - jac,
+                                           -res[..., None])[..., 0]
+            bad = ~np.isfinite(new).all(axis=1)
+            end_u[rows[bad]], end_res[rows[bad]] = coeffs[bad], res[bad]
+            its[rows[bad]] = taken[bad]
+            rows, coeffs, taken = rows[~bad], new[~bad], taken[~bad]
+        idle = not (rows.size or queued < S)
+        if waiting.size >= _BATCH_ROWS or (idle and waiting.size):
+            first = waiting[:_BATCH_ROWS]
+            end_u[first], end_res[first] = _polish(
+                spec, lam[first], end_u[first], end_res[first],
+                wait_jac[:_BATCH_ROWS])
+            waiting, wait_jac = waiting[_BATCH_ROWS:], wait_jac[_BATCH_ROWS:]
+    return end_u, end_res, its
 
 
 def _check_tol_lambda(tol: float, lam: float):
@@ -363,25 +399,69 @@ def _check_tol_lambda(tol: float, lam: float):
 def solve(spec: KernelSpec, lam: float, init: AxisymState,
           tol: float = 1e-10, max_iter: int = 200) -> SolutionReport:
     """Solve u = lam G(u) from the given initial state by Newton's method,
-    (I - J) delta = -(u - lam G(u)), as the one-row case of the batched
+    (I - J) delta = -(u - lam G(u)), as the one-row case of the pooled
     loop multistart runs.  Non-convergence yields a report with
     converged=False; a singular Newton system raises
     SingularLinearizationError.
     """
     _check_tol_lambda(tol, lam)
-    outcome = _newton(spec, lam, init.D, init.coeffs[None, :], tol,
-                      max_iter)[0]
-    if outcome is None:
+    _check_kernel(spec, init.D, init.N)
+    u, res, its = _newton(spec, lam, init.coeffs[None, :], tol, max_iter)
+    if its[0] < 0:
         raise SingularLinearizationError(
             f"Newton linearization singular at lambda={lam}; "
             "perturb lambda away from critical values")
-    state, res, iterations = outcome
-    return _make_report(state, res, spec, lam, iterations, tol)
+    return _make_report(AxisymState(init.D, u[0]), res[0], spec, lam,
+                        int(its[0]), tol)
 
 
-# Starts per Newton batch: bounds the (rows, N, _ORDER) temporary of the
-# second moments whatever n_starts is.
-_BATCH_ROWS = 256
+def _census(spec: KernelSpec, lam: float, u, res, its, tol: float) -> list:
+    """The solutions one census keeps from its Newton outcomes (u, res,
+    its in start order) by the rule multistart states, each later
+    candidate within 10 tol of a kept one dropped by one stacked norm."""
+    cand = np.flatnonzero(its >= 0)
+    cand = cand[_norms(spec.D, res[cand]) <= tol]
+    found = []
+    while cand.size:
+        first, cand = cand[0], cand[1:]
+        report = _make_report(AxisymState(spec.D, u[first]), res[first],
+                              spec, lam, int(its[first]), tol)
+        if report.converged:
+            found.append(report)
+            cand = cand[_norms(spec.D, u[cand] - u[first]) > 10.0 * tol]
+    found.sort(key=lambda r: (state_norm(spec.D, r.state.coeffs),
+                              tuple(r.state.coeffs)))
+    return found
+
+
+def censuses(spec: KernelSpec, lams, n_starts: int, seeds,
+             N: int | None = None, tol: float = 1e-10,
+             max_iter: int = 200) -> list:
+    """The multistart census of every (lam, seed) pair, lams[i] with
+    seeds[j] at [i][j], from one pool of Newton rows (_newton) for all of
+    them; each census is what multistart(spec, lam, n_starts, seed, N,
+    tol, max_iter) returns."""
+    lams, seeds = [float(lam) for lam in lams], list(seeds)
+    if n_starts < 1:
+        raise ValueError("n_starts must be >= 1")
+    for lam in lams:
+        _check_tol_lambda(tol, lam)
+    N = spec.n_max if N is None else N
+    _check_kernel(spec, spec.D, N)
+    pairs = [(lam, seed) for lam in lams for seed in seeds]
+    starts = np.zeros((len(pairs), n_starts, N))
+    for (lam, seed), block in zip(pairs, starts):
+        box = lam * spec.sup_norm_khat
+        block[1:] = np.random.default_rng(seed).uniform(
+            -box, box, size=(n_starts - 1, N))
+    outcomes = _newton(spec, np.repeat([lam for lam, _ in pairs], n_starts),
+                       starts.reshape(-1, N), tol, max_iter)
+    u, res, its = (x.reshape(len(pairs), n_starts, *x.shape[1:])
+                   for x in outcomes)
+    found = [_census(spec, lam, *census, tol)
+             for (lam, _), census in zip(pairs, zip(u, res, its))]
+    return [found[i * len(seeds):(i + 1) * len(seeds)]
+            for i in range(len(lams))]
 
 
 def multistart(spec: KernelSpec, lam: float, n_starts: int, seed: int,
@@ -390,39 +470,15 @@ def multistart(spec: KernelSpec, lam: float, n_starts: int, seed: int,
     """Enumerate solutions from random starts in the a priori box
     |u_n| <= lam ||K_hat||_inf.
 
-    Start 0 is the isotropic state.  The starts run in Newton batches of
-    _BATCH_ROWS, each with the steps solve() takes from it.  In start
-    order, a start is kept when its residual norm is <= tol, it lies
-    farther than 10 tol (sphere L2) from every solution kept before, and
-    its sup norm, taken only now, is inside the box; singular,
-    unconverged and duplicate starts are dropped.  Deterministic for a
-    fixed seed; returned sorted by (norm, coeffs).
+    Start 0 is the isotropic state.  The starts run in the Newton pool,
+    each with the steps solve() takes from it.  In start order, a start
+    is kept when its residual norm is <= tol, it lies farther than 10 tol
+    (sphere L2) from every solution kept before, and its sup norm, taken
+    only now, is inside the box; singular, unconverged and duplicate
+    starts are dropped.  Deterministic for a fixed seed; returned sorted
+    by (norm, coeffs).  The one-census case of censuses().
     """
-    if n_starts < 1:
-        raise ValueError("n_starts must be >= 1")
-    _check_tol_lambda(tol, lam)
-    if N is None:
-        N = spec.n_max
-    rng = np.random.default_rng(seed)
-    box = lam * spec.sup_norm_khat
-    starts = np.zeros((n_starts, N))
-    starts[1:] = rng.uniform(-box, box, size=(n_starts - 1, N))
-    found: list[SolutionReport] = []
-    for first in range(0, n_starts, _BATCH_ROWS):
-        outcomes = [o for o in _newton(spec, lam, spec.D,
-                                       starts[first:first + _BATCH_ROWS],
-                                       tol, max_iter) if o is not None]
-        norms = _norms(spec.D, np.reshape([o[1] for o in outcomes], (-1, N)))
-        for (state, res, iterations), norm in zip(outcomes, norms):
-            if norm <= tol and all(
-                    state_norm(spec.D, state.coeffs - other.state.coeffs)
-                    > 10.0 * tol for other in found):
-                report = _make_report(state, res, spec, lam, iterations, tol)
-                if report.converged:
-                    found.append(report)
-    found.sort(key=lambda r: (state_norm(spec.D, r.state.coeffs),
-                              tuple(r.state.coeffs)))
-    return found
+    return censuses(spec, [lam], n_starts, [seed], N, tol, max_iter)[0][0]
 
 
 def recover_density(state: AxisymState) -> DensityProfile:

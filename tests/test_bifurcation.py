@@ -193,34 +193,44 @@ def test_degree_audit_rejects_empty_truncations():
 NAN, INF = math.nan, math.inf
 
 
-@pytest.mark.parametrize("call", [
-    lambda: solve(SPEC3, NAN, AxisymState(3, np.zeros(4))),
-    lambda: solve(SPEC3, INF, AxisymState(3, np.zeros(4))),
-    lambda: solve(SPEC3, 5.0, AxisymState(3, np.zeros(4)), tol=NAN),
-    lambda: solve(SPEC3, 5.0, AxisymState(3, np.zeros(4)), tol=INF),
-    lambda: solve(SPEC3, 5.0, AxisymState(3, np.zeros(4)), tol=0.0),
-    lambda: multistart(SPEC3, NAN, 5, seed=0),
-    lambda: multistart(SPEC3, INF, 5, seed=0),
-    lambda: multistart(SPEC3, 5.0, 5, seed=0, tol=NAN),
-    lambda: multistart(SPEC3, 5.0, 5, seed=0, tol=-1.0),
-    lambda: degree_audit(SPEC3, NAN, 5, 0, (4,)),
-    lambda: degree_audit(SPEC3, INF, 5, 0, (4,)),
-    lambda: degree_audit(SPEC3, -1.0, 5, 0, (4,)),
-    lambda: trace_branch(SPEC3, 1, 1.3 * LAM1, tol=-1.0),
-    lambda: trace_branch(SPEC3, 1, 1.3 * LAM1, tol=NAN),
-    lambda: trace_branch(SPEC3, 1, 1.3 * LAM1, tol=INF),
-    lambda: trace_branch(SPEC3, 1, NAN),
-    lambda: trace_branch(SPEC3, 1, INF),
+@pytest.mark.parametrize(("call", "match"), [
+    (lambda: solve(SPEC3, NAN, AxisymState(3, np.zeros(4))), "finite"),
+    (lambda: solve(SPEC3, INF, AxisymState(3, np.zeros(4))), "finite"),
+    (lambda: solve(SPEC3, 5.0, AxisymState(3, np.zeros(4)), tol=NAN),
+     "finite"),
+    (lambda: solve(SPEC3, 5.0, AxisymState(3, np.zeros(4)), tol=INF),
+     "finite"),
+    (lambda: solve(SPEC3, 5.0, AxisymState(3, np.zeros(4)), tol=0.0),
+     "finite"),
+    (lambda: multistart(SPEC3, NAN, 5, seed=0), "finite"),
+    (lambda: multistart(SPEC3, INF, 5, seed=0), "finite"),
+    (lambda: multistart(SPEC3, 5.0, 5, seed=0, tol=NAN), "finite"),
+    (lambda: multistart(SPEC3, 5.0, 5, seed=0, tol=-1.0), "finite"),
+    (lambda: degree_audit(SPEC3, NAN, 5, 0, (4,)), "finite"),
+    (lambda: degree_audit(SPEC3, INF, 5, 0, (4,)), "finite"),
+    (lambda: degree_audit(SPEC3, -1.0, 5, 0, (4,)), "finite"),
+    (lambda: trace_branch(SPEC3, 1, 1.3 * LAM1, tol=-1.0), "finite"),
+    (lambda: trace_branch(SPEC3, 1, 1.3 * LAM1, tol=NAN), "finite"),
+    (lambda: trace_branch(SPEC3, 1, 1.3 * LAM1, tol=INF), "finite"),
+    (lambda: trace_branch(SPEC3, 1, NAN), "finite"),
+    (lambda: trace_branch(SPEC3, 1, INF), "finite"),
+    (lambda: solve(SPEC3, 5.0, AxisymState(3, np.zeros(4)), max_iter=-1),
+     "max_iter"),
+    (lambda: multistart(SPEC3, 5.0, 5, seed=0, max_iter=-3), "max_iter"),
+    (lambda: multistart(SPEC3, 5.0, 5, seed=0, N=0), "truncation"),
 ], ids=["solve-lam-nan", "solve-lam-inf", "solve-tol-nan", "solve-tol-inf",
         "solve-tol-0", "multistart-lam-nan", "multistart-lam-inf",
         "multistart-tol-nan", "multistart-tol-neg", "audit-lam-nan",
         "audit-lam-inf", "audit-lam-neg", "branch-tol-neg", "branch-tol-nan",
-        "branch-tol-inf", "branch-lam-nan", "branch-lam-inf"])
-def test_entry_points_reject_non_finite_lambda_and_tol(call):
+        "branch-tol-inf", "branch-lam-nan", "branch-lam-inf",
+        "solve-max-iter-neg", "multistart-max-iter-neg", "multistart-N-0"])
+def test_entry_points_reject_non_finite_lambda_and_tol(call, match):
     # lambda must be finite and >= 0, tol finite and > 0; before the check,
     # these raised LinAlgError or OverflowError, returned an unconverged
-    # report or ended in BranchNotFoundError
-    with pytest.raises(ValueError, match="finite"):
+    # report or ended in BranchNotFoundError.  max_iter must be >= 0 and
+    # N >= 1: before, they raised SingularLinearizationError, returned an
+    # empty census or failed in AxisymState
+    with pytest.raises(ValueError, match=match):
         call()
 
 

@@ -463,6 +463,8 @@ def test_emit_table_validation(tmp_path):
         cli.emit_table([{"a": 1}, {"b": 2}], str(tmp_path / "x.csv"), "csv")
     with pytest.raises(ValidationError):
         cli.emit_table([{"a": 1}], str(tmp_path / "x.csv"), "yaml")
+    with pytest.raises(ValidationError):
+        cli.emit_table([{}], str(tmp_path / "x.csv"), "csv")
 
 
 def test_emit_table_round_trip(tmp_path):
@@ -476,6 +478,27 @@ def test_emit_table_round_trip(tmp_path):
     # 17 significant digits make the CSV text round-trip losslessly
     for row, rec, orig in zip(rows, mirror, records):
         assert float(row["value"]) == rec["value"] == orig["value"]
+
+
+def test_json_mirror_is_the_indented_dump(tmp_path, capsys):
+    # the mirror is built from the C encoder, one record at a time, and
+    # must be byte for byte what json.dumps(records, indent=2) writes
+    rows = [
+        (math.nan, 'quote " and backslash \\', True),
+        (math.inf, "non-ASCII \u03bb \u00e9 \U0001f600", False),
+        (-math.inf, "", True),
+        (-0.0, "tab\tnew\nline", False),
+        (1e300, "}, {", True),
+        (12, "-7", False),
+    ]
+    records = [{"x": x, 'key "\u03bb"': text, "b": b} for x, text, b in rows]
+    expected = json.dumps(records, indent=2) + "\n"
+    assert cli._json_text(records[:1]) == json.dumps(records[:1],
+                                                     indent=2) + "\n"
+    cli.emit_table(records, str(tmp_path / "t.csv"), "csv")
+    assert (tmp_path / "t.json").read_text() == expected
+    cli.emit_table(records, None, "json")
+    assert capsys.readouterr().out == expected
 
 
 def test_emit_table_json_only(tmp_path):
@@ -496,6 +519,8 @@ def test_emit_table_json_only(tmp_path):
     (["solve", "--lambda", "12", "--modes", "4", "--init", "0.5,abc"],
      "--init"),
     (["coeffs", "--dim", "400", "--nmax", "2"], "--dim"),
+    (["sweep", "--lambda-min", "9", "--lambda-max", "13", "--steps", "1"],
+     "--steps 1"),
 ])
 def test_invalid_flag_combinations_exit_2(tmp_path, capsys, argv, flag):
     out = tmp_path / "t.csv"

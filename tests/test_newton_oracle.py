@@ -1,9 +1,10 @@
-"""The batched Newton loop of `multistart` against the per-start loop it
-replaced, kept here as the oracle: every start must end the same way
-(converged, unconverged or singular) after the same number of
-iterations at the same state.  `oracle_polish` is the per-row polish the
-batched `solver._polish` replaced; `exact_solve` rebuilds one start from
-the single-row pieces, and the census must equal it bit for bit."""
+"""The pooled Newton loop of `multistart` and `censuses` against the
+per-start loop it replaced, kept here as the oracle: every start must end
+the same way (converged, unconverged or singular) after the same number
+of iterations at the same state.  `oracle_polish` is the per-row polish
+the batched `solver._polish` replaced; `exact_solve` rebuilds one start
+from the single-row pieces, and the census must equal it bit for bit,
+also when the pool refills across census boundaries."""
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from onsager.solver import (
     _newton,
     _polish,
     _spectrum,
+    censuses,
     jacobian,
     multistart,
     residual,
@@ -48,6 +50,14 @@ def oracle_polish(state, res, jac, spec, lam, target=1e-14, max_steps=4):
             break
         state, res, jac = candidate, cand_res, cand_jac
     return state, res
+
+
+def newton_outcomes(spec, lam, starts, tol, max_iter):
+    """_newton's arrays as one (state, residual, updates) per start in
+    start order, None for a dropped start."""
+    u, res, its = _newton(spec, lam, np.array(starts), tol, max_iter)
+    return [None if n < 0 else (AxisymState(spec.D, x), r, int(n))
+            for x, r, n in zip(u, res, its, strict=True)]
 
 
 def oracle_solve(spec, lam, init, tol, max_iter):
@@ -121,7 +131,7 @@ def _outcome(report):
 @pytest.mark.parametrize("seed", range(5))
 def test_batched_newton_matches_per_start_loop(seed, N, lam, max_iter):
     starts = oracle_starts(SPEC, lam, STARTS, seed, N)
-    batched = _newton(SPEC, lam, 3, np.array(starts), TOL, max_iter)
+    batched = newton_outcomes(SPEC, lam, starts, TOL, max_iter)
     for coeffs, outcome in zip(starts, batched, strict=True):
         try:
             expected = oracle_solve(SPEC, lam, AxisymState(3, coeffs), TOL,
@@ -162,7 +172,7 @@ def test_census_split_into_batches_matches_per_start_loop(monkeypatch):
 def test_max_iter_census_drops_unconverged_starts():
     # the max_iter=3 cases above only mean something if some starts fail
     starts = oracle_starts(SPEC, 15.0, STARTS, 0, 8)
-    outcomes = _newton(SPEC, 15.0, 3, np.array(starts), TOL, 3)
+    outcomes = newton_outcomes(SPEC, 15.0, starts, TOL, 3)
     converged = [_make_report(o[0], o[1], SPEC, 15.0, o[2], TOL).converged
                  for o in outcomes]
     assert 0 < sum(converged) < len(converged)
@@ -172,9 +182,9 @@ def test_start_converging_on_the_last_update_counts_as_converged():
     # with max_iter equal to the updates a start needs, its last update
     # lands inside tol and is reported as converged, without the polish
     starts = np.array(oracle_starts(SPEC, 15.0, STARTS, 0, 8))
-    needed = [o[2] for o in _newton(SPEC, 15.0, 3, starts, TOL, 200)]
+    needed = [o[2] for o in newton_outcomes(SPEC, 15.0, starts, TOL, 200)]
     row = int(np.argmax(needed))
-    outcome = _newton(SPEC, 15.0, 3, starts, TOL, needed[row])[row]
+    outcome = newton_outcomes(SPEC, 15.0, starts, TOL, needed[row])[row]
     got = _make_report(*outcome[:2], SPEC, 15.0, outcome[2], TOL)
     expected = oracle_solve(SPEC, 15.0, AxisymState(3, starts[row]), TOL,
                             needed[row])
@@ -195,7 +205,7 @@ def test_singular_row_is_dropped_and_the_others_converge():
     system = 1.0 - jacobian(AxisymState(3, [0.3]), spec1, lam)
     assert abs(system[0, 0]) <= 1e-12
     starts = np.array([[0.3], [0.0], [2.0], [-1.0]])
-    outcomes = _newton(spec1, lam, 3, starts, TOL, 200)
+    outcomes = newton_outcomes(spec1, lam, starts, TOL, 200)
     assert outcomes[0] is None
     for coeffs, outcome in zip(starts[1:], outcomes[1:]):
         report = _make_report(*outcome[:2], spec1, lam, outcome[2], TOL)
@@ -248,7 +258,7 @@ README_SPEC = build_kernel_spec(3, 16, "onsager-recurrence")
 def test_census_is_bitwise_the_per_start_loop(lam, N, seed):
     starts = oracle_starts(README_SPEC, lam, 30, seed, N)
     expected = [exact_solve(README_SPEC, lam, c, TOL, 200) for c in starts]
-    batched = _newton(README_SPEC, lam, 3, np.array(starts), TOL, 200)
+    batched = newton_outcomes(README_SPEC, lam, starts, TOL, 200)
     for outcome, report in zip(batched, expected, strict=True):
         assert (outcome is None) == (report is None)
         if report is not None:
@@ -289,3 +299,64 @@ def test_batched_polish_ends_only_the_rows_it_cannot_step():
     assert np.array_equal(got_res[[1, 3]], res[[1, 3]])
     assert state_norm(3, got_res[0]) < 1e-14 < state_norm(3, res[0])
     assert state_norm(3, got_res[2]) < 1e-14 < state_norm(3, res[2])
+
+
+@pytest.mark.parametrize("max_iter", [200, 3])
+@pytest.mark.parametrize("rows", [3, 7])
+def test_pooled_censuses_are_bitwise_the_per_start_loop(monkeypatch, rows,
+                                                        max_iter):
+    # a pool of 3 or 7 rows refills across census boundaries: three
+    # lambdas (one below the fold window, one inside, one above lambda_1)
+    # times two seeds, 10 starts each
+    monkeypatch.setattr(solver, "_BATCH_ROWS", rows)
+    lams, seeds, N = (9.0, 10.2, 13.0), (0, 1), 8
+    found = censuses(README_SPEC, lams, 10, seeds, N=N, max_iter=max_iter)
+    assert len(found) == len(lams)
+    for lam, row in zip(lams, found):
+        assert len(row) == len(seeds)
+        for seed, census in zip(seeds, row):
+            starts = oracle_starts(README_SPEC, lam, 10, seed, N)
+            reference = oracle_census(
+                [exact_solve(README_SPEC, lam, c, TOL, max_iter)
+                 for c in starts], README_SPEC, TOL)
+            assert len(census) == len(reference) >= 1
+            for got, report in zip(census, reference):
+                assert got.lam == lam
+                _assert_same_report(got, report)
+
+
+def test_row_admitted_late_and_stopped_by_max_iter_matches_oracle(
+        monkeypatch):
+    # a pool of 2 rows: the last start, one that 3 updates do not bring
+    # inside tol, enters only after others have ended and then stops
+    # after 3 updates of its own
+    lam, max_iter = 15.0, 3
+    starts = oracle_starts(SPEC, lam, STARTS, 0, 8)
+    expected = [oracle_solve(SPEC, lam, AxisymState(3, c), TOL, max_iter)
+                for c in starts]
+    late = next(j for j, r in enumerate(expected) if not r.converged)
+    order = [j for j in range(len(starts)) if j != late][:5] + [late]
+    passes = []
+
+    def recording_pass(spec, lam, coeffs):
+        passes.append(coeffs.copy())
+        return _fused_pass(spec, lam, coeffs)
+
+    monkeypatch.setattr(solver, "_BATCH_ROWS", 2)
+    monkeypatch.setattr(solver, "_fused_pass", recording_pass)
+    outcome = newton_outcomes(SPEC, lam, [starts[j] for j in order], TOL,
+                              max_iter)[-1]
+    monkeypatch.undo()
+    entered = next(i for i, coeffs in enumerate(passes)
+                   if (coeffs == starts[late]).all(axis=1).any())
+    assert entered >= 2
+    got = _make_report(*outcome[:2], SPEC, lam, outcome[2], TOL)
+    report = expected[late]
+    assert not got.converged and not report.converged
+    assert got.iterations == report.iterations == max_iter
+    np.testing.assert_allclose(got.state.coeffs, report.state.coeffs,
+                               rtol=0.0, atol=1e-12)
+    assert got.residual_norm == pytest.approx(report.residual_norm,
+                                              rel=1e-9, abs=1e-15)
+    _assert_same_report(got, exact_solve(SPEC, lam, starts[late], TOL,
+                                         max_iter))

@@ -2,8 +2,8 @@
 `classify_stability` read (`solver._spectrum`) checked against two
 independent oracles: the eigenvalues of the non-symmetric Jacobian, and
 Picard iteration, which converges locally exactly at stable solutions.
-Newton's determinant certificate (`solver._singular`) must give the
-spectrum's degeneracy flag on every matrix."""
+Newton's trace shortcut and determinant certificate (`solver._singular`)
+must give the spectrum's degeneracy flag on every matrix."""
 
 import numpy as np
 import pytest
@@ -168,3 +168,63 @@ def test_certificate_gives_non_finite_covariances_to_the_spectrum(entry,
     covs[1][entry] = value
     assert _verdict(_singular, spec, lam, covs) == _verdict(
         lambda *args: _spectrum(*args)[1], spec, lam, covs)
+
+
+def _diagonal_covs(spec, lam, traces, n=4):
+    """Diagonal covariances whose P = diag(d) Cov diag(d) has the given
+    traces, spread unevenly over n modes."""
+    d2 = lam * spec.coeffs[:n]
+    shares = np.array([0.4, 0.3, 0.2, 0.1][:n])
+    return np.array([np.diag(t * shares / d2) for t in traces])
+
+
+def _record_deciders(monkeypatch, calls):
+    """Append ("slogdet" or "spectrum", matrices) to calls for each
+    slogdet and _spectrum call from now on."""
+    def recording(name, fn):
+        def recorded(*args):
+            calls.append((name, len(args[-1])))
+            return fn(*args)
+        return recorded
+
+    monkeypatch.setattr(np.linalg, "slogdet",
+                        recording("slogdet", np.linalg.slogdet))
+    monkeypatch.setattr(solver, "_spectrum",
+                        recording("spectrum", _spectrum))
+
+
+def test_trace_shortcut_decides_below_the_cut_only(monkeypatch):
+    # tr P just below 1 - 1e-11 is decided by the trace alone; just above
+    # it the slogdet certificate runs, and both are the spectrum's verdict
+    spec, lam = build_kernel_spec(3, 4, "onsager-recurrence"), 12.0
+    cut = 1.0 - 1e-11
+    covs = _diagonal_covs(spec, lam, [cut - 1e-13, cut + 1e-13, 0.5, 3.0])
+    system = solver._symmetric_system(spec, lam, covs)
+    trace = 4 - np.trace(system, axis1=-2, axis2=-1)
+    assert trace[0] < cut < trace[1]
+    calls = []
+    _record_deciders(monkeypatch, calls)
+    flags = _singular(spec, lam, covs)
+    monkeypatch.undo()
+    assert calls == [("slogdet", 2)]  # tr P = 1 - 1e-11 + 1e-13 and 3
+    assert np.array_equal(flags, _spectrum(spec, lam, covs)[1])
+    assert not flags.any()
+
+
+@pytest.mark.parametrize("entry", [(0, 1), (3, 2), (1, 1)])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_trace_shortcut_leaves_non_finite_entries_to_the_spectrum(
+        monkeypatch, entry, value):
+    # tr P = 0.5 < 1 with a non-finite off-diagonal entry, or with a
+    # non-finite diagonal one (-inf makes tr P = -inf): neither the trace
+    # nor slogdet decides, the spectrum does
+    spec, lam = build_kernel_spec(3, 4, "onsager-recurrence"), 12.0
+    covs = _diagonal_covs(spec, lam, [0.5, 0.5, 0.5])
+    covs[1][entry] = value
+    calls = []
+    _record_deciders(monkeypatch, calls)
+    got = _verdict(_singular, spec, lam, covs)
+    monkeypatch.undo()
+    assert calls == [("spectrum", 1)]
+    assert got == _verdict(lambda *args: _spectrum(*args)[1], spec, lam,
+                           covs)
