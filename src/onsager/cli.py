@@ -10,6 +10,9 @@ explicit ones, so explicit flags win.
 
 Exit codes: 0 success, 2 validation error (nothing written), 3 numerical
 failure (machine-readable error record written), 64 unknown command.
+
+The solver, bifurcation and dynamics modules are imported by the
+commands that run them, so each command loads only what it needs.
 """
 
 import argparse
@@ -22,10 +25,9 @@ import sys
 
 import numpy as np
 
-from . import bifurcation, dynamics, kernel, solver
+from . import kernel
 from .errors import OnsagerError, ValidationError
 from .polybasis import MAX_DIM, legendre_eval
-from .solver import AxisymState
 
 __all__ = ["main", "emit_table"]
 
@@ -146,7 +148,7 @@ _FLAGS = {
     "grid": dict(type=int, default=128),
     "t-max": dict(type=float, default=50.0),
     "dt": dict(type=float, default=None,
-               help=f"default: {dynamics.DT_PER_H2:g} h^2 (no step limit)"),
+               help="default: {DT_PER_H2:g} h^2 (no step limit)"),
     "perturb": dict(type=float, default=0.01),
     "record-every": dict(type=int, default=100),
     "output": dict(default=None, help="output file; stdout when omitted"),
@@ -196,7 +198,11 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser(command: str) -> argparse.ArgumentParser:
     p = _Parser(prog=f"onsager {command}", allow_abbrev=False)
     for name in _COMMAND_FLAGS[command]:
-        p.add_argument("--" + name, **_FLAGS[name])
+        flag = _FLAGS[name]
+        if name == "dt":  # the default step is the dynamics module's
+            from .dynamics import DT_PER_H2
+            flag = dict(flag, help=flag["help"].format(DT_PER_H2=DT_PER_H2))
+        p.add_argument("--" + name, **flag)
     return p
 
 
@@ -245,8 +251,10 @@ def _validate(cfg: dict):
         fail("dt", "positive and finite")
     if "seed" in cfg and cfg["seed"] < 0:
         fail("seed", ">= 0")
-    if "grid" in cfg and cfg["grid"] < dynamics.MIN_POINTS:
-        fail("grid", f">= {dynamics.MIN_POINTS}")
+    if "grid" in cfg:
+        from .dynamics import MIN_POINTS
+        if cfg["grid"] < MIN_POINTS:
+            fail("grid", f">= {MIN_POINTS}")
     if "lambda_max" in cfg and cfg["lambda_max"] < cfg["lambda_min"]:
         raise ValidationError("--lambda-max must be >= --lambda-min")
     if cfg.get("steps") == 1 and cfg["lambda_max"] != cfg["lambda_min"]:
@@ -284,6 +292,7 @@ def _run_coeffs(cfg, spec):
 
 
 def _run_thresholds(cfg, spec):
+    from . import bifurcation
     report = bifurcation.uniqueness_thresholds(spec)
     records = [
         {"name": "lambda_tilde0", "value": report.lambda_tilde0},
@@ -299,12 +308,13 @@ def _run_thresholds(cfg, spec):
 
 
 def _run_solve(cfg, spec):
+    from . import solver
     modes = cfg["modes"] if cfg["modes"] is not None else cfg["nmax"]
     coeffs = np.zeros(modes)
     given = cfg["init"] or []
     coeffs[:len(given)] = given
     report = solver.solve(spec, cfg["lambda"],
-                          AxisymState(D=cfg["dim"], coeffs=coeffs),
+                          solver.AxisymState(D=cfg["dim"], coeffs=coeffs),
                           tol=cfg["tol"], max_iter=cfg["max_iter"])
     record = {
         "lambda": cfg["lambda"],
@@ -318,6 +328,7 @@ def _run_solve(cfg, spec):
 
 
 def _run_sweep(cfg, spec):
+    from . import solver
     modes = cfg["modes"] if cfg["modes"] is not None else cfg["nmax"]
     lams = [float(lam) for lam in np.linspace(
         cfg["lambda_min"], cfg["lambda_max"], cfg["steps"])]
@@ -339,6 +350,7 @@ def _run_sweep(cfg, spec):
 
 
 def _run_audit(cfg, spec):
+    from . import bifurcation, solver
     truncs = cfg["truncations"]
     report = bifurcation.degree_audit(spec, cfg["lambda"], cfg["starts"],
                                       cfg["seed"], truncs)
@@ -360,6 +372,7 @@ def _run_audit(cfg, spec):
 
 
 def _run_evolve(cfg, spec):
+    from . import dynamics
     grid = dynamics.make_grid(cfg["dim"], cfg["grid"])
     dt = cfg["dt"] or dynamics.DT_PER_H2 * grid.h ** 2
     shape = 1.0 + cfg["perturb"] * legendre_eval(cfg["dim"], 2,

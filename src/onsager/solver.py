@@ -35,6 +35,8 @@ __all__ = [
 # the moments a_1..a_4 of the widest converged states at (D, lam) =
 # (3, 15), (5, 40) and (10, 80), with sup |u| up to 62, agree with
 # adaptive quadrature to 6.2e-13; 64 nodes miss by 1.2e-5 at D = 10.
+# Every integrand of a pass is even in t, so a pass runs on the folded
+# rule (_mode_tables): the 64 nodes t > 0.
 _ORDER = 128
 
 
@@ -107,11 +109,19 @@ class DensityProfile:
 
 @lru_cache(maxsize=64)
 def _mode_tables(D: int, N: int):
-    """Zonal weights of the rule, P_{2n} at its nodes for n = 1..N and
-    the rule's moments of the isotropic density."""
+    """The rule folded onto t >= 0, which integrates every even function
+    as the whole rule does: the weights of its nodes t >= 0, doubled at
+    t > 0 (an odd rule's middle node is exactly 0 and keeps its own),
+    P_{2n} at those nodes for n = 1..N as one C-contiguous array, and the
+    rule's moments of the isotropic density; cached, so read-only."""
     nodes, weights = zonal_rule(D, _ORDER)
-    table = legendre_table(D, 2 * N, nodes)[2::2]
-    return weights, table, table @ (weights / weights.sum())
+    half = nodes >= 0.0
+    weights = np.where(nodes > 0.0, 2.0 * weights, weights)[half]
+    table = np.ascontiguousarray(legendre_table(D, 2 * N, nodes[half])[2::2])
+    tables = weights, table, table @ (weights / weights.sum())
+    for array in tables:
+        array.setflags(write=False)
+    return tables
 
 
 @lru_cache(maxsize=64)
@@ -322,10 +332,11 @@ def _polish(spec: KernelSpec, lam, coeffs, res, jac):
     return coeffs, res
 
 
-# Rows of the Newton pool: bounds the (rows, N, _ORDER) temporary of the
-# second moments whatever the number of starts.  The README sweep takes
-# 162 density passes at 64 rows (466 with one batch per lambda), 319 at
-# 32, and 85 at 128, whose peak memory is 2.3 MB higher.
+# Rows of the Newton pool: bounds the (rows, N, 64) temporary of the
+# second moments on the folded rule whatever the number of starts.  The
+# README sweep takes 162 density passes at 64 rows (466 with one batch
+# per lambda), 319 at 32, and 85 at 128, whose peak memory is 1.9 MB
+# higher.
 _BATCH_ROWS = 64
 
 
@@ -387,10 +398,11 @@ def _newton(spec: KernelSpec, lam, starts: np.ndarray, tol: float,
     return end_u, end_res, its
 
 
-def _check_tol_lambda(tol: float, lam: float):
-    """Rejects a tol that is not positive and finite and a lambda that is
-    not nonnegative and finite (NaN fails both comparisons)."""
-    if not 0 < tol < math.inf:
+def _check_tol_lambda(tol: float | None, lam: float):
+    """Rejects a tol that is not positive and finite (None: no tol) and a
+    lambda that is not nonnegative and finite (NaN fails both
+    comparisons)."""
+    if tol is not None and not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if not 0 <= lam < math.inf:
         raise ValueError(f"lambda must be nonnegative and finite, got {lam}")
@@ -482,24 +494,32 @@ def multistart(spec: KernelSpec, lam: float, n_starts: int, seed: int,
 
 
 def recover_density(state: AxisymState) -> DensityProfile:
-    """Orientation density f = e^(-u) / int e^(-u) dsigma at the zonal
-    quadrature nodes."""
+    """Orientation density f = e^(-u) / int e^(-u) dsigma at every node
+    of the zonal rule, t < 0 mirrored from the folded rule's t >= 0."""
     weights, table, _ = _mode_tables(state.D, state.N)
     u = state.coeffs @ table
     shift = u.min()
     e = np.exp(-(u - shift))
     z = surface_area(state.D - 1) * float(np.dot(weights, e))
     beta = z * math.exp(-shift)
-    return DensityProfile(D=state.D, values=e / z, beta=beta)
+    values = np.concatenate((e[::-1][:_ORDER // 2], e)) / z
+    return DensityProfile(D=state.D, values=values, beta=beta)
 
 
 def free_energy(density: DensityProfile, spec: KernelSpec, lam: float,
                 ) -> float:
     """Mean-field free energy int f (log f + U(f)/2) dsigma with the
-    potential rebuilt from the density's zonal moments."""
+    potential rebuilt from the density's zonal moments, for an even
+    density at the nodes of the zonal rule (recover_density): read at
+    t >= 0 on the folded rule."""
     D = density.D
+    _check_tol_lambda(None, lam)
+    _check_kernel(spec, D, spec.n_max)
+    if density.values.shape != (_ORDER,):
+        raise ValueError(f"density needs one value per node of the "
+                         f"{_ORDER}-node rule, got {density.values.shape}")
     weights, table, _ = _mode_tables(D, spec.n_max)
-    f = density.values
+    f = density.values[_ORDER // 2:]
     sigma_ratio = surface_area(D - 1)
     a = sigma_ratio * (table @ (weights * f))
     potential = lam * (spec.k0 - (spec.coeffs * a) @ table)

@@ -22,7 +22,15 @@ from onsager.errors import (
 )
 from onsager.kernel import KernelSpec, build_kernel_spec
 from onsager.polybasis import harmonic_count
-from onsager.solver import AxisymState, multistart, solve, state_norm
+from onsager.solver import (
+    AxisymState,
+    DensityProfile,
+    free_energy,
+    multistart,
+    recover_density,
+    solve,
+    state_norm,
+)
 
 SPEC3 = build_kernel_spec(3, 12, "onsager-quadrature")
 LAM1 = 32.0 / math.pi
@@ -218,18 +226,29 @@ NAN, INF = math.nan, math.inf
      "max_iter"),
     (lambda: multistart(SPEC3, 5.0, 5, seed=0, max_iter=-3), "max_iter"),
     (lambda: multistart(SPEC3, 5.0, 5, seed=0, N=0), "truncation"),
+    (lambda: free_energy(recover_density(AxisymState(3, [1.0])), SPEC3, NAN),
+     "finite"),
+    (lambda: free_energy(recover_density(AxisymState(3, [1.0])),
+                         build_kernel_spec(5, 4, "onsager-recurrence"), 5.0),
+     "dimension"),
+    (lambda: free_energy(DensityProfile(3, np.ones(200), 1.0), SPEC3, 5.0),
+     "node"),
 ], ids=["solve-lam-nan", "solve-lam-inf", "solve-tol-nan", "solve-tol-inf",
         "solve-tol-0", "multistart-lam-nan", "multistart-lam-inf",
         "multistart-tol-nan", "multistart-tol-neg", "audit-lam-nan",
         "audit-lam-inf", "audit-lam-neg", "branch-tol-neg", "branch-tol-nan",
         "branch-tol-inf", "branch-lam-nan", "branch-lam-inf",
-        "solve-max-iter-neg", "multistart-max-iter-neg", "multistart-N-0"])
+        "solve-max-iter-neg", "multistart-max-iter-neg", "multistart-N-0",
+        "free-energy-lam-nan", "free-energy-dim-mismatch",
+        "free-energy-values-size"])
 def test_entry_points_reject_non_finite_lambda_and_tol(call, match):
     # lambda must be finite and >= 0, tol finite and > 0; before the check,
     # these raised LinAlgError or OverflowError, returned an unconverged
     # report or ended in BranchNotFoundError.  max_iter must be >= 0 and
     # N >= 1: before, they raised SingularLinearizationError, returned an
-    # empty census or failed in AxisymState
+    # empty census or failed in AxisymState.  free_energy returned nan for
+    # lambda = nan and a number for a kernel of another dimension, and it
+    # must not read a density of another size as the rule's
     with pytest.raises(ValueError, match=match):
         call()
 

@@ -567,6 +567,67 @@ def test_cli_import_loads_no_scipy_linalg_or_optimize():
     assert out == "[]\n"
 
 
+_BASE = ["cli", "errors", "kernel", "polybasis"]
+
+
+@pytest.mark.parametrize(("argv", "loaded"), [
+    ([], _BASE),
+    (["coeffs", "--nmax", "3"], _BASE),
+    (["thresholds", "--nmax", "3"], _BASE + ["bifurcation", "solver"]),
+    (["solve", "--lambda", "5", "--nmax", "3"], _BASE + ["solver"]),
+    (["sweep", "--lambda-min", "5", "--lambda-max", "6", "--steps", "2",
+      "--nmax", "3", "--starts", "3"], _BASE + ["solver"]),
+    (["audit-degree", "--lambda", "5", "--truncations", "2", "--nmax", "2",
+      "--starts", "3"], _BASE + ["bifurcation", "solver"]),
+    (["evolve", "--lambda", "5", "--grid", "32", "--t-max", "0.01",
+      "--nmax", "3"], _BASE + ["dynamics"]),
+], ids=["help", "coeffs", "thresholds", "solve", "sweep", "audit-degree",
+        "evolve"])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv,
+                                                     loaded):
+    # the package and cli import the solver, bifurcation and dynamics
+    # modules only where a command runs them
+    probe = ("import sys; from onsager import cli\n"
+             "code = cli.main(sys.argv[1:])\n"
+             "print(code, sorted(m for m in sys.modules "
+             "if m.startswith('onsager.')))")
+    out = ["--output", "out.csv"] if argv else []
+    proc = subprocess.run([sys.executable, "-c", probe, *argv, *out],
+                          env=_src_env(), cwd=tmp_path, capture_output=True,
+                          text=True, check=True)
+    modules = sorted(f"onsager.{name}" for name in loaded)
+    assert proc.stdout.splitlines()[-1] == f"0 {modules}"
+
+
+def test_package_names_resolve_on_first_use():
+    # `import onsager` loads no module; every public name resolves to its
+    # module's object, and dir() and `import *` list every module and name
+    probe = (
+        "import sys, onsager\n"
+        "print(sorted(m for m in sys.modules if m.startswith('onsager.')))\n"
+        "names = [n for n in dir(onsager) if not n.startswith('__')]\n"
+        "print(names == onsager.__all__)\n"
+        "space = {}\n"
+        "exec('from onsager import *', space)\n"
+        "print(sorted(n for n in space if n != '__builtins__') == names)\n"
+        "print(all(space[n] is getattr(onsager, n) for n in names))\n"
+        "print(onsager.solve is onsager.solver.solve)\n"
+        "print(hasattr(onsager, 'no_such_name'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=_src_env(),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == ["[]", "True", "True", "True", "True",
+                                "False"]
+    # the 6 modules and 53 names the package imported eagerly before,
+    # each name the object its defining module binds
+    import onsager
+    modules = {"bifurcation", "dynamics", "errors", "kernel", "polybasis",
+               "solver"}
+    assert len(onsager.__all__) == 59 and modules <= set(onsager.__all__)
+    for name in set(onsager.__all__) - modules:
+        obj = getattr(onsager, name)
+        assert obj is getattr(sys.modules[obj.__module__], name)
+
+
 def test_readme_examples_run_without_scipy(tmp_path):
     # with scipy unimportable, every README example exits 0 and writes
     # nothing to stderr
