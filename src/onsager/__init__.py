@@ -20,10 +20,10 @@ _EXPORTS = {
                "SingularLinearizationError", "ThresholdUndefinedError",
                "ValidationError"),
     "kernel": ("KernelSpec", "build_kernel_spec", "coeff_by_quadrature",
-               "coeff_by_recurrence", "coeff_ratio", "khat_eval", "mean_value",
+               "coeff_by_recurrence", "coeff_ratio", "khat_eval",
                "onsager_mean", "tail_bound"),
     "polybasis": ("harmonic_count", "legendre_eval", "legendre_table",
-                  "surface_area", "weighted_integral"),
+                  "surface_area"),
     "solver": ("AxisymState", "DensityProfile", "SolutionReport", "apply_G",
                "censuses", "free_energy", "jacobian", "multistart",
                "recover_density", "residual", "solve", "state_norm",

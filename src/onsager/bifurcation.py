@@ -4,6 +4,7 @@ self-consistency equation u = lam G(u)."""
 
 import math
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -16,17 +17,11 @@ from .errors import (
 )
 from .kernel import KernelSpec, tail_bound
 from .polybasis import harmonic_count
-from .solver import (
-    AxisymState,
-    SolutionReport,
-    _check_kernel,
-    _check_tol_lambda,
-    _fused_pass,
-    _make_report,
-    _spectrum,
-    censuses,
-    state_norm,
-)
+
+# The solver is imported where it runs, so that `thresholds`, which needs
+# only the kernel, does not load it.
+if TYPE_CHECKING:
+    from .solver import SolutionReport
 
 __all__ = [
     "ThresholdReport",
@@ -74,6 +69,7 @@ class Branch:
     def amplitudes(self, sign: int) -> list:
         """Norms of the stored points with the given sign of u_mode,
         nearest the origin first."""
+        from .solver import state_norm
         return [state_norm(p.state.D, p.state.coeffs) for p in self.points
                 if math.copysign(1, p.state.coeffs[self.mode - 1]) == sign]
 
@@ -152,13 +148,15 @@ def uniqueness_thresholds(spec: KernelSpec) -> ThresholdReport:
     )
 
 
-def _report_spectrum(report: SolutionReport, spec: KernelSpec) -> np.ndarray:
+def _report_spectrum(report: "SolutionReport",
+                     spec: KernelSpec) -> np.ndarray:
     """Eigenvalues g of I - J at a converged solution, at the report's own
     truncation and lambda, from `solver._spectrum`: the one linear
     analysis behind Newton, index and stability.  Raises
     SingularLinearizationError where that flags I - J as degenerate, as
     Newton does.
     """
+    from .solver import _check_kernel, _fused_pass, _spectrum
     if not report.converged:
         raise ValueError("index and stability are only defined at "
                          "converged solutions")
@@ -172,7 +170,7 @@ def _report_spectrum(report: SolutionReport, spec: KernelSpec) -> np.ndarray:
     return g
 
 
-def index_of(report: SolutionReport, spec: KernelSpec) -> int:
+def index_of(report: "SolutionReport", spec: KernelSpec) -> int:
     """Brouwer index sign det(I - J) at a converged solution, at the
     report's lambda: (-1)^#{g < 0} over the real eigenvalues g of I - J.
     I - J singular to rounding raises SingularLinearizationError."""
@@ -189,6 +187,7 @@ def degree_audit(spec: KernelSpec, lam: float, n_starts: int, seed: int,
     across the list.  A second census at seed + 1, run in the same
     Newton pool, guards against multistart instability.
     """
+    from .solver import censuses
     for n, crit in enumerate(critical_values(spec), start=1):
         if abs(lam - crit) <= 1e-6 * crit:
             raise ValidationError(
@@ -232,6 +231,7 @@ def _corrector(spec, y, tangent, tol):
     matrix [[I - J, dF/dlam], [tangent]] from one density pass (F is
     linear in lam: dF/dlam = (F - u) / lam).  Returns (y, F, matrix,
     updates) at the first y with state_norm(F) <= tol, or None."""
+    from .solver import _fused_pass, state_norm
     for it in range(_CORRECTOR_ITERS + 1):
         u, lam = y[:-1], y[-1]
         res, jac, _ = _fused_pass(spec, lam, u)
@@ -253,6 +253,7 @@ def _family(spec, n, origin, sign, lambda_max, n_modes, tol):
     arclength order, up to the first with lambda > lambda_max, a sign
     change of u_n or a return to the trivial state (|u| < _DS_FIRST / 2),
     or until the step falls below _DS_MIN or _MAX_STEPS steps."""
+    from .solver import AxisymState, _make_report
     unit = np.eye(n_modes + 1)
     x, tangent = origin * unit[-1], sign * unit[n - 1]
     ds, points = _DS_FIRST, []
@@ -292,6 +293,7 @@ def trace_branch(spec: KernelSpec, n: int, lambda_max: float,
     lambda <= lambda_max are kept.  tol must be positive and lambda_max
     nonnegative, both finite.
     """
+    from .solver import _check_tol_lambda
     _check_tol_lambda(tol, lambda_max)
     if n < 1 or n > spec.n_max:
         raise ValueError(f"mode must be in 1..{spec.n_max}, got {n}")
@@ -314,7 +316,7 @@ def trace_branch(spec: KernelSpec, n: int, lambda_max: float,
     return Branch(mode=n, origin=origin, points=tuple(points))
 
 
-def classify_stability(report: SolutionReport, spec: KernelSpec) -> str:
+def classify_stability(report: "SolutionReport", spec: KernelSpec) -> str:
     """Stability of a converged solution under the relaxation dynamics, at
     the report's lambda: "stable" when every eigenvalue g of I - J at the
     report's truncation is positive, "unstable" otherwise.  I - J

@@ -441,7 +441,7 @@ def main(argv=None) -> int:
     except ValidationError as e:
         sys.stderr.write(f"onsager: {e}\n")
         return 2
-    except (OnsagerError, OSError, OverflowError,
+    except (OnsagerError, OSError, OverflowError, MemoryError,
             np.linalg.LinAlgError) as e:
         sys.stderr.write(f"onsager: {e}\n")
         _write_error_record(command, cfg, e)

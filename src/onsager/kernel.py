@@ -19,7 +19,6 @@ from .polybasis import (
 __all__ = [
     "KernelSpec",
     "SOURCES",
-    "mean_value",
     "onsager_mean",
     "coeff_ratio",
     "coeff_by_quadrature",
@@ -93,36 +92,6 @@ class KernelSpec:
     def coeff(self, n: int) -> float:
         """k_n for 1 <= n <= n_max."""
         return float(self.coeffs[n - 1])
-
-
-def mean_value(kernel_profile, D: int, tol: float = 1e-12,
-               max_points: int = 1 << 20) -> float:
-    """Sphere average of a kernel given by its profile over the angle
-    gamma in [0, pi].
-
-    Evaluated as sigma_(D-1)/sigma_D * int_0^pi K(gamma) sin^(D-2) dgamma
-    by an adaptive midpoint rule (doubling until the value is stable).
-    """
-    prefac = surface_area(D - 1) / surface_area(D)
-
-    def estimate(m):
-        theta = (np.arange(m) + 0.5) * (math.pi / m)
-        vals = np.asarray(kernel_profile(theta), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise ValidationError("kernel profile returned non-finite values")
-        return prefac * (math.pi / m) * float(
-            np.dot(vals, np.sin(theta) ** (D - 2)))
-
-    m = 64
-    prev = estimate(m)
-    while m < max_points:
-        m *= 2
-        cur = estimate(m)
-        if abs(cur - prev) <= tol * max(1.0, abs(cur)):
-            return cur
-        prev = cur
-    raise AccuracyError("kernel mean did not stabilize at "
-                        f"{max_points} points", achieved=abs(cur - prev))
 
 
 def onsager_mean(D: int) -> float:

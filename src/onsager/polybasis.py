@@ -13,7 +13,6 @@ __all__ = [
     "legendre_eval",
     "legendre_table",
     "zonal_rule",
-    "weighted_integral",
 ]
 
 
@@ -28,14 +27,11 @@ def harmonic_count(D: int, n: int) -> int:
     """Number of linearly independent degree-n spherical harmonics on S^(D-1).
 
     Computed in exact integer arithmetic:
-    (2n + D - 2) * (n + D - 3)! / ((D - 2)! * n!).
+    (2n + D - 2) * C(n + D - 3, D - 3) / (D - 2).  The binomial is a
+    product of D - 3 factors, so a count costs no factorial of n.
     """
     _check_index(D, n)
-    num = (2 * n + D - 2) * math.factorial(n + D - 3)
-    den = math.factorial(D - 2) * math.factorial(n)
-    count, rem = divmod(num, den)
-    assert rem == 0
-    return count
+    return (2 * n + D - 2) * math.comb(n + D - 3, D - 3) // (D - 2)
 
 
 # The largest D whose Gamma(D/2), and so surface_area(D), is a finite
@@ -156,13 +152,3 @@ def zonal_rule(D: int, order: int):
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
-
-
-def weighted_integral(f, D: int, order: int) -> float:
-    """Integral of f(t) (1 - t^2)^((D-3)/2) dt over [-1, 1] by the
-    `order`-point zonal rule, so the weight itself costs no accuracy."""
-    nodes, weights = zonal_rule(D, order)
-    values = np.asarray(f(nodes), dtype=float)
-    if values.shape != nodes.shape:
-        values = np.broadcast_to(values, nodes.shape)
-    return float(np.dot(weights, values))

@@ -296,47 +296,11 @@ def _make_report(state, res, spec, lam, iterations, tol):
                           sup_norm_u=sup_u)
 
 
-def _polish(spec: KernelSpec, lam, coeffs, res, jac):
-    """Up to 4 more Newton steps on converged states (S, N), lam a scalar
-    or one per row, given with their residuals and Jacobians
-    (overwritten), so that two runs landing on one root agree far inside
-    the deduplication radius.  A row stops at residual norm <= 1e-14, and
-    keeps its state where I - J is exactly singular or the candidate is
-    not finite or does not lower the residual norm: bitwise where
-    polishing the row alone ends.  Returns the final states and
-    residuals."""
-    lam = np.broadcast_to(lam, len(coeffs))
-    live, norm = np.arange(len(coeffs)), _norms(spec.D, res)
-    for _ in range(4):
-        live = live[~(norm[live] <= 1e-14)]
-        if not live.size:
-            break
-        system, rhs = np.eye(coeffs.shape[1]) - jac[live], -res[live, :, None]
-        try:
-            delta = np.linalg.solve(system, rhs)[..., 0]
-        except np.linalg.LinAlgError:  # row by row: only singular rows end
-            delta = np.full(rhs.shape[:2], np.nan)
-            for j in range(live.size):
-                with contextlib.suppress(np.linalg.LinAlgError):
-                    delta[j] = np.linalg.solve(system[j], rhs[j])[:, 0]
-        cand = coeffs[live] + delta
-        finite = np.isfinite(cand).all(axis=1)
-        live, cand = live[finite], cand[finite]
-        cand_res, cand_jac, _ = _fused_pass(spec, lam[live], cand)
-        cand_norm = _norms(spec.D, cand_res)
-        better = ~(cand_norm >= norm[live])
-        live = live[better]
-        coeffs[live], res[live], jac[live], norm[live] = (
-            cand[better], cand_res[better], cand_jac[better],
-            cand_norm[better])
-    return coeffs, res
-
-
 # Rows of the Newton pool: bounds the (rows, N, 64) temporary of the
 # second moments on the folded rule whatever the number of starts.  The
-# README sweep takes 162 density passes at 64 rows (466 with one batch
-# per lambda), 319 at 32, and 85 at 128, whose peak memory is 1.9 MB
-# higher.
+# README sweep evaluates 9481 rows: in 153 density passes at 64 rows
+# (converged rows polish in the pool), 300 at 32, and 79 at 128, whose
+# peak traced memory (tracemalloc) is 1.1 MB higher.
 _BATCH_ROWS = 64
 
 
@@ -346,13 +310,18 @@ def _newton(spec: KernelSpec, lam, starts: np.ndarray, tol: float,
     starts (S, N), lam a scalar or one per row, in a pool of at most
     _BATCH_ROWS rows that refills in start order as rows end.
 
-    Each row takes exactly the steps it would take alone: it ends when its
-    residual norm is <= tol (then _polish, up to _BATCH_ROWS such rows
-    together), when _singular finds I - J degenerate (the row is
-    dropped), before an update that is not finite, or after max_iter
-    updates of its own.  Returns the final states (S, N), their residuals
-    (S, N) and the updates each row took (S,), -1 for a dropped row
-    (whose state and residual are undefined).  The caller checks the
+    Each row takes exactly the steps it would take alone.  A Newton row
+    ends when _singular finds I - J degenerate (the row is dropped),
+    before an update that is not finite, or after max_iter updates of its
+    own.  At residual norm <= tol it records its updates and stays in the
+    pool to polish, so that two runs landing on one root agree far inside
+    the deduplication radius: each candidate step is kept unless its
+    residual norm is no lower (NaN counts as lower), and the row ends at
+    its kept state when a candidate is not kept, is not finite or has no
+    solve (I - J exactly singular), at kept norm <= 1e-14, or after 4
+    kept candidates.  Returns the final states (S, N), their residuals
+    (S, N) and the Newton updates each row took (S,), -1 for a dropped
+    row (whose state and residual are undefined).  The caller checks the
     kernel, tol and lam.
     """
     if not max_iter >= 0:
@@ -360,41 +329,43 @@ def _newton(spec: KernelSpec, lam, starts: np.ndarray, tol: float,
     S, N = starts.shape
     lam = np.broadcast_to(lam, S)
     end_u, end_res, its = np.empty((S, N)), np.empty((S, N)), np.full(S, -1)
+    end_norm = np.empty(S)
+    # taken: a Newton row's updates, a polish row's candidates
     rows, taken, coeffs = np.empty(0, int), np.empty(0, int), np.empty((0, N))
-    waiting, wait_jac = np.empty(0, int), np.empty((0, N, N))  # to polish
     queued = 0
-    while rows.size or queued < S or waiting.size:
+    while rows.size or queued < S:
         new = np.arange(queued, min(S, queued + _BATCH_ROWS - rows.size))
         if new.size:  # refill the pool from the queue
             rows, queued = np.concatenate((rows, new)), new[-1] + 1
             taken = np.concatenate((taken, np.zeros_like(new)))
             coeffs = np.concatenate((coeffs, starts[new]))
-        if rows.size:
-            res, jac, cov = _fused_pass(spec, lam[rows], coeffs)
-            last = taken == max_iter
-            done = ~last & (_norms(spec.D, res) <= tol)
-            end = done | last
-            end_u[rows[end]], end_res[rows[end]] = coeffs[end], res[end]
-            its[rows[end]] = taken[end]
-            waiting = np.concatenate((waiting, rows[done]))
-            wait_jac = np.concatenate((wait_jac, jac[done]))
-            go = ~end
-            go[go] = ~_singular(spec, lam[rows[go]], cov[go])
-            rows, coeffs, res, jac = rows[go], coeffs[go], res[go], jac[go]
-            taken = taken[go] + 1
-            new = coeffs + np.linalg.solve(np.eye(N) - jac,
-                                           -res[..., None])[..., 0]
-            bad = ~np.isfinite(new).all(axis=1)
-            end_u[rows[bad]], end_res[rows[bad]] = coeffs[bad], res[bad]
-            its[rows[bad]] = taken[bad]
-            rows, coeffs, taken = rows[~bad], new[~bad], taken[~bad]
-        idle = not (rows.size or queued < S)
-        if waiting.size >= _BATCH_ROWS or (idle and waiting.size):
-            first = waiting[:_BATCH_ROWS]
-            end_u[first], end_res[first] = _polish(
-                spec, lam[first], end_u[first], end_res[first],
-                wait_jac[:_BATCH_ROWS])
-            waiting, wait_jac = waiting[_BATCH_ROWS:], wait_jac[_BATCH_ROWS:]
+        res, jac, cov = _fused_pass(spec, lam[rows], coeffs)
+        norm = _norms(spec.D, res)
+        polish = its[rows] >= 0
+        keep = ~polish | ~(norm >= end_norm[rows])  # NaN counts as lower
+        end_u[rows[keep]], end_res[rows[keep]] = coeffs[keep], res[keep]
+        end_norm[rows[keep]] = norm[keep]
+        last = ~polish & (taken == max_iter)
+        done = ~polish & ~last & (norm <= tol)
+        its[rows[done | last]] = taken[done | last]
+        taken[done] = 0
+        go = keep & ~last & (taken < 4) & ~(norm <= 1e-14)
+        newton = ~(polish | done | last)
+        go[newton] = ~_singular(spec, lam[rows[newton]], cov[newton])
+        rows, coeffs, res, jac = rows[go], coeffs[go], res[go], jac[go]
+        newton, taken = newton[go], taken[go] + 1
+        system, rhs = np.eye(N) - jac, -res[..., None]
+        try:
+            delta = np.linalg.solve(system, rhs)[..., 0]
+        except np.linalg.LinAlgError:  # row by row: only singular rows end
+            delta = np.full(res.shape, np.nan)
+            for j in range(rows.size):
+                with contextlib.suppress(np.linalg.LinAlgError):
+                    delta[j] = np.linalg.solve(system[j], rhs[j])[:, 0]
+        new = coeffs + delta
+        bad = ~np.isfinite(new).all(axis=1)  # the row ends at its kept state
+        its[rows[bad & newton]] = taken[bad & newton]
+        rows, coeffs, taken = rows[~bad], new[~bad], taken[~bad]
     return end_u, end_res, its
 
 

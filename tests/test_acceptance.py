@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 from explicit_oracle import explicit_step
+from integral_oracle import weighted_integral
 from scipy.special import eval_gegenbauer
 
 from onsager import cli
@@ -28,12 +29,7 @@ from onsager.dynamics import (
     make_grid,
 )
 from onsager.kernel import build_kernel_spec, khat_eval, onsager_mean
-from onsager.polybasis import (
-    harmonic_count,
-    surface_area,
-    weighted_integral,
-    zonal_rule,
-)
+from onsager.polybasis import harmonic_count, surface_area, zonal_rule
 from onsager.solver import (
     AxisymState,
     apply_G,

@@ -5,7 +5,7 @@ import pytest
 from natural_branch_oracle import trace_branch as natural_branch
 from scipy.special import lambertw
 
-from onsager import bifurcation
+from onsager import bifurcation, solver
 from onsager.bifurcation import (
     classify_stability,
     critical_values,
@@ -348,14 +348,14 @@ def test_trace_branch_propagates_programming_errors(monkeypatch,
                                                     fail_above):
     # 0 breaks the first corrector step; 1.06 lambda_1 only the steps of
     # the u_1 > 0 family past it
-    real_pass = bifurcation._fused_pass
+    real_pass = solver._fused_pass
 
     def broken_pass(spec, lam, *args, **kwargs):
         if lam > fail_above:
             raise TypeError("broken density pass")
         return real_pass(spec, lam, *args, **kwargs)
 
-    monkeypatch.setattr(bifurcation, "_fused_pass", broken_pass)
+    monkeypatch.setattr(solver, "_fused_pass", broken_pass)
     with pytest.raises(TypeError):
         trace_branch(SPEC3, 1, 1.3 * LAM1)
 

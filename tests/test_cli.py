@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from onsager import cli, dynamics, kernel
+from onsager import cli, dynamics, kernel, solver
 from onsager.dynamics import evolve
 from onsager.errors import ValidationError
 
@@ -212,6 +212,29 @@ def test_overflow_exits_3_with_error_record(tmp_path, capsys):
     assert "Traceback" not in err and err.count("\n") == 1
     record = json.loads((tmp_path / "t.error.json").read_text())
     assert record["error"] == "OverflowError"
+    assert not out.exists()
+
+
+def test_out_of_memory_exits_3_with_error_record(monkeypatch, tmp_path,
+                                                 capsys):
+    # numpy's allocation failure is a MemoryError; the census raises it
+    # here without allocating anything
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 916. MiB for an array with "
+                          "shape (30, 2000, 2000) and data type float64")
+
+    monkeypatch.setattr(solver, "censuses", no_memory)
+    out = tmp_path / "sweep.csv"
+    code = cli.main(["sweep", "--lambda-min", "9", "--lambda-max", "9",
+                     "--steps", "1", "--nmax", "2000", "--output", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("onsager: Unable to allocate 916. MiB")
+    assert "Traceback" not in err and err.count("\n") == 1
+    record = json.loads((tmp_path / "sweep.error.json").read_text())
+    assert record["error"] == "MemoryError"
+    assert record["command"] == "sweep"
+    assert record["parameters"]["nmax"] == 2000
     assert not out.exists()
 
 
@@ -573,7 +596,7 @@ _BASE = ["cli", "errors", "kernel", "polybasis"]
 @pytest.mark.parametrize(("argv", "loaded"), [
     ([], _BASE),
     (["coeffs", "--nmax", "3"], _BASE),
-    (["thresholds", "--nmax", "3"], _BASE + ["bifurcation", "solver"]),
+    (["thresholds", "--nmax", "3"], _BASE + ["bifurcation"]),
     (["solve", "--lambda", "5", "--nmax", "3"], _BASE + ["solver"]),
     (["sweep", "--lambda-min", "5", "--lambda-max", "6", "--steps", "2",
       "--nmax", "3", "--starts", "3"], _BASE + ["solver"]),
@@ -617,12 +640,12 @@ def test_package_names_resolve_on_first_use():
                          capture_output=True, text=True, check=True).stdout
     assert out.splitlines() == ["[]", "True", "True", "True", "True",
                                 "False"]
-    # the 6 modules and 53 names the package imported eagerly before,
-    # each name the object its defining module binds
+    # the 6 modules and their 51 public names, each name the object its
+    # defining module binds
     import onsager
     modules = {"bifurcation", "dynamics", "errors", "kernel", "polybasis",
                "solver"}
-    assert len(onsager.__all__) == 59 and modules <= set(onsager.__all__)
+    assert len(onsager.__all__) == 57 and modules <= set(onsager.__all__)
     for name in set(onsager.__all__) - modules:
         obj = getattr(onsager, name)
         assert obj is getattr(sys.modules[obj.__module__], name)

