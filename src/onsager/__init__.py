@@ -20,13 +20,11 @@ _EXPORTS = {
                "SingularLinearizationError", "ThresholdUndefinedError",
                "ValidationError"),
     "kernel": ("KernelSpec", "build_kernel_spec", "coeff_by_quadrature",
-               "coeff_by_recurrence", "coeff_ratio", "khat_eval",
-               "onsager_mean", "tail_bound"),
-    "polybasis": ("harmonic_count", "legendre_eval", "legendre_table",
-                  "surface_area"),
-    "solver": ("AxisymState", "DensityProfile", "SolutionReport", "apply_G",
-               "censuses", "free_energy", "jacobian", "multistart",
-               "recover_density", "residual", "solve", "state_norm",
+               "coeff_by_recurrence", "coeff_ratio", "onsager_mean",
+               "tail_bound"),
+    "polybasis": ("harmonic_count", "legendre_table", "surface_area"),
+    "solver": ("AxisymState", "SolutionReport", "censuses", "jacobian",
+               "multistart", "residual", "solve", "state_norm",
                "zonal_moments"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()

@@ -66,13 +66,6 @@ class Branch:
     origin: float
     points: tuple
 
-    def amplitudes(self, sign: int) -> list:
-        """Norms of the stored points with the given sign of u_mode,
-        nearest the origin first."""
-        from .solver import state_norm
-        return [state_norm(p.state.D, p.state.coeffs) for p in self.points
-                if math.copysign(1, p.state.coeffs[self.mode - 1]) == sign]
-
 
 @dataclass(frozen=True)
 class DegreeReport:

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import kernel
 from .errors import OnsagerError, ValidationError
-from .polybasis import MAX_DIM, legendre_eval
+from .polybasis import MAX_DIM, legendre_table
 
 __all__ = ["main", "emit_table"]
 
@@ -69,8 +69,9 @@ def emit_table(records, path, fmt: str):
     scalar values) to path, or to stdout when path is None.
 
     CSV output carries 17 significant digits and LF line endings; a CSV
-    file is accompanied by a JSON mirror at the same stem, JSON output
-    stands alone.  Identical records produce byte-identical output.
+    file is accompanied by a JSON mirror at the same stem, so its path
+    must not end in ".json"; JSON output stands alone.  Identical records
+    produce byte-identical output.
     """
     if not records:
         raise ValidationError("no records to write")
@@ -82,6 +83,10 @@ def emit_table(records, path, fmt: str):
         raise ValidationError("records have no columns")
     if fmt not in ("csv", "json"):
         raise ValidationError(f"unknown format {fmt!r}")
+    if (fmt == "csv" and path is not None
+            and os.path.splitext(path)[0] + ".json" == path):
+        raise ValidationError(f"CSV output {path} would be overwritten by "
+                              "its JSON mirror")
     json_text = _json_text(records)
     if fmt == "json":
         text = json_text
@@ -332,6 +337,11 @@ def _run_sweep(cfg, spec):
     modes = cfg["modes"] if cfg["modes"] is not None else cfg["nmax"]
     lams = [float(lam) for lam in np.linspace(
         cfg["lambda_min"], cfg["lambda_max"], cfg["steps"])]
+    if any(a >= b for a, b in zip(lams, lams[1:])):
+        raise ValidationError(
+            f"--steps {cfg['steps']} repeats a lambda value between "
+            f"--lambda-min {cfg['lambda_min']} and --lambda-max "
+            f"{cfg['lambda_max']}")
     found = solver.censuses(spec, lams, cfg["starts"], [cfg["seed"]],
                             N=modes, tol=cfg["tol"], max_iter=cfg["max_iter"])
     records = []
@@ -345,7 +355,6 @@ def _run_sweep(cfg, spec):
             }
             record.update(_state_columns(report.state.coeffs, modes))
             records.append(record)
-    records.sort(key=lambda r: (r["lambda"], r["branch"]))
     return records
 
 
@@ -375,8 +384,12 @@ def _run_evolve(cfg, spec):
     from . import dynamics
     grid = dynamics.make_grid(cfg["dim"], cfg["grid"])
     dt = cfg["dt"] or dynamics.DT_PER_H2 * grid.h ** 2
-    shape = 1.0 + cfg["perturb"] * legendre_eval(cfg["dim"], 2,
-                                                 np.cos(grid.points))
+    shape = 1.0 + cfg["perturb"] * legendre_table(cfg["dim"], 2,
+                                                  np.cos(grid.points))[2]
+    if np.any(shape < 0.0):
+        raise ValidationError(
+            f"--perturb {cfg['perturb']} makes the start density "
+            f"1 + perturb P_2 negative (min P_2 = -1/{cfg['dim'] - 1})")
     traj = dynamics.evolve(shape, spec, cfg["lambda"], dt, cfg["t_max"], grid,
                            record_every=cfg["record_every"])
     records = []

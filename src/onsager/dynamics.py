@@ -24,7 +24,6 @@ __all__ = [
     "grid_energy",
     "step",
     "evolve",
-    "density_on_grid",
 ]
 
 MIN_POINTS = 32
@@ -227,6 +226,8 @@ def evolve(f0: np.ndarray, spec: KernelSpec, lam: float, dt: float,
         raise ValueError("need finite dt > 0 and t_max >= 0 and record_every "
                          f">= 1, got {dt}, {t_max}, {record_every}")
     f = np.array(f0, dtype=float)
+    if np.any(f < 0.0):
+        raise ValueError("initial density must be nonnegative")
     mass = grid_mass(f, grid)
     if mass <= 0 or not math.isfinite(mass):
         raise ValueError("initial density must have positive finite mass")
@@ -256,10 +257,3 @@ def evolve(f0: np.ndarray, spec: KernelSpec, lam: float, dt: float,
             break
     return traj
 
-
-def density_on_grid(state, grid: ThetaGrid) -> np.ndarray:
-    """Grid samples of the density e^(-u)/beta defined by a solver state,
-    normalized in the grid's discrete measure."""
-    u = state.eval(np.cos(grid.points))
-    f = np.exp(-(u - u.min()))
-    return f / grid_mass(f, grid)

@@ -24,7 +24,6 @@ __all__ = [
     "coeff_by_quadrature",
     "coeff_by_recurrence",
     "build_kernel_spec",
-    "khat_eval",
     "tail_bound",
 ]
 
@@ -214,16 +213,6 @@ def build_kernel_spec(D: int, n_max: int, source: str,
             "coefficients must be positive and strictly decreasing",
             index=int(bad[0]) + 1)
     return KernelSpec(D=D, coeffs=coeffs, k0=onsager_mean(D), source=source)
-
-
-def khat_eval(spec: KernelSpec, gamma):
-    """Mean-zero truncated kernel -sum_n k_n P_{2n}(D, cos gamma)."""
-    g = np.asarray(gamma, dtype=float)
-    if np.any(g < 0.0) or np.any(g > math.pi):
-        raise ValueError("gamma outside [0, pi]")
-    table = legendre_table(spec.D, 2 * spec.n_max, np.atleast_1d(np.cos(g)))
-    out = -(spec.coeffs @ table[2::2])
-    return float(out[0]) if np.ndim(gamma) == 0 else out
 
 
 def tail_bound(spec: KernelSpec) -> float:

@@ -10,7 +10,6 @@ import numpy as np
 __all__ = [
     "harmonic_count",
     "surface_area",
-    "legendre_eval",
     "legendre_table",
     "zonal_rule",
 ]
@@ -68,28 +67,10 @@ def _gegenbauer_rows(alpha: float, max_degree: int, t: np.ndarray):
         yield c
 
 
-def legendre_eval(D: int, n: int, t):
-    """Zonal polynomial P_n(D, t) = C_n^(alpha)(t) / C_n^(alpha)(1),
-    alpha = (D - 2)/2, normalized so P_n(D, 1) = 1: the last row of the
-    recurrence legendre_table runs, divided by the same running product
-    C_n^(alpha)(1) = prod_{k<n} (2 alpha + k) / (1 + k), so the two agree
-    bit for bit; no lower degree is stored.
-
-    Reduces to the classical Legendre polynomial for D = 3.
-    """
-    _check_index(D, n)
-    t_arr = _check_domain(t)
-    alpha = (D - 2) / 2
-    *_, raw = _gegenbauer_rows(alpha, n, t_arr)
-    at_one = 1.0
-    for k in range(n):
-        at_one *= (2.0 * alpha + k) / (1.0 + k)
-    out = raw / at_one
-    return float(out) if np.ndim(t) == 0 else out
-
-
 def legendre_table(D: int, max_degree: int, t: np.ndarray) -> np.ndarray:
-    """All P_k(D, t) for k = 0..max_degree in one recurrence pass.
+    """All zonal polynomials P_k(D, t) = C_k^(alpha)(t) / C_k^(alpha)(1),
+    alpha = (D - 2)/2, normalized so P_k(D, 1) = 1, for k = 0..max_degree
+    in one recurrence pass; the classical Legendre polynomials at D = 3.
 
     Returns an array of shape (max_degree + 1, len(t)).
     """
@@ -97,7 +78,7 @@ def legendre_table(D: int, max_degree: int, t: np.ndarray) -> np.ndarray:
     t = _check_domain(t)
     alpha = (D - 2) / 2
     table = np.empty((max_degree + 1, t.size))
-    at_one = 1.0  # C_k^(alpha)(1), the running product of legendre_eval
+    at_one = 1.0  # C_k^(alpha)(1) = prod_{j<k} (2 alpha + j) / (1 + j)
     for k, c in enumerate(_gegenbauer_rows(alpha, max_degree, t)):
         table[k] = c / at_one
         at_one *= (2.0 * alpha + k) / (1.0 + k)

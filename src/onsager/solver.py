@@ -1,7 +1,6 @@
 """Axially symmetric self-consistency solver: states u(theta) =
 sum_n u_n P_{2n}(D, cos theta), the mean-field operator, its Jacobian,
-the spectrum of I - J, Newton iteration, density recovery and free
-energy."""
+the spectrum of I - J, Newton iteration and multistart censuses."""
 
 import contextlib
 import math
@@ -17,18 +16,14 @@ from .polybasis import harmonic_count, legendre_table, surface_area, zonal_rule
 __all__ = [
     "AxisymState",
     "SolutionReport",
-    "DensityProfile",
     "state_norm",
     "state_sup_norm",
     "zonal_moments",
-    "apply_G",
     "residual",
     "jacobian",
     "solve",
     "multistart",
     "censuses",
-    "recover_density",
-    "free_energy",
 ]
 
 # Nodes of the one Gauss-Jacobi rule behind every density pass.  At 128
@@ -66,21 +61,6 @@ class AxisymState:
     def N(self) -> int:
         return self.coeffs.size
 
-    def eval(self, t):
-        """u as a function of t = cos theta."""
-        table = legendre_table(self.D, 2 * self.N, np.atleast_1d(
-            np.asarray(t, dtype=float)))
-        out = self.coeffs @ table[2::2]
-        return float(out[0]) if np.ndim(t) == 0 else out
-
-    def padded(self, N: int) -> "AxisymState":
-        """Same state at a larger truncation (zero-padded)."""
-        if N < self.N:
-            raise ValueError("cannot pad to a smaller truncation")
-        coeffs = np.zeros(N)
-        coeffs[:self.N] = self.coeffs
-        return AxisymState(self.D, coeffs)
-
 
 @dataclass(frozen=True)
 class SolutionReport:
@@ -91,20 +71,6 @@ class SolutionReport:
     converged: bool
     sup_norm_u: float
     index: int | None = None
-
-
-@dataclass(frozen=True)
-class DensityProfile:
-    """Orientation density at the zonal quadrature nodes."""
-
-    D: int
-    values: np.ndarray
-    beta: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "values",
-                           np.array(self.values, dtype=float, copy=True))
-        self.values.setflags(write=False)
 
 
 @lru_cache(maxsize=64)
@@ -184,20 +150,14 @@ def zonal_moments(state: AxisymState) -> np.ndarray:
     """Moments a_n = int_0^pi g(theta) P_{2n}(D, cos theta) dtheta of the
     orientation density in theta,
     g = e^(-u) sin^(D-2) / int_0^pi e^(-u) sin^(D-2), for n = 1..N, N the
-    state's truncation (`state.padded` gives more).  All |a_n| <= 1."""
+    state's truncation.  All |a_n| <= 1."""
     return _density_weights(state.D, state.coeffs)[2]
 
 
-def apply_G(state: AxisymState, spec: KernelSpec, lam: float) -> np.ndarray:
-    """Coefficients of the mean-field image: (lam G(u))_n = -lam k_n a_n."""
-    _check_kernel(spec, state.D, state.N)
-    a = zonal_moments(state)
-    return -lam * spec.coeffs[:state.N] * a
-
-
 def residual(state: AxisymState, spec: KernelSpec, lam: float) -> np.ndarray:
-    """Coefficients of u - lam G(u)."""
-    return state.coeffs - apply_G(state, spec, lam)
+    """Coefficients of u - lam G(u), (lam G(u))_n = -lam k_n a_n."""
+    _check_kernel(spec, state.D, state.N)
+    return _fused_pass(spec, lam, state.coeffs)[0]
 
 
 def jacobian(state: AxisymState, spec: KernelSpec, lam: float) -> np.ndarray:
@@ -223,8 +183,8 @@ def _fused_pass(spec: KernelSpec, lam, coeffs: np.ndarray):
     """Residual u - lam G(u), Jacobian J = diag(lam k) Cov of lam G and
     the density covariance Cov for one state (coeffs of shape (N,)) or a
     stack (S, N), with lam a scalar or one per row (S,); each row bitwise
-    what its state and lam alone give, and the residual bitwise what
-    residual() gives.  The caller checks the kernel (_check_kernel)."""
+    what its state and lam alone give.  The caller checks the kernel
+    (_check_kernel)."""
     gw, table, a = _density_weights(spec.D, coeffs)
     lam_k = np.multiply.outer(lam, spec.coeffs[:coeffs.shape[-1]])
     res = coeffs - (-lam_k * a)
@@ -369,11 +329,10 @@ def _newton(spec: KernelSpec, lam, starts: np.ndarray, tol: float,
     return end_u, end_res, its
 
 
-def _check_tol_lambda(tol: float | None, lam: float):
-    """Rejects a tol that is not positive and finite (None: no tol) and a
-    lambda that is not nonnegative and finite (NaN fails both
-    comparisons)."""
-    if tol is not None and not 0 < tol < math.inf:
+def _check_tol_lambda(tol: float, lam: float):
+    """Rejects a tol that is not positive and finite and a lambda that is
+    not nonnegative and finite (NaN fails both comparisons)."""
+    if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if not 0 <= lam < math.inf:
         raise ValueError(f"lambda must be nonnegative and finite, got {lam}")
@@ -463,36 +422,3 @@ def multistart(spec: KernelSpec, lam: float, n_starts: int, seed: int,
     """
     return censuses(spec, [lam], n_starts, [seed], N, tol, max_iter)[0][0]
 
-
-def recover_density(state: AxisymState) -> DensityProfile:
-    """Orientation density f = e^(-u) / int e^(-u) dsigma at every node
-    of the zonal rule, t < 0 mirrored from the folded rule's t >= 0."""
-    weights, table, _ = _mode_tables(state.D, state.N)
-    u = state.coeffs @ table
-    shift = u.min()
-    e = np.exp(-(u - shift))
-    z = surface_area(state.D - 1) * float(np.dot(weights, e))
-    beta = z * math.exp(-shift)
-    values = np.concatenate((e[::-1][:_ORDER // 2], e)) / z
-    return DensityProfile(D=state.D, values=values, beta=beta)
-
-
-def free_energy(density: DensityProfile, spec: KernelSpec, lam: float,
-                ) -> float:
-    """Mean-field free energy int f (log f + U(f)/2) dsigma with the
-    potential rebuilt from the density's zonal moments, for an even
-    density at the nodes of the zonal rule (recover_density): read at
-    t >= 0 on the folded rule."""
-    D = density.D
-    _check_tol_lambda(None, lam)
-    _check_kernel(spec, D, spec.n_max)
-    if density.values.shape != (_ORDER,):
-        raise ValueError(f"density needs one value per node of the "
-                         f"{_ORDER}-node rule, got {density.values.shape}")
-    weights, table, _ = _mode_tables(D, spec.n_max)
-    f = density.values[_ORDER // 2:]
-    sigma_ratio = surface_area(D - 1)
-    a = sigma_ratio * (table @ (weights * f))
-    potential = lam * (spec.k0 - (spec.coeffs * a) @ table)
-    integrand = f * (np.log(f) + 0.5 * potential)
-    return sigma_ratio * float(np.dot(weights, integrand))

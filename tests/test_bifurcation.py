@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from natural_branch_oracle import trace_branch as natural_branch
+from pointwise_oracle import amplitudes
 from scipy.special import lambertw
 
 from onsager import bifurcation, solver
@@ -24,10 +25,7 @@ from onsager.kernel import KernelSpec, build_kernel_spec
 from onsager.polybasis import harmonic_count
 from onsager.solver import (
     AxisymState,
-    DensityProfile,
-    free_energy,
     multistart,
-    recover_density,
     solve,
     state_norm,
 )
@@ -226,29 +224,18 @@ NAN, INF = math.nan, math.inf
      "max_iter"),
     (lambda: multistart(SPEC3, 5.0, 5, seed=0, max_iter=-3), "max_iter"),
     (lambda: multistart(SPEC3, 5.0, 5, seed=0, N=0), "truncation"),
-    (lambda: free_energy(recover_density(AxisymState(3, [1.0])), SPEC3, NAN),
-     "finite"),
-    (lambda: free_energy(recover_density(AxisymState(3, [1.0])),
-                         build_kernel_spec(5, 4, "onsager-recurrence"), 5.0),
-     "dimension"),
-    (lambda: free_energy(DensityProfile(3, np.ones(200), 1.0), SPEC3, 5.0),
-     "node"),
 ], ids=["solve-lam-nan", "solve-lam-inf", "solve-tol-nan", "solve-tol-inf",
         "solve-tol-0", "multistart-lam-nan", "multistart-lam-inf",
         "multistart-tol-nan", "multistart-tol-neg", "audit-lam-nan",
         "audit-lam-inf", "audit-lam-neg", "branch-tol-neg", "branch-tol-nan",
         "branch-tol-inf", "branch-lam-nan", "branch-lam-inf",
-        "solve-max-iter-neg", "multistart-max-iter-neg", "multistart-N-0",
-        "free-energy-lam-nan", "free-energy-dim-mismatch",
-        "free-energy-values-size"])
+        "solve-max-iter-neg", "multistart-max-iter-neg", "multistart-N-0"])
 def test_entry_points_reject_non_finite_lambda_and_tol(call, match):
     # lambda must be finite and >= 0, tol finite and > 0; before the check,
     # these raised LinAlgError or OverflowError, returned an unconverged
     # report or ended in BranchNotFoundError.  max_iter must be >= 0 and
     # N >= 1: before, they raised SingularLinearizationError, returned an
-    # empty census or failed in AxisymState.  free_energy returned nan for
-    # lambda = nan and a number for a kernel of another dimension, and it
-    # must not read a density of another size as the rule's
+    # empty census or failed in AxisymState
     with pytest.raises(ValueError, match=match):
         call()
 
@@ -257,7 +244,7 @@ def test_trace_branch_amplitudes_grow_from_onset():
     branch = trace_branch(SPEC3, 1, 1.3 * LAM1)
     assert branch.origin == pytest.approx(LAM1, rel=1e-10)
     for sign in (1, -1):
-        amps = branch.amplitudes(sign)
+        amps = amplitudes(branch, sign)
         assert len(amps) >= 3
         assert all(b > a for a, b in zip(amps, amps[1:]))
         # the family emanates from the trivial solution

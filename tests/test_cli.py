@@ -524,6 +524,19 @@ def test_json_mirror_is_the_indented_dump(tmp_path, capsys):
     assert capsys.readouterr().out == expected
 
 
+def test_csv_at_a_json_path_exits_2_and_writes_nothing(tmp_path, capsys):
+    # the JSON mirror of a CSV written to x.json is x.json itself: before
+    # the check it overwrote the CSV and the command exited 0
+    path = tmp_path / "o1.json"
+    with pytest.raises(ValidationError, match="mirror"):
+        cli.emit_table([{"a": 1}], str(path), "csv")
+    assert cli.main(["coeffs", "--nmax", "2", "--method", "recurrence",
+                     "--output", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("onsager: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_emit_table_json_only(tmp_path):
     path = tmp_path / "t.json"
     cli.emit_table([{"a": 1.5}], str(path), "json")
@@ -553,6 +566,41 @@ def test_invalid_flag_combinations_exit_2(tmp_path, capsys, argv, flag):
     assert flag in err
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["sweep", "--lambda-min", "9", "--lambda-max", "9"], "--steps 20"),
+    (["sweep", "--lambda-min", "9", "--lambda-max", "9.000000000000002",
+      "--steps", "40"], "--steps 40"),
+    (["evolve", "--lambda", "11.3", "--perturb", "3"], "--perturb 3"),
+], ids=["sweep-equal-bounds", "sweep-near-equal-bounds", "evolve-perturb"])
+def test_inputs_that_ran_misleadingly_exit_2(monkeypatch, tmp_path, capsys,
+                                              argv, flag):
+    # a sweep whose lambda grid repeats a value ran the same census once
+    # per copy and interleaved the copies' rows; a perturbation beyond
+    # 1 / max(-P_2) = D - 1 made the start density negative, and evolve
+    # exited 3 blaming the dynamics.  Both now stop before any run.
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(solver, "censuses", no_run)
+    monkeypatch.setattr(dynamics, "evolve", no_run)
+    out = tmp_path / "t.csv"
+    assert cli.main(argv + ["--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("onsager: ") and flag in err
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_evolve_perturbation_within_the_bound_runs(tmp_path):
+    # --perturb 2 at D = 3 touches zero at t = 0 only; the grid's nodes
+    # miss t = 0, so the start density is positive
+    out = tmp_path / "run.csv"
+    assert cli.main(["evolve", "--lambda", "11.3", "--perturb", "2",
+                     "--grid", "64", "--t-max", "0.5",
+                     "--output", str(out)]) == 0
+    assert _read_csv(out)
 
 
 def test_json_format_on_stdout(capsys):
@@ -640,15 +688,31 @@ def test_package_names_resolve_on_first_use():
                          capture_output=True, text=True, check=True).stdout
     assert out.splitlines() == ["[]", "True", "True", "True", "True",
                                 "False"]
-    # the 6 modules and their 51 public names, each name the object its
+    # the 6 modules and their 45 public names, each name the object its
     # defining module binds
     import onsager
     modules = {"bifurcation", "dynamics", "errors", "kernel", "polybasis",
                "solver"}
-    assert len(onsager.__all__) == 57 and modules <= set(onsager.__all__)
+    assert len(onsager.__all__) == 51 and modules <= set(onsager.__all__)
     for name in set(onsager.__all__) - modules:
         obj = getattr(onsager, name)
         assert obj is getattr(sys.modules[obj.__module__], name)
+
+
+def test_package_names_are_public_in_their_modules():
+    # each name the package re-exports is in its module's __all__; errors
+    # has no __all__, and each name listed for it is an error class
+    import importlib
+
+    import onsager
+    from onsager.errors import OnsagerError
+    for module, names in onsager._EXPORTS.items():
+        mod = importlib.import_module(f"onsager.{module}")
+        for name in names:
+            if module == "errors":
+                assert issubclass(getattr(mod, name), OnsagerError), name
+            else:
+                assert name in mod.__all__, (module, name)
 
 
 def test_readme_examples_run_without_scipy(tmp_path):

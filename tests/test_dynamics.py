@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 from explicit_oracle import StepSizeError, explicit_relax, explicit_step
+from pointwise_oracle import density_on_grid
 
 from onsager.dynamics import (
     DT_PER_H2,
     _moment_tables,
-    density_on_grid,
     evolve,
     grid_energy,
     grid_mass,
@@ -163,6 +163,16 @@ def test_evolve_rejects_empty_density():
     grid = make_grid(3, 64)
     with pytest.raises(ValueError):
         evolve(np.zeros(grid.G), SPEC3, 1.0, grid.h ** 2 / 8, 1.0, grid)
+
+
+def test_evolve_rejects_negative_initial_values():
+    # positive mass, but one node below zero: before the check the run
+    # started and reported a divergence of the dynamics
+    grid = make_grid(3, 64)
+    f0 = np.ones(grid.G)
+    f0[grid.G // 2] = -1e-3
+    with pytest.raises(ValueError, match="nonnegative"):
+        evolve(f0, SPEC3, 1.0, grid.h ** 2 / 8, 1.0, grid)
 
 
 def test_evolve_settles_early_at_equilibrium():

@@ -10,12 +10,11 @@ import pytest
 
 from onsager import solver
 from onsager.kernel import build_kernel_spec
-from onsager.polybasis import legendre_table, surface_area, zonal_rule
+from onsager.polybasis import legendre_table, zonal_rule
 from onsager.solver import (
     AxisymState,
     _density_weights,
     _fused_pass,
-    recover_density,
     solve,
 )
 
@@ -99,13 +98,3 @@ def test_folded_rule_halves_the_nodes(order):
     assert weights[0] == (full[order // 2] if order % 2 else
                           2.0 * full[order // 2])
 
-
-@pytest.mark.parametrize("D", [3, 7])
-def test_recover_density_matches_full_rule(order, D):
-    state = AxisymState(D, [8.0, -3.0, 1.5])
-    nodes, weights = zonal_rule(D, order)
-    e = np.exp(-state.eval(nodes))
-    expected = e / (surface_area(D - 1) * float(np.dot(weights, e)))
-    values = recover_density(state).values
-    assert values.size == order
-    assert np.max(np.abs(values / expected - 1.0)) <= 1e-14

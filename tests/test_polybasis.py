@@ -14,7 +14,6 @@ from scipy.special import (
 
 from onsager.polybasis import (
     harmonic_count,
-    legendre_eval,
     legendre_table,
     surface_area,
     zonal_rule,
@@ -62,8 +61,8 @@ def test_surface_area_closed_forms(D, expected):
     lambda: harmonic_count(2, 1),
     lambda: harmonic_count(3, -1),
     lambda: surface_area(1),
-    lambda: legendre_eval(2, 1, 0.5),
-    lambda: legendre_eval(3, -2, 0.5),
+    lambda: legendre_table(2, 1, np.array([0.5])),
+    lambda: legendre_table(3, -2, np.array([0.5])),
     lambda: zonal_rule(3, 0),
     lambda: zonal_rule(2, 8),
     lambda: legendre_table(2, 3, np.array([0.5])),
@@ -79,45 +78,34 @@ def test_gegenbauer_matches_scipy():
     t = np.linspace(-1.0, 1.0, 31)
     for D in (3, 4, 5, 7):
         alpha = (D - 2) / 2
+        table = legendre_table(D, 8, t)
+        assert table.shape == (9, t.size)
         for n in range(0, 9):
-            ours = legendre_eval(D, n, t) * eval_gegenbauer(n, alpha, 1.0)
+            ours = table[n] * eval_gegenbauer(n, alpha, 1.0)
             ref = eval_gegenbauer(n, alpha, t)
             assert np.allclose(ours, ref, rtol=1e-12, atol=1e-12)
 
 
 def test_legendre_reduces_to_classical_for_d3():
     t = np.linspace(-1.0, 1.0, 41)
+    table = legendre_table(3, 8, t)
     for n in range(9):
-        assert np.allclose(legendre_eval(3, n, t), eval_legendre(n, t),
+        assert np.allclose(table[n], eval_legendre(n, t),
                            rtol=1e-12, atol=1e-12)
 
 
 def test_legendre_normalization_and_bound():
     t = np.linspace(-1.0, 1.0, 201)
     for D in (3, 4, 5):
+        table = legendre_table(D, 11, t)
         for n in range(12):
-            assert legendre_eval(D, n, 1.0) == pytest.approx(1.0, abs=1e-12)
-            assert np.max(np.abs(legendre_eval(D, n, t))) <= 1.0 + 1e-12
-
-
-def test_legendre_table_matches_single_evaluations():
-    t = np.linspace(-1.0, 1.0, 17)
-    for D in (3, 5):
-        table = legendre_table(D, 10, t)
-        assert table.shape == (11, t.size)
-        for n in range(11):
-            # the same recurrence and running product: bit for bit
-            assert np.array_equal(table[n], legendre_eval(D, n, t))
-
-
-def test_scalar_arguments_return_floats():
-    assert isinstance(legendre_eval(3, 4, 0.3), float)
-    assert isinstance(legendre_eval(4, 3, -0.2), float)
+            assert table[n, -1] == pytest.approx(1.0, abs=1e-12)
+            assert np.max(np.abs(table[n])) <= 1.0 + 1e-12
 
 
 def test_domain_check():
     with pytest.raises(ValueError):
-        legendre_eval(3, 2, 1.0 + 1e-9)
+        legendre_table(3, 2, np.array([1.0 + 1e-9]))
 
 
 def test_quadrature_rule_structure():

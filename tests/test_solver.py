@@ -3,19 +3,17 @@ import math
 import numpy as np
 import pytest
 from picard_oracle import picard
+from pointwise_oracle import u_at, zonal
 from scipy.integrate import quad
 
 from onsager.errors import SingularLinearizationError
 from onsager.kernel import build_kernel_spec
-from onsager.polybasis import harmonic_count, legendre_eval, surface_area
+from onsager.polybasis import harmonic_count
 from onsager.solver import (
     AxisymState,
     _fused_pass,
-    apply_G,
-    free_energy,
     jacobian,
     multistart,
-    recover_density,
     residual,
     solve,
     state_norm,
@@ -37,18 +35,6 @@ def test_state_validation():
     state = AxisymState(D=3, coeffs=[0.5, 0.1])
     with pytest.raises(ValueError):
         state.coeffs[0] = 2.0
-    with pytest.raises(ValueError):
-        state.padded(1)
-
-
-def test_state_eval_is_even_zonal_sum():
-    state = AxisymState(D=3, coeffs=[0.7, -0.2, 0.05])
-    t = np.linspace(-1.0, 1.0, 21)
-    expected = sum(c * legendre_eval(3, 2 * (i + 1), t)
-                   for i, c in enumerate([0.7, -0.2, 0.05]))
-    assert np.allclose(state.eval(t), expected, atol=1e-14)
-    assert state.padded(5).eval(0.3) == pytest.approx(state.eval(0.3),
-                                                      abs=1e-15)
 
 
 def test_state_norm_closed_form():
@@ -88,12 +74,12 @@ def test_zonal_moments_match_adaptive_quadrature():
         D = state.D
 
         def density(t):
-            return math.exp(-state.eval(t)) * (1.0 - t * t) ** ((D - 3) / 2)
+            return math.exp(-u_at(state, t)) * (1.0 - t * t) ** ((D - 3) / 2)
 
         z, _ = quad(density, -1.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)
         a = zonal_moments(state)
         for n in range(1, min(state.N, 4) + 1):
-            ref, _ = quad(lambda t: density(t) * legendre_eval(D, 2 * n, t),
+            ref, _ = quad(lambda t: density(t) * zonal(D, 2 * n, t),
                           -1.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)
             assert a[n - 1] == pytest.approx(ref / z, abs=1e-11)
         assert np.all(np.abs(a) <= 1.0)
@@ -102,16 +88,16 @@ def test_zonal_moments_match_adaptive_quadrature():
 def test_zonal_moments_truncation_handling():
     # more moments come from padding the state with zero modes
     state = AxisymState(D=3, coeffs=[0.5, 0.1])
-    longer = zonal_moments(state.padded(5))
+    longer = zonal_moments(AxisymState(3, np.pad(state.coeffs, (0, 3))))
     assert longer.size == 5
     assert np.allclose(longer[:2], zonal_moments(state), atol=1e-14)
 
 
-def test_apply_G_dimension_checks():
+def test_residual_dimension_checks():
     with pytest.raises(ValueError):
-        apply_G(AxisymState(4, [0.1]), SPEC3, 1.0)
+        residual(AxisymState(4, [0.1]), SPEC3, 1.0)
     with pytest.raises(ValueError):
-        apply_G(AxisymState(3, np.zeros(13)), SPEC3, 1.0)
+        residual(AxisymState(3, np.zeros(13)), SPEC3, 1.0)
 
 
 def test_jacobian_at_trivial_is_diagonal():
@@ -132,9 +118,10 @@ def test_jacobian_matches_finite_differences():
     for n in range(5):
         bump = np.zeros(5)
         bump[n] = h
-        plus = apply_G(AxisymState(3, state.coeffs + bump), SPEC3, lam)
-        minus = apply_G(AxisymState(3, state.coeffs - bump), SPEC3, lam)
-        fd = (plus - minus) / (2 * h)
+        plus = residual(AxisymState(3, state.coeffs + bump), SPEC3, lam)
+        minus = residual(AxisymState(3, state.coeffs - bump), SPEC3, lam)
+        # J is the Jacobian of lam G(u) = u - residual
+        fd = np.eye(5)[:, n] - (plus - minus) / (2 * h)
         assert np.allclose(jac[:, n], fd, rtol=1e-6, atol=1e-8)
 
 
@@ -206,37 +193,3 @@ def test_multistart_distinct_solutions_are_well_separated():
                               - census[j].state.coeffs)
             assert dist > 1e-3
 
-
-def test_recover_density_normalized_and_positive():
-    state = AxisymState(D=3, coeffs=[1.5, -0.2])
-    profile = recover_density(state)
-    assert np.all(profile.values > 0)
-    from onsager.polybasis import zonal_rule
-    # one value per node of the solver's rule
-    nodes, weights = zonal_rule(3, profile.values.size)
-    total = surface_area(2) * float(np.dot(weights, profile.values))
-    assert total == pytest.approx(1.0, abs=1e-13)
-    # beta is the normalizer of e^(-u) itself: f = e^(-u) / beta
-    recon = np.exp(-state.eval(nodes)) / profile.beta
-    assert np.allclose(recon, profile.values, rtol=1e-12)
-
-
-def test_free_energy_of_uniform_state():
-    state = AxisymState(D=3, coeffs=np.zeros(4))
-    profile = recover_density(state)
-    energy = free_energy(profile, SPEC3, 7.0)
-    sigma = surface_area(3)
-    expected = math.log(1.0 / sigma) + 0.5 * 7.0 * SPEC3.k0
-    assert energy == pytest.approx(expected, rel=1e-12)
-
-
-def test_free_energy_decreases_on_nematic_branch():
-    # above the first critical value the nematic state beats the uniform one
-    lam = 1.2 * LAM1
-    census = multistart(SPEC3, lam, 20, seed=2, N=8)
-    report = census[-1]
-    assert report.converged and state_norm(3, report.state.coeffs) > 0.1
-    e_trivial = free_energy(recover_density(AxisymState(3, np.zeros(8))),
-                            SPEC3, lam)
-    e_branch = free_energy(recover_density(report.state), SPEC3, lam)
-    assert e_branch < e_trivial

@@ -7,11 +7,11 @@ import math
 import numpy as np
 import pytest
 from explicit_oracle import explicit_step
+from pointwise_oracle import density_on_grid, zonal
 
 from onsager.bifurcation import classify_stability, trace_branch
-from onsager.dynamics import density_on_grid, grid_norm, make_grid
+from onsager.dynamics import grid_norm, make_grid
 from onsager.kernel import build_kernel_spec
-from onsager.polybasis import legendre_eval
 from onsager.solver import AxisymState, multistart, solve, state_norm
 
 SPEC6 = build_kernel_spec(3, 6, "onsager-quadrature")
@@ -39,7 +39,7 @@ def dynamics_stability(report, spec, grid_points=64, horizon=2.0, eps=1e-3,
     t = np.cos(grid.points)
     rates = []
     for mode in range(1, report.state.N + 1):
-        shape = legendre_eval(spec.D, 2 * mode, t)
+        shape = zonal(spec.D, 2 * mode, t)
         f = base * (1.0 + eps * shape)
         fb = base.copy()
         d_half = None
