@@ -4,6 +4,8 @@ the spectrum of I - J, Newton iteration and multistart censuses."""
 
 import contextlib
 import math
+import operator
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -382,8 +384,17 @@ def censuses(spec: KernelSpec, lams, n_starts: int, seeds,
     """The multistart census of every (lam, seed) pair, lams[i] with
     seeds[j] at [i][j], from one pool of Newton rows (_newton) for all of
     them; each census is what multistart(spec, lam, n_starts, seed, N,
-    tol, max_iter) returns."""
-    lams, seeds = [float(lam) for lam in lams], list(seeds)
+    tol, max_iter) returns.
+
+    A seed is an integer >= 0, numpy integers included.  Its
+    (n_starts - 1) N numbers u, the first of the standard library's
+    random.Random(seed).random(), whose sequence Python keeps across
+    versions, give starts 1.. of every lam in row-major order as
+    -box + 2 box u."""
+    lams = [float(lam) for lam in lams]
+    seeds = [operator.index(seed) for seed in seeds]  # 2.5, 3.0: TypeError
+    if any(seed < 0 for seed in seeds):
+        raise ValueError(f"seed must be >= 0, got {min(seeds)}")
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
     for lam in lams:
@@ -391,11 +402,12 @@ def censuses(spec: KernelSpec, lams, n_starts: int, seeds,
     N = spec.n_max if N is None else N
     _check_kernel(spec, spec.D, N)
     pairs = [(lam, seed) for lam in lams for seed in seeds]
-    starts = np.zeros((len(pairs), n_starts, N))
-    for (lam, seed), block in zip(pairs, starts):
-        box = lam * spec.sup_norm_khat
-        block[1:] = np.random.default_rng(seed).uniform(
-            -box, box, size=(n_starts - 1, N))
+    boxes = np.array(lams)[:, None, None] * spec.sup_norm_khat
+    starts = np.zeros((len(lams), len(seeds), n_starts, N))
+    for j, seed in enumerate(seeds):
+        draw = random.Random(seed).random
+        units = np.array([draw() for _ in range((n_starts - 1) * N)])
+        starts[:, j, 1:] = -boxes + 2.0 * boxes * units.reshape(-1, N)
     outcomes = _newton(spec, np.repeat([lam for lam, _ in pairs], n_starts),
                        starts.reshape(-1, N), tol, max_iter)
     u, res, its = (x.reshape(len(pairs), n_starts, *x.shape[1:])
@@ -412,9 +424,12 @@ def multistart(spec: KernelSpec, lam: float, n_starts: int, seed: int,
     """Enumerate solutions from random starts in the a priori box
     |u_n| <= lam ||K_hat||_inf.
 
-    Start 0 is the isotropic state.  The starts run in the Newton pool,
-    each with the steps solve() takes from it.  In start order, a start
-    is kept when its residual norm is <= tol, it lies farther than 10 tol
+    Start 0 is the isotropic state.  Starts 1.. take their coefficients
+    in row-major order from random.Random(seed).random(), the standard
+    library's stream, whose sequence Python keeps across versions: each
+    number u as -box + 2 box u.  The starts run in the Newton pool, each
+    with the steps solve() takes from it.  In start order, a start is
+    kept when its residual norm is <= tol, it lies farther than 10 tol
     (sphere L2) from every solution kept before, and its sup norm, taken
     only now, is inside the box; singular, unconverged and duplicate
     starts are dropped.  Deterministic for a fixed seed; returned sorted

@@ -225,6 +225,10 @@ def test_cli_runs_are_byte_identical(tmp_path):
         ["coeffs", "--dim", "3", "--nmax", "12", "--method", "both"],
         ["sweep", "--lambda-min", "9", "--lambda-max", "12",
          "--steps", "4", "--modes", "8", "--starts", "10", "--seed", "5"],
+        ["audit-degree", "--lambda", "15", "--truncations", "4,6",
+         "--nmax", "6", "--starts", "10", "--seed", "5"],
+        ["evolve", "--lambda", "11.3", "--grid", "32", "--t-max", "0.5",
+         "--nmax", "4"],
     ]
     for i, argv in enumerate(cases):
         a = tmp_path / f"a{i}.csv"

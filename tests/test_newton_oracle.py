@@ -7,6 +7,8 @@ together; `exact_solve` rebuilds one start from the single-row pieces,
 and the census must equal it bit for bit, also when the pool refills
 across census boundaries."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -84,12 +86,14 @@ def oracle_solve(spec, lam, init, tol, max_iter):
 
 
 def oracle_starts(spec, lam, n_starts, seed, N):
-    """The starts multistart draws: the isotropic state, then one uniform
-    draw from the a priori box per start."""
-    rng = np.random.default_rng(seed)
+    """The starts multistart draws: the isotropic state, then per start N
+    more numbers u of the stream random.Random(seed).random(), each taken
+    to -box + 2 box u in the a priori box."""
+    rng = random.Random(seed)
     box = lam * spec.sup_norm_khat
-    return [np.zeros(N)] + [rng.uniform(-box, box, size=N)
-                            for _ in range(n_starts - 1)]
+    return [np.zeros(N)] + [
+        -box + 2.0 * box * np.array([rng.random() for _ in range(N)])
+        for _ in range(n_starts - 1)]
 
 
 def oracle_census(reports, spec, tol):

@@ -6,12 +6,15 @@ from picard_oracle import picard
 from pointwise_oracle import u_at, zonal
 from scipy.integrate import quad
 
+from onsager import solver
+from onsager.bifurcation import degree_audit
 from onsager.errors import SingularLinearizationError
 from onsager.kernel import build_kernel_spec
 from onsager.polybasis import harmonic_count
 from onsager.solver import (
     AxisymState,
     _fused_pass,
+    censuses,
     jacobian,
     multistart,
     residual,
@@ -193,3 +196,56 @@ def test_multistart_distinct_solutions_are_well_separated():
                               - census[j].state.coeffs)
             assert dist > 1e-3
 
+
+def test_census_starts_are_pinned(monkeypatch):
+    # start 1 of the README audit census (lambda = 15, seed 0, N = 16):
+    # the first numbers of random.Random(0).random() taken to the box
+    # |u_n| <= 15 pi/4; a change to the draw fails here and is declared
+    seen = []
+    newton = solver._newton
+
+    def recording_newton(spec, lam, starts, tol, max_iter):
+        seen.append(starts.copy())
+        return newton(spec, lam, starts, tol, max_iter)
+
+    monkeypatch.setattr(solver, "_newton", recording_newton)
+    multistart(build_kernel_spec(3, 16, "onsager-recurrence"), 15.0, 30,
+               seed=0, N=16)
+    (starts,) = seen
+    assert starts.shape == (30, 16)
+    assert not starts[0].any()
+    assert starts[1, :4].tolist() == [8.115248688651644, 6.077907429287965,
+                                      -1.8714880361105095, -5.680390246373849]
+
+
+def _census_entry_points(seed):
+    """The census of SPEC3 at lambda = 15 with 6 starts at N = 4 through
+    each public entry point that takes a seed."""
+    return (censuses(SPEC3, [15.0], 6, [seed], N=4)[0][0],
+            multistart(SPEC3, 15.0, 6, seed, N=4),
+            degree_audit(SPEC3, 15.0, 6, seed, (4,)).solutions)
+
+
+@pytest.mark.parametrize(("seed", "error", "match"), [
+    # random.Random(-1) draws the stream of Random(1)
+    (-1, ValueError, "seed must be >= 0, got -1"),
+    # random.Random(3.0) would silently be Random(3)
+    (2.5, TypeError, "integer"), (3.0, TypeError, "integer")],
+    ids=["-1", "2.5", "3.0"])
+def test_census_rejects_a_seed_that_is_not_a_nonnegative_integer(seed, error,
+                                                                 match):
+    with pytest.raises(error, match=match):
+        censuses(SPEC3, [15.0], 6, [seed], N=4)
+    with pytest.raises(error, match=match):
+        multistart(SPEC3, 15.0, 6, seed, N=4)
+    with pytest.raises(error, match=match):
+        degree_audit(SPEC3, 15.0, 6, seed, (4,))
+
+
+def test_census_takes_a_numpy_integer_seed():
+    # random.Random rejects np.int64 itself; the census reads its value
+    for got, expected in zip(_census_entry_points(np.int64(3)),
+                             _census_entry_points(3), strict=True):
+        assert len(got) == len(expected) >= 1
+        for a, b in zip(got, expected):
+            assert np.array_equal(a.state.coeffs, b.state.coeffs)
