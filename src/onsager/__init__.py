@@ -4,8 +4,8 @@ tables, self-consistency solver, bifurcation analysis and relaxation
 dynamics.
 
 The public names below are imported from their modules on first use
-(PEP 562), so `import onsager.cli` loads only the modules a command
-runs."""
+(PEP 562), so `import onsager.cli` loads no numpy and a command loads
+only the modules it runs."""
 
 # The public names of each module the package re-exports.
 _EXPORTS = {

@@ -11,8 +11,12 @@ explicit ones, so explicit flags win.
 Exit codes: 0 success, 2 validation error (nothing written), 3 numerical
 failure (machine-readable error record written), 64 unknown command.
 
-The solver, bifurcation and dynamics modules are imported by the
-commands that run them, so each command loads only what it needs.
+The front end (usage, `COMMAND --help`, an unknown command, parsing and
+`--config`) imports the standard library and `onsager.errors` alone;
+numpy and the kernel load once the flags have parsed, and the solver,
+bifurcation and dynamics modules are imported by the commands that run
+them, so each command loads only what it needs.  `evolve --help` reads
+its default step from the dynamics module.
 """
 
 import argparse
@@ -23,11 +27,7 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import kernel
 from .errors import OnsagerError, ValidationError
-from .polybasis import MAX_DIM, legendre_table
 
 __all__ = ["main", "emit_table"]
 
@@ -244,6 +244,8 @@ def _positive(value) -> bool:
 def _validate(cfg: dict):
     """Range checks of the parsed flags `cfg` (dest -> value) that their
     types cannot express."""
+    from .polybasis import MAX_DIM
+
     def fail(name, rule):
         raise ValidationError(
             f"--{name.replace('_', '-')} must be {rule}, got {cfg[name]}")
@@ -283,6 +285,7 @@ def _state_columns(coeffs, width) -> dict:
 
 def _run_coeffs(cfg, spec):
     """The closed-form table, the quadrature cross-check, or both."""
+    from . import kernel
     quad = None if cfg["method"] == "recurrence" else kernel.build_kernel_spec(
         cfg["dim"], cfg["nmax"], "onsager-quadrature")
     records = []
@@ -313,6 +316,8 @@ def _run_thresholds(cfg, spec):
 
 
 def _run_solve(cfg, spec):
+    import numpy as np
+
     from . import solver
     modes = cfg["modes"] if cfg["modes"] is not None else cfg["nmax"]
     coeffs = np.zeros(modes)
@@ -333,6 +338,8 @@ def _run_solve(cfg, spec):
 
 
 def _run_sweep(cfg, spec):
+    import numpy as np
+
     from . import solver
     modes = cfg["modes"] if cfg["modes"] is not None else cfg["nmax"]
     lams = [float(lam) for lam in np.linspace(
@@ -381,7 +388,10 @@ def _run_audit(cfg, spec):
 
 
 def _run_evolve(cfg, spec):
+    import numpy as np
+
     from . import dynamics
+    from .polybasis import legendre_table
     grid = dynamics.make_grid(cfg["dim"], cfg["grid"])
     dt = cfg["dt"] or dynamics.DT_PER_H2 * grid.h ** 2
     shape = 1.0 + cfg["perturb"] * legendre_table(cfg["dim"], 2,
@@ -443,14 +453,21 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv[1:])
         if args.config is not None:
             args = parser.parse_args(_config_argv(args.config) + argv[1:])
-        cfg = vars(args)
+    except SystemExit:  # --help printed the command's flags
+        return 0
+    except ValidationError as e:
+        sys.stderr.write(f"onsager: {e}\n")
+        return 2
+    cfg = vars(args)
+    import numpy as np
+
+    from . import kernel
+    try:
         _validate(cfg)
         spec = kernel.build_kernel_spec(cfg["dim"], cfg["nmax"],
                                         "onsager-recurrence")
         records = _RUNNERS[command](cfg, spec)
         emit_table(records, cfg["output"], cfg["format"])
-    except SystemExit:  # --help printed the command's flags
-        return 0
     except ValidationError as e:
         sys.stderr.write(f"onsager: {e}\n")
         return 2

@@ -238,6 +238,22 @@ def test_out_of_memory_exits_3_with_error_record(monkeypatch, tmp_path,
     assert not out.exists()
 
 
+def test_system_exit_from_a_command_propagates(monkeypatch, tmp_path,
+                                              capsys):
+    # only argparse's --help exit reads as success; a command that exits
+    # is not turned into exit 0
+    def exits(cfg, spec):
+        raise SystemExit(7)
+
+    monkeypatch.setitem(cli._RUNNERS, "solve", exits)
+    out = tmp_path / "solve.csv"
+    with pytest.raises(SystemExit) as info:
+        cli.main(["solve", "--lambda", "12", "--output", str(out)])
+    assert info.value.code == 7
+    assert capsys.readouterr() == ("", "")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["thresholds", "--dim", "7", "--nmax", "30"],
     ["solve", "--dim", "10", "--lambda", "12"],
@@ -628,50 +644,62 @@ def _src_env():
     return env
 
 
-def test_cli_import_loads_no_scipy_linalg_or_optimize():
-    # `onsager --help` pays for every module `import onsager.cli` loads;
-    # the package runs on numpy alone
+def test_cli_import_loads_no_numpy_or_scipy():
+    # `onsager --help` pays for every module `import onsager.cli` loads:
+    # numpy loads only when a command computes, and the package runs on
+    # numpy alone
     probe = ("import sys, onsager.cli; print(sorted(m for m in sys.modules "
-             "if m.split('.')[0] == 'scipy'))")
+             "if m.split('.')[0] in ('numpy', 'scipy')))")
     out = subprocess.run([sys.executable, "-c", probe], env=_src_env(),
                          capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
 
 
-_BASE = ["cli", "errors", "kernel", "polybasis"]
+_FRONT = ["cli", "errors"]
+_BASE = _FRONT + ["kernel", "polybasis"]
 
 
-@pytest.mark.parametrize(("argv", "loaded"), [
-    ([], _BASE),
-    (["coeffs", "--nmax", "3"], _BASE),
-    (["thresholds", "--nmax", "3"], _BASE + ["bifurcation"]),
-    (["solve", "--lambda", "5", "--nmax", "3"], _BASE + ["solver"]),
+@pytest.mark.parametrize(("argv", "code", "loaded"), [
+    ([], 0, _FRONT),
+    (["sweep", "--help"], 0, _FRONT),
+    (["frob"], 64, _FRONT),
+    (["sweep", "--bogus"], 2, _FRONT),
+    (["coeffs", "--config", "missing.json"], 2, _FRONT),
+    (["evolve", "--help"], 0, _BASE + ["dynamics"]),
+    (["coeffs", "--nmax", "3"], 0, _BASE),
+    (["thresholds", "--nmax", "3"], 0, _BASE + ["bifurcation"]),
+    (["solve", "--lambda", "5", "--nmax", "3"], 0, _BASE + ["solver"]),
     (["sweep", "--lambda-min", "5", "--lambda-max", "6", "--steps", "2",
-      "--nmax", "3", "--starts", "3"], _BASE + ["solver"]),
+      "--nmax", "3", "--starts", "3"], 0, _BASE + ["solver"]),
     (["audit-degree", "--lambda", "5", "--truncations", "2", "--nmax", "2",
-      "--starts", "3"], _BASE + ["bifurcation", "solver"]),
+      "--starts", "3"], 0, _BASE + ["bifurcation", "solver"]),
     (["evolve", "--lambda", "5", "--grid", "32", "--t-max", "0.01",
-      "--nmax", "3"], _BASE + ["dynamics"]),
-], ids=["help", "coeffs", "thresholds", "solve", "sweep", "audit-degree",
-        "evolve"])
-def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv,
+      "--nmax", "3"], 0, _BASE + ["dynamics"]),
+], ids=["help", "sweep-help", "unknown-command", "unknown-flag",
+        "missing-config", "evolve-help", "coeffs", "thresholds", "solve",
+        "sweep", "audit-degree", "evolve"])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, code,
                                                      loaded):
-    # the package and cli import the solver, bifurcation and dynamics
-    # modules only where a command runs them; the census draws its starts
-    # from the standard library's generator, so no command loads
-    # numpy.random and the hashing modules that come with it
+    # usage, help and flag errors load the standard library and the cli
+    # alone; numpy loads once a command computes, and `evolve --help`
+    # reads its default step from the dynamics module.  The package and
+    # cli import the solver, bifurcation and dynamics modules only where a
+    # command runs them; the census draws its starts from the standard
+    # library's generator, so no command loads numpy.random and the
+    # hashing modules that come with it
     probe = ("import sys; from onsager import cli\n"
              "code = cli.main(sys.argv[1:])\n"
              "print(code, sorted(m for m in sys.modules "
              "if m.startswith('onsager.')))\n"
-             "print(sorted(m for m in ('numpy.random', 'secrets', 'hashlib')"
-             " if m in sys.modules))")
+             "print(sorted(m for m in ('numpy', 'numpy.random', 'secrets',"
+             " 'hashlib') if m in sys.modules))")
     out = ["--output", "out.csv"] if argv else []
     proc = subprocess.run([sys.executable, "-c", probe, *argv, *out],
                           env=_src_env(), cwd=tmp_path, capture_output=True,
                           text=True, check=True)
     modules = sorted(f"onsager.{name}" for name in loaded)
-    assert proc.stdout.splitlines()[-2:] == [f"0 {modules}", "[]"]
+    numpy = [] if loaded == _FRONT else ["numpy"]
+    assert proc.stdout.splitlines()[-2:] == [f"{code} {modules}", f"{numpy}"]
 
 
 def test_package_names_resolve_on_first_use():
