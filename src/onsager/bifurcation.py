@@ -74,7 +74,6 @@ class DegreeReport:
     lam: float
     solutions: tuple
     degree_sum: int
-    truncations_checked: tuple
     stable_across_truncations: bool
 
 
@@ -206,7 +205,6 @@ def degree_audit(spec: KernelSpec, lam: float, n_starts: int, seed: int,
         lam=lam,
         solutions=last_solutions,
         degree_sum=sums[-1],
-        truncations_checked=truncations,
         stable_across_truncations=stable,
     )
 

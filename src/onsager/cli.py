@@ -54,16 +54,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _json_text(records) -> str:
-    """json.dumps(records, indent=2) + "\n" for nonempty records of scalar
-    values, from the C encoder: json.dumps with indent runs the
-    pure-Python one."""
-    items = (json.dumps(rec, separators=(",\n    ", ": "))[1:-1]
-             for rec in records)
-    return "[\n" + ",\n".join(f"  {{\n    {item}\n  }}"
-                               for item in items) + "\n]\n"
-
-
 def emit_table(records, path, fmt: str):
     """Write records (list of dicts with identical, nonempty keys and
     scalar values) to path, or to stdout when path is None.
@@ -87,7 +77,7 @@ def emit_table(records, path, fmt: str):
             and os.path.splitext(path)[0] + ".json" == path):
         raise ValidationError(f"CSV output {path} would be overwritten by "
                               "its JSON mirror")
-    json_text = _json_text(records)
+    json_text = json.dumps(records, indent=2) + "\n"
     if fmt == "json":
         text = json_text
     else:

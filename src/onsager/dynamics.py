@@ -207,7 +207,6 @@ class Trajectory:
     times: list
     densities: list
     energies: list
-    grid: ThetaGrid
     terminated_early: bool = False
 
     @property
@@ -237,7 +236,7 @@ def evolve(f0: np.ndarray, spec: KernelSpec, lam: float, dt: float,
         # t_max / dt rounded up past a whole number of steps
         n_steps -= 1
     traj = Trajectory(times=[0.0], densities=[f.copy()],
-                      energies=[grid_energy(f, spec, lam, grid)], grid=grid)
+                      energies=[grid_energy(f, spec, lam, grid)])
     t = 0.0
     for k in range(1, n_steps + 1):
         t_next = k * dt if k < n_steps else t_max

@@ -7,13 +7,9 @@ import math
 
 import pytest
 
-from onsager import (
-    build_kernel_spec,
-    index_of,
-    multistart,
-    state_norm,
-    uniqueness_thresholds,
-)
+from onsager.bifurcation import index_of, uniqueness_thresholds
+from onsager.kernel import build_kernel_spec
+from onsager.solver import multistart, state_norm
 
 DIMS = [3, 4, 5, 7, 10]
 
