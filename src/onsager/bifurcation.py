@@ -6,8 +6,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .errors import (
     BranchNotFoundError,
     InconclusiveAuditError,
@@ -18,9 +16,11 @@ from .errors import (
 from .kernel import KernelSpec, tail_bound
 from .polybasis import harmonic_count
 
-# The solver is imported where it runs, so that `thresholds`, which needs
-# only the kernel, does not load it.
+# numpy and the solver are imported where they run, so that
+# `thresholds`, which needs only the kernel, loads neither.
 if TYPE_CHECKING:
+    import numpy as np
+
     from .solver import SolutionReport
 
 __all__ = [
@@ -117,10 +117,10 @@ def uniqueness_thresholds(spec: KernelSpec) -> ThresholdReport:
     lam = W(4 ||K||_inf / (2 (S + tail))) / (4 ||K||_inf) with W the
     principal branch of the Lambert W function.
     """
-    if np.any(spec.coeffs <= 0):
+    if any(k <= 0 for k in spec.coeffs):
         raise ThresholdUndefinedError(
             "thresholds require positive coefficients")
-    partial = float(spec.coeffs.sum())
+    partial = math.fsum(spec.coeffs)
     tail = tail_bound(spec)
     total = partial + tail
     if not math.isfinite(total):
@@ -141,7 +141,7 @@ def uniqueness_thresholds(spec: KernelSpec) -> ThresholdReport:
 
 
 def _report_spectrum(report: "SolutionReport",
-                     spec: KernelSpec) -> np.ndarray:
+                     spec: KernelSpec) -> "np.ndarray":
     """Eigenvalues g of I - J at a converged solution, at the report's own
     truncation and lambda, from `solver._spectrum`: the one linear
     analysis behind Newton, index and stability.  Raises
@@ -167,7 +167,7 @@ def index_of(report: "SolutionReport", spec: KernelSpec) -> int:
     report's lambda: (-1)^#{g < 0} over the real eigenvalues g of I - J.
     I - J singular to rounding raises SingularLinearizationError."""
     g = _report_spectrum(report, spec)
-    return -1 if np.count_nonzero(g < 0.0) % 2 else 1
+    return -1 if int((g < 0.0).sum()) % 2 else 1
 
 
 def degree_audit(spec: KernelSpec, lam: float, n_starts: int, seed: int,
@@ -222,6 +222,8 @@ def _corrector(spec, y, tangent, tol):
     matrix [[I - J, dF/dlam], [tangent]] from one density pass (F is
     linear in lam: dF/dlam = (F - u) / lam).  Returns (y, F, matrix,
     updates) at the first y with state_norm(F) <= tol, or None."""
+    import numpy as np
+
     from .solver import _fused_pass, state_norm
     for it in range(_CORRECTOR_ITERS + 1):
         u, lam = y[:-1], y[-1]
@@ -244,6 +246,8 @@ def _family(spec, n, origin, sign, lambda_max, n_modes, tol):
     arclength order, up to the first with lambda > lambda_max, a sign
     change of u_n or a return to the trivial state (|u| < _DS_FIRST / 2),
     or until the step falls below _DS_MIN or _MAX_STEPS steps."""
+    import numpy as np
+
     from .solver import AxisymState, _make_report
     unit = np.eye(n_modes + 1)
     x, tangent = origin * unit[-1], sign * unit[n - 1]
@@ -314,4 +318,4 @@ def classify_stability(report: "SolutionReport", spec: KernelSpec) -> str:
     singular to rounding raises SingularLinearizationError.
     """
     g = _report_spectrum(report, spec)
-    return "stable" if np.all(g > 0.0) else "unstable"
+    return "stable" if (g > 0.0).all() else "unstable"

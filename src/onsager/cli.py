@@ -12,11 +12,14 @@ Exit codes: 0 success, 2 validation error (nothing written), 3 numerical
 failure (machine-readable error record written), 64 unknown command.
 
 The front end (usage, `COMMAND --help`, an unknown command, parsing and
-`--config`) imports the standard library and `onsager.errors` alone;
-numpy and the kernel load once the flags have parsed, and the solver,
+`--config`) imports the standard library and `onsager.errors` alone.
+The kernel loads once the flags have parsed, and the solver,
 bifurcation and dynamics modules are imported by the commands that run
-them, so each command loads only what it needs.  `evolve --help` reads
-its default step from the dynamics module.
+them, so each command loads only what it needs.  The kernel table and
+the thresholds need no numpy: `thresholds` and `coeffs --method
+recurrence` run on the standard library, and numpy loads with the
+first module that computes on arrays.  `evolve --help` reads its
+default step from the dynamics module.
 """
 
 import argparse
@@ -428,6 +431,13 @@ def _write_error_record(command, cfg, exc):
     sys.stderr.write(text)
 
 
+def _linalg_errors() -> tuple:
+    """numpy's LinAlgError once a command has loaded numpy, else nothing:
+    a command that never loaded numpy cannot raise it."""
+    np = sys.modules.get("numpy")
+    return (np.linalg.LinAlgError,) if np is not None else ()
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -449,8 +459,6 @@ def main(argv=None) -> int:
         sys.stderr.write(f"onsager: {e}\n")
         return 2
     cfg = vars(args)
-    import numpy as np
-
     from . import kernel
     try:
         _validate(cfg)
@@ -462,7 +470,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"onsager: {e}\n")
         return 2
     except (OnsagerError, OSError, OverflowError, MemoryError,
-            np.linalg.LinAlgError) as e:
+            *_linalg_errors()) as e:
         sys.stderr.write(f"onsager: {e}\n")
         _write_error_record(command, cfg, e)
         return 3

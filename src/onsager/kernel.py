@@ -1,11 +1,15 @@
 """Interaction-kernel coefficient tables for the rod-rod potential on
 S^(D-1): the even-zonal expansion coefficients k_n, the kernel mean and the
-sup norm of the mean-zero part."""
+sup norm of the mean-zero part.
+
+The closed-form table, `KernelSpec` and the tail bound run on the
+standard library alone, so a command that needs nothing else (`onsager
+thresholds`, `coeffs --method recurrence`) never loads numpy; the
+quadrature cross-check imports it where it runs."""
 
 import math
+import numbers
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import AccuracyError, ValidationError
 from .polybasis import (
@@ -52,17 +56,27 @@ class KernelSpec:
     [-k0, 1 - k0].  A custom kernel is its truncated series, whose sup
     norm is sum_n k_n, attained at gamma = 0: |P_2n(D, t)| <= 1 =
     P_2n(D, 1) on [-1, 1] and every k_n >= 0.
+
+    coeffs is stored as a tuple of floats (k_1..k_n_max), so a spec is
+    immutable, compares by value and hashes.
     """
 
     D: int
-    coeffs: np.ndarray
+    coeffs: tuple
     k0: float
     source: str
     n_max: int = field(init=False)
     sup_norm_khat: float = field(init=False)
 
     def __post_init__(self):
-        coeffs = np.array(self.coeffs, dtype=float, copy=True)
+        try:
+            coeffs = tuple(self.coeffs)
+        except TypeError as e:
+            raise ValidationError(
+                f"coefficients must be a sequence, got {self.coeffs!r}") from e
+        if not all(isinstance(k, numbers.Real) for k in coeffs):
+            raise ValidationError("coefficients must be real numbers")
+        coeffs = tuple(map(float, coeffs))
         object.__setattr__(self, "coeffs", coeffs)
         if self.source not in SOURCES:
             raise ValidationError(f"unknown source {self.source!r}")
@@ -72,25 +86,22 @@ class KernelSpec:
         if not (math.isfinite(self.k0) and self.k0 >= 0):
             raise ValidationError(
                 f"kernel mean k0 must be finite and >= 0, got {self.k0}")
-        if coeffs.ndim != 1 or coeffs.size < 1:
-            raise ValidationError(
-                f"need at least one coefficient, got {coeffs.size}")
-        if not np.all(np.isfinite(coeffs)):
+        if not coeffs:
+            raise ValidationError("need at least one coefficient, got 0")
+        if not all(map(math.isfinite, coeffs)):
             raise ValidationError("coefficients must be finite")
-        negative = np.flatnonzero(coeffs < 0)
-        if negative.size:
-            n = int(negative[0]) + 1
-            raise ValidationError(
-                f"coefficient k_{n} = {coeffs[n - 1]} is negative", index=n)
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "n_max", coeffs.size)
-        object.__setattr__(self, "sup_norm_khat", float(coeffs.sum())
+        for n, k in enumerate(coeffs, start=1):
+            if k < 0:
+                raise ValidationError(f"coefficient k_{n} = {k} is negative",
+                                      index=n)
+        object.__setattr__(self, "n_max", len(coeffs))
+        object.__setattr__(self, "sup_norm_khat", math.fsum(coeffs)
                            if self.source == "custom"
                            else max(self.k0, 1.0 - self.k0))
 
     def coeff(self, n: int) -> float:
         """k_n for 1 <= n <= n_max."""
-        return float(self.coeffs[n - 1])
+        return self.coeffs[n - 1]
 
 
 def onsager_mean(D: int) -> float:
@@ -107,9 +118,9 @@ def onsager_mean(D: int) -> float:
     return mean
 
 
-def coeff_by_quadrature(D: int, n_max: int) -> np.ndarray:
+def coeff_by_quadrature(D: int, n_max: int):
     """Expansion coefficients k_1..k_n_max of |sin gamma| from their
-    defining integrals.
+    defining integrals, as an array.
 
     k_n = -(sigma_(D-1) N(D,2n)/sigma_D) int (1-t^2)^((D-2)/2) P_{2n}(D,t) dt.
     The (1-t^2)^((D-2)/2) factor is the Gauss weight of the zonal rule one
@@ -122,6 +133,7 @@ def coeff_by_quadrature(D: int, n_max: int) -> np.ndarray:
     than QUAD_RTOL |k_n|.  This is the cross-check of
     `coeff_by_recurrence`, not a production table.
     """
+    import numpy as np
     if D < 3:
         raise ValueError(f"dimension must be >= 3, got {D}")
     if n_max < 1:
@@ -144,37 +156,57 @@ def coeff_by_quadrature(D: int, n_max: int) -> np.ndarray:
     return k
 
 
+def _ratio_terms(D: int, n):
+    """Numerator and denominator of coeff_ratio(D, n), integers for an
+    integer n."""
+    return ((2 * n - 1) * (4 * n + D + 2) * (2 * n + D - 2),
+            (4 * n + D - 2) * (2 * n + 2) * (2 * n + D + 1))
+
+
 def coeff_ratio(D: int, n):
     """Ratio k_(n+1)/k_n for the |sin gamma| kernel; always in (0, 1).
 
     Product of the harmonic-count ratio N(D,2n+2)/N(D,2n), the leading
     Gegenbauer values C_2n(1)/C_2n+2(1) and the weighted Gegenbauer moment
-    ratio; the first two collapse to (4n+D+2)/(4n+D-2).  `n` may be a
-    float array; in an int64 array the products overflow past n = 8.3e5.
+    ratio; the first two collapse to (4n+D+2)/(4n+D-2).
     """
-    num = (2 * n - 1) * (4 * n + D + 2) * (2 * n + D - 2)
-    den = (4 * n + D - 2) * (2 * n + 2) * (2 * n + D + 1)
+    num, den = _ratio_terms(D, n)
     return num / den
 
 
-def coeff_by_recurrence(D: int, n_max: int) -> np.ndarray:
-    """Coefficients k_1..k_n_max of |sin gamma| in closed form.
+# Fraction bits of the fixed-point running product in coeff_by_recurrence.
+# Each step truncates less than 2^-256, so after 10^6 steps the product is
+# within 2^-236 of the exact one: 2^-180 relative for any k_n above 1e-17.
+_PRODUCT_BITS = 256
+
+
+def coeff_by_recurrence(D: int, n_max: int) -> tuple:
+    """Coefficients k_1..k_n_max of |sin gamma| in closed form, as a
+    tuple of floats.
 
     k_1 = -(sigma_(D-1) N(D,2)/sigma_D) (D B(3/2,D/2) - B(1/2,D/2))/(D-1)
     with B the Beta function; since N(D,2) = (D+2)(D-1)/2 and the Beta
     values share Gamma(D/2)/Gamma((D+1)/2), this is k0 (D+2)/(2(D+1)) with
     k0 = onsager_mean(D), 5 pi/32 at D = 3.  k_n is k_1 times the running
-    product of coeff_ratio.  The product runs in np.longdouble: in double
-    precision the rounding of 10^6 ratios adds up to 2e-12 relative, in
-    x86-64 extended precision to a few units in the last place.
+    product of coeff_ratio, formed exactly in integers: m = k_1 2^256 and
+    m <- m num // den with the integer terms of each ratio, so k_n is
+    m / 2^256, which Python rounds correctly.  The table is the same on
+    every platform; a running product in floating point would gather the
+    rounding of 10^6 ratios (2e-12 relative in double precision).
     """
     if D < 3:
         raise ValueError(f"dimension must be >= 3, got {D}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    n = np.arange(1, n_max, dtype=np.longdouble)
     k1 = onsager_mean(D) * (D + 2) / (2 * (D + 1))
-    return (k1 * np.cumprod(np.append(1, coeff_ratio(D, n)))).astype(float)
+    num, den = k1.as_integer_ratio()  # den is a power of two below 2^256
+    m, scale = (num << _PRODUCT_BITS) // den, 1 << _PRODUCT_BITS
+    table = [k1]
+    for n in range(1, n_max):
+        num, den = _ratio_terms(D, n)
+        m = m * num // den
+        table.append(m / scale)
+    return tuple(table)
 
 
 def build_kernel_spec(D: int, n_max: int, source: str,
@@ -193,39 +225,41 @@ def build_kernel_spec(D: int, n_max: int, source: str,
         raise ValueError("custom_coeffs required iff source == 'custom'")
 
     if source == "custom":
-        coeffs = np.array(custom_coeffs, dtype=float)
-        if len(coeffs) != n_max:
+        if len(custom_coeffs) != n_max:
             raise ValueError(
-                f"expected {n_max} coefficients, got {len(coeffs)}")
-        return KernelSpec(D=D, coeffs=coeffs, k0=0.0, source=source)
+                f"expected {n_max} coefficients, got {len(custom_coeffs)}")
+        return KernelSpec(D=D, coeffs=custom_coeffs, k0=0.0, source=source)
 
     if source == "onsager-quadrature":
-        coeffs = coeff_by_quadrature(D, n_max)
+        coeffs = coeff_by_quadrature(D, n_max).tolist()
     elif source == "onsager-recurrence":
         coeffs = coeff_by_recurrence(D, n_max)
     else:
         raise ValidationError(f"unknown source {source!r}")
 
-    bad = np.flatnonzero((coeffs <= 0)
-                         | np.append(np.diff(coeffs) >= 0, False))
-    if bad.size:
-        raise ValidationError(
-            "coefficients must be positive and strictly decreasing",
-            index=int(bad[0]) + 1)
+    for n, k in enumerate(coeffs, start=1):
+        if k <= 0 or (n < n_max and coeffs[n] >= k):
+            raise ValidationError(
+                "coefficients must be positive and strictly decreasing",
+                index=n)
     return KernelSpec(D=D, coeffs=coeffs, k0=onsager_mean(D), source=source)
 
 
 def tail_bound(spec: KernelSpec) -> float:
     """Upper bound on sum_{m > n_max} k_m.
 
-    The closed-form table is exact for the |sin gamma| kernel, so the tail
-    is summed explicitly out to a large cutoff M; beyond it the ratio is
-    below (m/(m+1))^1.5, so the remainder is at most 2 k_M M (integral
-    comparison with m^-1.5 decay; the true decay is ~m^-2).  Custom
-    kernels are finite series with zero tail.
+    For the |sin gamma| kernel the whole series sums to the mean: at
+    gamma = 0, |sin gamma| = 0 and every P_2n(D, 1) = 1, so
+    sum_n k_n = k0 (every k_n > 0 and k_n ~ n^-2, so the series converges
+    absolutely).  The tail is k0 less the correctly rounded sum (fsum) of
+    the closed-form k_1..k_n_max, plus (2D + 6) 2^-53 k0 for rounding: at
+    most D roundings in k0 (onsager_mean), two more in k_1 and one in each
+    k_n, one in the sum and one in the final addition; the difference
+    itself is exact (the sum exceeds k_1 > k0/2).  Custom kernels are
+    finite series with zero tail.
     """
     if spec.source == "custom":
         return 0.0
-    cutoff = max(200 * spec.n_max, 20000)
-    table = coeff_by_recurrence(spec.D, cutoff)
-    return float(table[spec.n_max:].sum()) + 2.0 * float(table[-1]) * cutoff
+    k0 = onsager_mean(spec.D)
+    head = math.fsum(coeff_by_recurrence(spec.D, spec.n_max))
+    return k0 - head + (2 * spec.D + 6) * 2.0 ** -53 * k0

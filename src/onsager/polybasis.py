@@ -1,11 +1,17 @@
 """Zonal polynomial basis on S^(D-1): Gegenbauer/Legendre evaluation,
 harmonic dimension counts, sphere areas and quadrature against the zonal
-surface measure."""
+surface measure.
+
+The counts and areas are standard-library arithmetic; the polynomial
+tables and Gauss rules are arrays and import numpy where they run, so
+importing this module loads no numpy."""
 
 import math
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "harmonic_count",
@@ -45,16 +51,10 @@ def surface_area(D: int) -> float:
     return 2.0 * math.pi ** (D / 2) / math.gamma(D / 2)
 
 
-def _check_domain(t):
-    t = np.asarray(t, dtype=float)
-    if np.any(np.abs(t) > 1.0):
-        raise ValueError("argument outside [-1, 1]")
-    return t
-
-
-def _gegenbauer_rows(alpha: float, max_degree: int, t: np.ndarray):
+def _gegenbauer_rows(alpha: float, max_degree: int, t: "np.ndarray"):
     """Raw C_k^(alpha)(t) for k = 0..max_degree by the standard three-term
     recurrence, yielded one degree at a time."""
+    import numpy as np
     c_prev = np.ones_like(t)
     yield c_prev
     if max_degree == 0:
@@ -67,15 +67,19 @@ def _gegenbauer_rows(alpha: float, max_degree: int, t: np.ndarray):
         yield c
 
 
-def legendre_table(D: int, max_degree: int, t: np.ndarray) -> np.ndarray:
+def legendre_table(D: int, max_degree: int,
+                   t: "np.ndarray") -> "np.ndarray":
     """All zonal polynomials P_k(D, t) = C_k^(alpha)(t) / C_k^(alpha)(1),
     alpha = (D - 2)/2, normalized so P_k(D, 1) = 1, for k = 0..max_degree
     in one recurrence pass; the classical Legendre polynomials at D = 3.
 
     Returns an array of shape (max_degree + 1, len(t)).
     """
+    import numpy as np
     _check_index(D, max_degree)
-    t = _check_domain(t)
+    t = np.asarray(t, dtype=float)
+    if np.any(np.abs(t) > 1.0):
+        raise ValueError("argument outside [-1, 1]")
     alpha = (D - 2) / 2
     table = np.empty((max_degree + 1, t.size))
     at_one = 1.0  # C_k^(alpha)(1) = prod_{j<k} (2 alpha + j) / (1 + j)
@@ -102,6 +106,7 @@ def zonal_rule(D: int, order: int):
     symmetrised, so the middle node of an odd rule is exactly 0.  Cached:
     the arrays are shared and read-only.
     """
+    import numpy as np
     if D < 3:
         raise ValueError(f"dimension must be >= 3, got {D}")
     if order < 1:

@@ -82,7 +82,7 @@ def test_thresholds_single_mode_custom():
 def test_threshold_exp_bound_satisfies_defining_equation():
     report = uniqueness_thresholds(SPEC3)
     lam = report.lambda_exp_bound
-    total = float(SPEC3.coeffs.sum()) + report.tail_bound
+    total = math.fsum(SPEC3.coeffs) + report.tail_bound
     assert lam * math.exp(4 * lam) * total == pytest.approx(0.5, rel=1e-12)
 
 

@@ -238,6 +238,24 @@ def test_out_of_memory_exits_3_with_error_record(monkeypatch, tmp_path,
     assert not out.exists()
 
 
+def test_linalg_error_exits_3_with_error_record(monkeypatch, tmp_path,
+                                                capsys):
+    # the exit-3 handler takes numpy's LinAlgError once a command has
+    # loaded numpy
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(solver, "censuses", singular)
+    out = tmp_path / "sweep.csv"
+    code = cli.main(["sweep", "--lambda-min", "9", "--lambda-max", "9",
+                     "--steps", "1", "--output", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == "onsager: Singular matrix\n"
+    record = json.loads((tmp_path / "sweep.error.json").read_text())
+    assert record["error"] == "LinAlgError"
+    assert not out.exists()
+
+
 def test_system_exit_from_a_command_propagates(monkeypatch, tmp_path,
                                               capsys):
     # only argparse's --help exit reads as success; a command that exits
@@ -674,34 +692,37 @@ _FRONT = ["cli", "errors"]
 _BASE = _FRONT + ["kernel", "polybasis"]
 
 
-@pytest.mark.parametrize(("argv", "code", "loaded"), [
-    ([], 0, _FRONT),
-    (["sweep", "--help"], 0, _FRONT),
-    (["frob"], 64, _FRONT),
-    (["sweep", "--bogus"], 2, _FRONT),
-    (["coeffs", "--config", "missing.json"], 2, _FRONT),
-    (["evolve", "--help"], 0, _BASE + ["dynamics"]),
-    (["coeffs", "--nmax", "3"], 0, _BASE),
-    (["thresholds", "--nmax", "3"], 0, _BASE + ["bifurcation"]),
-    (["solve", "--lambda", "5", "--nmax", "3"], 0, _BASE + ["solver"]),
+@pytest.mark.parametrize(("argv", "code", "loaded", "numpy"), [
+    ([], 0, _FRONT, False),
+    (["sweep", "--help"], 0, _FRONT, False),
+    (["frob"], 64, _FRONT, False),
+    (["sweep", "--bogus"], 2, _FRONT, False),
+    (["coeffs", "--config", "missing.json"], 2, _FRONT, False),
+    (["evolve", "--help"], 0, _BASE + ["dynamics"], True),
+    (["coeffs", "--nmax", "3"], 0, _BASE, True),
+    (["coeffs", "--nmax", "3", "--method", "recurrence"], 0, _BASE, False),
+    (["thresholds", "--nmax", "3"], 0, _BASE + ["bifurcation"], False),
+    (["solve", "--lambda", "5", "--nmax", "3"], 0, _BASE + ["solver"], True),
     (["sweep", "--lambda-min", "5", "--lambda-max", "6", "--steps", "2",
-      "--nmax", "3", "--starts", "3"], 0, _BASE + ["solver"]),
+      "--nmax", "3", "--starts", "3"], 0, _BASE + ["solver"], True),
     (["audit-degree", "--lambda", "5", "--truncations", "2", "--nmax", "2",
-      "--starts", "3"], 0, _BASE + ["bifurcation", "solver"]),
+      "--starts", "3"], 0, _BASE + ["bifurcation", "solver"], True),
     (["evolve", "--lambda", "5", "--grid", "32", "--t-max", "0.01",
-      "--nmax", "3"], 0, _BASE + ["dynamics"]),
+      "--nmax", "3"], 0, _BASE + ["dynamics"], True),
 ], ids=["help", "sweep-help", "unknown-command", "unknown-flag",
-        "missing-config", "evolve-help", "coeffs", "thresholds", "solve",
-        "sweep", "audit-degree", "evolve"])
+        "missing-config", "evolve-help", "coeffs", "coeffs-recurrence",
+        "thresholds", "solve", "sweep", "audit-degree", "evolve"])
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, code,
-                                                     loaded):
+                                                     loaded, numpy):
     # usage, help and flag errors load the standard library and the cli
-    # alone; numpy loads once a command computes, and `evolve --help`
-    # reads its default step from the dynamics module.  The package and
-    # cli import the solver, bifurcation and dynamics modules only where a
-    # command runs them; the census draws its starts from the standard
-    # library's generator, so no command loads numpy.random and the
-    # hashing modules that come with it
+    # alone, and `evolve --help` reads its default step from the dynamics
+    # module.  The closed-form kernel table and the thresholds are
+    # standard-library arithmetic, so `thresholds` and `coeffs --method
+    # recurrence` load no numpy; numpy loads once a command computes on
+    # arrays.  The package and cli import the solver, bifurcation and
+    # dynamics modules only where a command runs them; the census draws
+    # its starts from the standard library's generator, so no command
+    # loads numpy.random and the hashing modules that come with it
     probe = ("import sys; from onsager import cli\n"
              "code = cli.main(sys.argv[1:])\n"
              "print(code, sorted(m for m in sys.modules "
@@ -713,8 +734,37 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, code,
                           env=_src_env(), cwd=tmp_path, capture_output=True,
                           text=True, check=True)
     modules = sorted(f"onsager.{name}" for name in loaded)
-    numpy = [] if loaded == _FRONT else ["numpy"]
-    assert proc.stdout.splitlines()[-2:] == [f"{code} {modules}", f"{numpy}"]
+    expected = ["numpy"] if numpy else []
+    assert proc.stdout.splitlines()[-2:] == [f"{code} {modules}",
+                                             f"{expected}"]
+
+
+@pytest.mark.parametrize(("argv", "code"), [
+    (["thresholds", "--dim", "3", "--nmax", "64"], 0),
+    (["coeffs", "--nmax", "12", "--method", "recurrence"], 0),
+    # N(343, 2n) passes the largest double before n = 600
+    (["thresholds", "--dim", "343", "--nmax", "600"], 3),
+], ids=["thresholds", "coeffs-recurrence", "thresholds-overflow"])
+def test_numpy_free_commands_run_with_numpy_unimportable(tmp_path, argv,
+                                                         code):
+    # with numpy made unimportable, the standard-library commands still
+    # succeed, and a numerical failure still exits 3 with one `onsager:`
+    # line and its error record
+    probe = ("import sys; sys.modules['numpy'] = None\n"
+             "from onsager import cli; sys.exit(cli.main(sys.argv[1:]))")
+    proc = subprocess.run([sys.executable, "-c", probe, *argv, "--output",
+                           "out.csv"], env=_src_env(), cwd=tmp_path,
+                          capture_output=True, text=True)
+    assert proc.returncode == code
+    if code == 0:
+        assert proc.stderr == ""
+        assert (tmp_path / "out.csv").exists()
+    else:
+        assert proc.stderr.startswith("onsager: ")
+        assert proc.stderr.count("\n") == 1
+        record = json.loads((tmp_path / "out.error.json").read_text())
+        assert record["error"] == "OverflowError"
+        assert not (tmp_path / "out.csv").exists()
 
 
 def test_import_onsager_loads_and_binds_nothing():

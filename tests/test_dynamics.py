@@ -203,7 +203,7 @@ def test_evolve_limit_solves_the_fixed_point_equation():
     traj = evolve(_bump(grid, amp=0.01), SPEC3, lam, DT_PER_H2 * grid.h ** 2,
                   60.0, grid, record_every=1000, settle_tol=1e-9)
     a = grid_moments(traj.final_density, grid, 12)
-    implied = AxisymState(3, -lam * SPEC3.coeffs * a)
+    implied = AxisymState(3, -lam * np.asarray(SPEC3.coeffs) * a)
     assert np.linalg.norm(residual(implied, SPEC3, lam)) <= 1e-5
 
 

@@ -1,4 +1,5 @@
 import math
+from functools import lru_cache
 
 import mpmath
 import numpy as np
@@ -7,6 +8,7 @@ from integral_oracle import mean_value
 from pointwise_oracle import khat_eval, zonal
 from scipy.integrate import quad
 
+from onsager.bifurcation import uniqueness_thresholds
 from onsager.errors import AccuracyError, ValidationError
 from onsager.kernel import (
     QUAD_RTOL,
@@ -168,8 +170,9 @@ def test_build_kernel_spec_onsager(source):
     spec = build_kernel_spec(3, 8, source)
     assert spec.k0 == pytest.approx(math.pi / 4, rel=1e-12)
     assert spec.sup_norm_khat == pytest.approx(math.pi / 4, rel=1e-12)
-    assert np.all(spec.coeffs > 0)
-    assert np.all(np.diff(spec.coeffs) < 0)
+    coeffs = np.asarray(spec.coeffs)
+    assert np.all(coeffs > 0)
+    assert np.all(np.diff(coeffs) < 0)
 
 
 def test_sup_norm_is_max_of_profile_range():
@@ -244,6 +247,11 @@ def test_spec_field_validation():
                                source="custom"),
             lambda: KernelSpec(D=3, coeffs=np.array([np.inf]), k0=0.0,
                                source="custom"),
+            lambda: KernelSpec(D=3, coeffs=np.ones((2, 1)), k0=0.0,
+                               source="custom"),
+            lambda: KernelSpec(D=3, coeffs=[[1.0]], k0=0.0, source="custom"),
+            lambda: KernelSpec(D=3, coeffs=1.0, k0=0.0, source="custom"),
+            lambda: KernelSpec(D=3, coeffs="12", k0=0.0, source="custom"),
             lambda: KernelSpec(D=3, coeffs=one, k0=0.0, source="bogus"),
             lambda: KernelSpec(D=2, coeffs=one, k0=0.0, source="custom"),
             lambda: KernelSpec(D=1000, coeffs=one, k0=0.0, source="custom"),
@@ -270,7 +278,7 @@ def test_spec_rejects_negative_coefficients():
                    source="custom")
     assert err.value.index == 3
     spec = build_kernel_spec(4, 5, "onsager-recurrence")
-    coeffs = spec.coeffs.copy()
+    coeffs = np.array(spec.coeffs)
     coeffs[1] = -coeffs[1]
     with pytest.raises(ValidationError) as err:
         KernelSpec(D=4, coeffs=coeffs, k0=spec.k0, source=spec.source)
@@ -284,10 +292,41 @@ def test_tail_bound_dominates_true_tail():
     long_spec = build_kernel_spec(3, 80, "onsager-recurrence")
     for n_max in (4, 8, 16):
         short = build_kernel_spec(3, n_max, "onsager-recurrence")
-        true_tail = float(long_spec.coeffs[n_max:].sum())
+        true_tail = float(np.asarray(long_spec.coeffs)[n_max:].sum())
         bound = tail_bound(short)
         assert bound >= true_tail
         assert bound < 10 * true_tail + 1e-3  # not wildly loose
+
+
+# Explicit sums of the closed-form table up to M, beyond which the tail is
+# at most 2 k_M M (the ratio is below (m/(m+1))^1.5 there)
+_TAIL_CUTOFF = 200_000
+
+
+@lru_cache(maxsize=None)
+def _long_table(D):
+    return coeff_by_recurrence(D, _TAIL_CUTOFF)
+
+
+@pytest.mark.parametrize("D", [3, 4, 5, 7, 10, 343])
+@pytest.mark.parametrize("n_max", [1, 4, 16, 64, 600])
+def test_tail_bound_brackets_the_explicit_tail(D, n_max):
+    # the tail from sum_n k_n = k0 lies between the explicit sum to M and
+    # that sum plus the comparison bound on the rest
+    table = _long_table(D)
+    spec = build_kernel_spec(D, n_max, "onsager-recurrence")
+    explicit = math.fsum(table[n_max:])
+    bound = tail_bound(spec)
+    assert explicit <= bound <= explicit + 2 * table[-1] * _TAIL_CUTOFF
+    # so lambda_0's conservative end is 1/k0 to rounding, never above it;
+    # at D = 343, n_max = 600 the critical values overflow a double
+    if (D, n_max) == (343, 600):
+        with pytest.raises(OverflowError):
+            uniqueness_thresholds(spec)
+        return
+    lower = uniqueness_thresholds(spec).lambda_0_interval[0]
+    assert lower <= 1 / onsager_mean(D)
+    assert lower == pytest.approx(1 / onsager_mean(D), rel=1e-12, abs=0.0)
 
 
 def test_tail_bound_custom_is_zero():
@@ -295,7 +334,16 @@ def test_tail_bound_custom_is_zero():
     assert tail_bound(spec) == 0.0
 
 
+def test_kernel_spec_compares_and_hashes_by_value():
+    a = build_kernel_spec(3, 4, "onsager-recurrence")
+    b = build_kernel_spec(3, 4, "onsager-recurrence")
+    assert a == b and hash(a) == hash(b)
+    assert a != build_kernel_spec(3, 5, "onsager-recurrence")
+    assert a != build_kernel_spec(3, 4, "onsager-quadrature")
+    assert len({a, b}) == 1
+
+
 def test_coeffs_are_read_only():
     spec = build_kernel_spec(3, 4, "onsager-quadrature")
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         spec.coeffs[0] = 0.0

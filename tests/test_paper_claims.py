@@ -37,7 +37,7 @@ def test_lambda_exp_bound_solves_its_equation(D):
     spec = _spec(D)
     report = uniqueness_thresholds(spec)
     lam = report.lambda_exp_bound
-    total = float(spec.coeffs.sum()) + report.tail_bound
+    total = math.fsum(spec.coeffs) + report.tail_bound
     assert lam * math.exp(4 * lam) * total == pytest.approx(0.5, rel=1e-12)
 
 

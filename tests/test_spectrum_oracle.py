@@ -133,7 +133,7 @@ def test_certificate_matches_the_spectrum_near_degeneracy(monkeypatch, n,
     # P = Q diag(p) Q^T with one eigenvalue 1 -+ delta, so I - J has one
     # eigenvalue +-delta, on both sides of the 1e-12 test
     spec, lam = SPECS[3], 12.0
-    d = np.sqrt(lam * spec.coeffs[:n])
+    d = np.sqrt(lam * np.asarray(spec.coeffs)[:n])
     rng = np.random.default_rng(n)
     covs = []
     for sign in (1, -1) * 10:
@@ -178,7 +178,7 @@ def test_certificate_gives_non_finite_covariances_to_the_spectrum(entry,
 def _diagonal_covs(spec, lam, traces, n=4):
     """Diagonal covariances whose P = diag(d) Cov diag(d) has the given
     traces, spread unevenly over n modes."""
-    d2 = lam * spec.coeffs[:n]
+    d2 = lam * np.asarray(spec.coeffs)[:n]
     shares = np.array([0.4, 0.3, 0.2, 0.1][:n])
     return np.array([np.diag(t * shares / d2) for t in traces])
 
