@@ -13,7 +13,7 @@ from .errors import (
     ThresholdUndefinedError,
     ValidationError,
 )
-from .kernel import KernelSpec, tail_bound
+from .kernel import KernelSpec, coeff_by_recurrence, tail_bound
 from .polybasis import harmonic_count
 
 # numpy and the solver are imported where they run, so that
@@ -69,7 +69,11 @@ class Branch:
 
 @dataclass(frozen=True)
 class DegreeReport:
-    """Census of solutions at one concentration with their indices."""
+    """Census of solutions at one concentration with their indices, at
+    the audit's last truncation.  degree_sum is always 1 and
+    stable_across_truncations always true (any other index sum raises);
+    both stay as columns of the audit table, which `perfbench/run.py`
+    checks."""
 
     lam: float
     solutions: tuple
@@ -111,10 +115,13 @@ def uniqueness_thresholds(spec: KernelSpec) -> ThresholdReport:
     """Uniqueness thresholds and critical values in one report.
 
     lambda_tilde0 = (1/5) ||K_hat||_inf^-1; lambda_0 is bracketed by
-    [1/(S + tail), 1/S] with S the coefficient partial sum and tail the
-    documented comparison bound; lambda_exp_bound solves
-    lam e^(4 lam ||K||_inf) (S + tail) = 1/2, that is
-    lam = W(4 ||K||_inf / (2 (S + tail))) / (4 ||K||_inf) with W the
+    [1/(S' + tail), 1/S] with S the coefficient partial sum and tail the
+    bound on the closed-form tail (`tail_bound`).  S' is S, except that a
+    quadrature table that sums short of the closed-form one is topped up
+    to it, so that S' + tail bounds the whole series k0 as the tail
+    promises and 1/(S' + tail) stays <= 1/k0.  lambda_exp_bound solves
+    lam e^(4 lam ||K||_inf) (S' + tail) = 1/2, that is
+    lam = W(4 ||K||_inf / (2 (S' + tail))) / (4 ||K||_inf) with W the
     principal branch of the Lambert W function.
     """
     if any(k <= 0 for k in spec.coeffs):
@@ -122,7 +129,11 @@ def uniqueness_thresholds(spec: KernelSpec) -> ThresholdReport:
             "thresholds require positive coefficients")
     partial = math.fsum(spec.coeffs)
     tail = tail_bound(spec)
-    total = partial + tail
+    head = partial
+    if spec.source == "onsager-quadrature":
+        head = max(partial,
+                   math.fsum(coeff_by_recurrence(spec.D, spec.n_max)))
+    total = head + tail
     if not math.isfinite(total):
         raise ThresholdUndefinedError("coefficient sum is not summable")
     lam_tilde = 0.2 / spec.sup_norm_khat
@@ -174,10 +185,14 @@ def degree_audit(spec: KernelSpec, lam: float, n_starts: int, seed: int,
                  truncations) -> DegreeReport:
     """Solution census with index sums at several truncations.
 
-    The infinite-dimensional degree is realized as its own defining
-    limit: Brouwer index sums at each truncation, checked for equality
-    across the list.  A second census at seed + 1, run in the same
-    Newton pool, guards against multistart instability.
+    The degree of u - lam G(u) on a ball holding every solution is 1 at
+    every truncation and every lam off the critical values: G is bounded,
+    so the homotopy from lam to 0 keeps all solutions inside the ball, and
+    at lam = 0 the map is the identity.  Each truncation's Brouwer index
+    sum must therefore be 1; any other sum means the census missed
+    solutions and raises InconclusiveAuditError, as does a second
+    census at seed + 1, run in the same Newton pool, that finds a
+    different count.
     """
     from .solver import censuses
     for n, crit in enumerate(critical_values(spec), start=1):
@@ -188,8 +203,6 @@ def degree_audit(spec: KernelSpec, lam: float, n_starts: int, seed: int,
     truncations = tuple(truncations)
     if not truncations:
         raise ValueError("truncations must name at least one truncation")
-    sums = []
-    last_solutions = None
     for N in truncations:
         census, recheck = censuses(spec, [lam], n_starts, [seed, seed + 1],
                                    N=N)[0]
@@ -198,14 +211,17 @@ def degree_audit(spec: KernelSpec, lam: float, n_starts: int, seed: int,
                 f"censuses at N={N} disagree: {len(census)} vs "
                 f"{len(recheck)} solutions", censuses=(census, recheck))
         indexed = tuple(replace(r, index=index_of(r, spec)) for r in census)
-        sums.append(sum(r.index for r in indexed))
-        last_solutions = indexed
-    stable = len(set(sums)) == 1
+        degree = sum(r.index for r in indexed)
+        if degree != 1:
+            raise InconclusiveAuditError(
+                f"index sum at N={N} is {degree}, not the degree 1: the "
+                f"census of {len(indexed)} solutions is incomplete",
+                censuses=(census, recheck))
     return DegreeReport(
         lam=lam,
-        solutions=last_solutions,
-        degree_sum=sums[-1],
-        stable_across_truncations=stable,
+        solutions=indexed,
+        degree_sum=degree,
+        stable_across_truncations=True,
     )
 
 

@@ -35,10 +35,10 @@ SOURCES = ("onsager-quadrature", "onsager-recurrence", "custom")
 
 # Largest gap allowed between the two Gauss-Jacobi orders of
 # coeff_by_quadrature, relative to k_n.  The gap is rounding in the rule's
-# sum and grows with n and D: at D = 3 it stays below 4e-8 up to n = 400
-# (true error at most 2.5e-8), at D = 10 it first passes 1e-6 at
-# n_max = 50.  A relative 1e-12 would fire from n = 5 to 7 at D = 10 and
-# from n = 19 at D = 3.
+# sum and grows with n and D: at D = 3 it stays below 5e-8 up to n = 400
+# (true error at most 2.9e-8), at D = 10 it first passes 1e-6 at
+# n_max = 48.  A relative 1e-12 would fire at n = 5 to 7 at D = 10 and at
+# n = 12 to 20 at D = 3 (n_max up to 40).
 QUAD_RTOL = 1e-6
 
 
@@ -100,7 +100,9 @@ class KernelSpec:
                            else max(self.k0, 1.0 - self.k0))
 
     def coeff(self, n: int) -> float:
-        """k_n for 1 <= n <= n_max."""
+        """k_n for 1 <= n <= n_max; IndexError for any other n."""
+        if not 1 <= n <= self.n_max:
+            raise IndexError(f"k_{n} is outside k_1..k_{self.n_max}")
         return self.coeffs[n - 1]
 
 
@@ -125,8 +127,10 @@ def coeff_by_quadrature(D: int, n_max: int):
     k_n = -(sigma_(D-1) N(D,2n)/sigma_D) int (1-t^2)^((D-2)/2) P_{2n}(D,t) dt.
     The (1-t^2)^((D-2)/2) factor is the Gauss weight of the zonal rule one
     dimension up, so the integrand seen by the rule is the polynomial
-    P_{2n}, and one rule of order max(2 n_max + 8, 32), exact in exact
-    arithmetic for every n <= n_max, gives the whole table from one
+    P_{2n} of degree 2n.  An m-point Gauss rule integrates every degree
+    up to 2m - 1 exactly (Golub & Welsch, Math. Comp. 23, 1969), so
+    n_max + 1 nodes are exact in exact arithmetic for every n <= n_max;
+    one rule of order max(n_max + 8, 32) gives the whole table from one
     `legendre_table` pass.  In floating point the cancellation in the sum
     grows with n and D, so a second rule 16 points larger guards the
     result: AccuracyError for the first n whose two values differ by more
@@ -145,7 +149,7 @@ def coeff_by_quadrature(D: int, n_max: int):
         nodes, weights = zonal_rule(D + 1, order)
         return prefac * (legendre_table(D, 2 * n_max, nodes)[2::2] @ weights)
 
-    order = max(2 * n_max + 8, 32)
+    order = max(n_max + 8, 32)
     k = estimate(order)
     err = np.abs(k - estimate(order + 16))
     bad = np.flatnonzero(err > QUAD_RTOL * np.abs(k))

@@ -17,11 +17,12 @@ from onsager.bifurcation import (
 )
 from onsager.errors import (
     BranchNotFoundError,
+    InconclusiveAuditError,
     SingularLinearizationError,
     ThresholdUndefinedError,
     ValidationError,
 )
-from onsager.kernel import KernelSpec, build_kernel_spec
+from onsager.kernel import KernelSpec, build_kernel_spec, onsager_mean
 from onsager.polybasis import harmonic_count
 from onsager.solver import (
     AxisymState,
@@ -105,6 +106,20 @@ def test_threshold_ordering():
     assert 0 < report.lambda_exp_bound < report.lambda_crit[0]
 
 
+@pytest.mark.parametrize("D", [3, 4, 5, 7, 10])
+@pytest.mark.parametrize("n_max", [1, 4, 6, 12, 30])
+@pytest.mark.parametrize("source", ["onsager-quadrature",
+                                    "onsager-recurrence"])
+def test_lambda_0_lower_end_never_exceeds_one_over_k0(D, n_max, source):
+    # lambda_0 = 1/k0 for the |sin gamma| kernel, whatever table the spec
+    # carries; a quadrature table that sums short of the closed form must
+    # not lift the conservative end above it
+    lower = uniqueness_thresholds(
+        build_kernel_spec(D, n_max, source)).lambda_0_interval[0]
+    assert lower <= 1 / onsager_mean(D)
+    assert lower == pytest.approx(1 / onsager_mean(D), rel=1e-12, abs=0.0)
+
+
 def test_thresholds_undefined_for_degenerate_kernel():
     with pytest.raises(ThresholdUndefinedError):
         uniqueness_thresholds(_degenerate_spec())
@@ -182,6 +197,48 @@ def test_degree_audit_dilute_limit():
                           truncations=(4, 6))
     assert len(report.solutions) == 1
     assert report.degree_sum == 1
+
+
+def test_degree_audit_raises_when_a_solution_is_missing(monkeypatch):
+    # the census at lambda = 15 holds the isotropic state (index -1
+    # between lambda_1 and lambda_2) and two nematic states (+1 each);
+    # without the first nematic one the indices sum to 0
+    full = solver.censuses
+
+    def short_census(*args, **kwargs):
+        return [[found[:1] + found[2:] for found in pair]
+                for pair in full(*args, **kwargs)]
+
+    monkeypatch.setattr(solver, "censuses", short_census)
+    with pytest.raises(InconclusiveAuditError,
+                       match=r"index sum at N=8 is 0, not the degree 1"):
+        degree_audit(SPEC3, 15.0, n_starts=25, seed=0, truncations=(8, 12))
+
+
+@pytest.mark.parametrize("side", [-1, 1])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("D", [3, 4, 5, 7, 10])
+def test_degree_audit_of_the_isotropic_state_alone(monkeypatch, D, n, side):
+    # a census holding only u = 0, whose index is the oracle
+    # (-1)^#{m <= N : lambda_m < lambda}: the audit passes exactly where
+    # that sign is +1, below lambda_1 and between lambda_2 and lambda_3
+    spec = build_kernel_spec(D, 6, "onsager-recurrence")
+    crit = critical_values(spec)
+    lam = crit[n - 1] * (1 + side * 1e-3)
+
+    def isotropic_census(spec, lams, n_starts, seeds, N=None):
+        report = solve(spec, lams[0], AxisymState(spec.D, np.zeros(N)))
+        return [[[report] for _ in seeds]]
+
+    monkeypatch.setattr(solver, "censuses", isotropic_census)
+    if (-1) ** sum(c < lam for c in crit) == 1:
+        report = degree_audit(spec, lam, 5, 0, (6,))
+        assert [r.index for r in report.solutions] == [1]
+        assert report.degree_sum == 1
+    else:
+        with pytest.raises(InconclusiveAuditError,
+                           match=r"index sum at N=6 is -1"):
+            degree_audit(spec, lam, 5, 0, (6,))
 
 
 def test_degree_audit_rejects_near_critical_lambda():

@@ -109,6 +109,24 @@ def test_audit_degree_sums_to_plus_one(tmp_path):
     assert all(r["stable_across_truncations"] == "true" for r in rows)
 
 
+def test_audit_degree_exits_3_when_the_index_sum_is_not_one(tmp_path,
+                                                            capsys):
+    # at lambda = 120 the default census misses solutions: its indices sum
+    # to 2 at N = 8, which no complete census of a degree-1 map gives
+    out = tmp_path / "audit.csv"
+    code = cli.main(["audit-degree", "--lambda", "120", "--truncations",
+                     "8,12,16", "--nmax", "16", "--output", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == ("onsager: index sum at N=8 is 2, not the degree 1: the "
+                   "census of 4 solutions is incomplete\n")
+    record = json.loads((tmp_path / "audit.error.json").read_text())
+    assert record["error"] == "InconclusiveAuditError"
+    assert record["command"] == "audit-degree"
+    assert record["parameters"]["lambda"] == 120.0
+    assert not out.exists()
+
+
 def test_evolve_writes_monotone_energy(tmp_path):
     out = tmp_path / "run.csv"
     code = cli.main(["evolve", "--lambda", "11.3", "--grid", "48",
