@@ -237,7 +237,8 @@ def _corrector(spec, y, tangent, tol):
     the hyperplane through y normal to the tangent, with the bordered
     matrix [[I - J, dF/dlam], [tangent]] from one density pass (F is
     linear in lam: dF/dlam = (F - u) / lam).  Returns (y, F, matrix,
-    updates) at the first y with state_norm(F) <= tol, or None."""
+    updates) at the first y with state_norm(F) <= tol, the coefficient l1
+    norm of every solver test, or None."""
     import numpy as np
 
     from .solver import _fused_pass, state_norm
@@ -246,7 +247,7 @@ def _corrector(spec, y, tangent, tol):
         res, jac, _ = _fused_pass(spec, lam, u)
         matrix = np.block([[np.eye(u.size) - jac, ((res - u) / lam)[:, None]],
                            [tangent]])
-        if state_norm(spec.D, res) <= tol:
+        if state_norm(res) <= tol:
             return y, res, matrix, it
         try:
             y = y + np.linalg.solve(matrix, -np.append(res, 0.0))
@@ -280,8 +281,8 @@ def _family(spec, n, origin, sign, lambda_max, n_modes, tol):
         if (lam > lambda_max or sign * u[n - 1] <= 0
                 or np.linalg.norm(u) < _DS_FIRST / 2):
             break
-        report = _make_report(AxisymState(spec.D, u), res, spec, lam,
-                              iterations, tol)
+        report = _make_report(AxisymState(spec.D, u), res, lam, iterations,
+                              tol)
         points.append(report)
         # the next tangent t solves the same bordered system:
         # (I - J) t_u + dF/dlam t_lam = 0 and old tangent . t = 1
@@ -300,9 +301,10 @@ def trace_branch(spec: KernelSpec, n: int, lambda_max: float,
     Each coefficient sign starts at (0, lambda_n) along +-e_n.  A step
     predicts along the unit tangent of (u, lambda), then Newton's method
     on u - lam G(u) = 0 bordered by the tangent corrects it until the
-    solver's own test state_norm(residual) <= tol holds.  Only points with
-    lambda <= lambda_max are kept.  tol must be positive and lambda_max
-    nonnegative, both finite.
+    solver's own test state_norm(residual) <= tol holds, in the
+    coefficient l1 norm, so every point is a converged SolutionReport.
+    Only points with lambda <= lambda_max are kept.  tol must be positive
+    and lambda_max nonnegative, both finite.
     """
     from .solver import _check_tol_lambda
     _check_tol_lambda(tol, lambda_max)

@@ -297,7 +297,6 @@ def _run_thresholds(cfg, spec):
     report = bifurcation.uniqueness_thresholds(spec)
     records = [
         {"name": "lambda_tilde0", "value": report.lambda_tilde0},
-        {"name": "lambda_0", "value": report.lambda_0_interval[0]},
         {"name": "lambda_0_lower", "value": report.lambda_0_interval[0]},
         {"name": "lambda_0_upper", "value": report.lambda_0_interval[1]},
         {"name": "lambda_exp_bound", "value": report.lambda_exp_bound},
@@ -324,7 +323,7 @@ def _run_solve(cfg, spec):
         "converged": report.converged,
         "iterations": report.iterations,
         "residual": report.residual_norm,
-        "norm": solver.state_norm(cfg["dim"], report.state.coeffs),
+        "norm": solver.state_norm(report.state.coeffs),
     }
     record.update(_state_columns(report.state.coeffs, modes))
     return [record]
@@ -350,7 +349,7 @@ def _run_sweep(cfg, spec):
             record = {
                 "lambda": lam,
                 "branch": branch,
-                "norm": solver.state_norm(cfg["dim"], report.state.coeffs),
+                "norm": solver.state_norm(report.state.coeffs),
                 "residual": report.residual_norm,
             }
             record.update(_state_columns(report.state.coeffs, modes))
@@ -372,7 +371,7 @@ def _run_audit(cfg, spec):
             "index": sol.index,
             "degree_sum": report.degree_sum,
             "stable_across_truncations": report.stable_across_truncations,
-            "norm": solver.state_norm(cfg["dim"], sol.state.coeffs),
+            "norm": solver.state_norm(sol.state.coeffs),
             "residual": sol.residual_norm,
         }
         record.update(_state_columns(sol.state.coeffs, width))

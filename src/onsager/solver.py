@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import SingularLinearizationError
 from .kernel import KernelSpec
-from .polybasis import harmonic_count, legendre_table, surface_area, zonal_rule
+from .polybasis import legendre_table, zonal_rule
 
 __all__ = [
     "AxisymState",
@@ -66,12 +66,18 @@ class AxisymState:
 
 @dataclass(frozen=True)
 class SolutionReport:
+    """A state at lam with its residual norm state_norm(u - lam G(u)),
+    the Newton updates taken and whether that norm is <= tol.  A
+    converged state lies in the a priori box up to tol:
+    sup |u| <= lam ||K_hat||_inf + tol, since |a_n| <= 1 and
+    sum_n k_n <= ||K_hat||_inf.  index is the Brouwer index where an
+    audit has set it."""
+
     state: AxisymState
     lam: float
     residual_norm: float
     iterations: int
     converged: bool
-    sup_norm_u: float
     index: int | None = None
 
 
@@ -92,28 +98,13 @@ def _mode_tables(D: int, N: int):
     return tables
 
 
-@lru_cache(maxsize=64)
-def _l2_weights(D: int, N: int) -> np.ndarray:
-    """Squared sphere-L2 norms sigma_D / N(D, 2n) of the basis functions
-    P_{2n}, n = 1..N."""
-    counts = np.array([harmonic_count(D, 2 * n) for n in range(1, N + 1)],
-                      dtype=float)
-    weights = surface_area(D) / counts
-    weights.setflags(write=False)
-    return weights
-
-
-def _norms(D: int, coeffs: np.ndarray) -> np.ndarray:
-    """Sphere L2 norm of a coefficient vector, or of each row of a stack by
-    one dot product per row; a norm that overflows is inf, silently."""
+def state_norm(coeffs):
+    """Coefficient l1 norm sum_n |u_n| of a vector (a float), or of each
+    row of a stack (..., N).  Every solver tolerance is taken in it: it
+    bounds sup |u| over the sphere at every D, as |P_{2n}(D, t)| <= 1,
+    and carries no surface area.  A sum that overflows is inf, silently."""
     with np.errstate(over="ignore"):
-        return np.sqrt((coeffs ** 2)[..., None, :]
-                       @ _l2_weights(D, coeffs.shape[-1]))[..., 0]
-
-
-def state_norm(D: int, coeffs: np.ndarray) -> float:
-    """Sphere L2 norm of a coefficient vector."""
-    return float(_norms(D, np.asarray(coeffs, dtype=float)))
+        return np.abs(np.asarray(coeffs, dtype=float)).sum(axis=-1)
 
 
 @lru_cache(maxsize=16)
@@ -247,15 +238,11 @@ def _singular(spec: KernelSpec, lam, cov: np.ndarray) -> np.ndarray:
     return flag
 
 
-def _make_report(state, res, spec, lam, iterations, tol):
+def _make_report(state, res, lam, iterations, tol):
     """Report for state, whose residual res the caller has computed."""
-    res_norm = state_norm(state.D, res)
-    sup_u = state_sup_norm(state)
-    lam_khat = lam * spec.sup_norm_khat
-    converged = res_norm <= tol and sup_u <= lam_khat + 1e-8
+    res_norm = float(state_norm(res))
     return SolutionReport(state=state, lam=lam, residual_norm=res_norm,
-                          iterations=iterations, converged=converged,
-                          sup_norm_u=sup_u)
+                          iterations=iterations, converged=res_norm <= tol)
 
 
 # Rows of the Newton pool: bounds the (rows, N, 64) temporary of the
@@ -275,16 +262,16 @@ def _newton(spec: KernelSpec, lam, starts: np.ndarray, tol: float,
     Each row takes exactly the steps it would take alone.  A Newton row
     ends when _singular finds I - J degenerate (the row is dropped),
     before an update that is not finite, or after max_iter updates of its
-    own.  At residual norm <= tol it records its updates and stays in the
-    pool to polish, so that two runs landing on one root agree far inside
-    the deduplication radius: each candidate step is kept unless its
-    residual norm is no lower (NaN counts as lower), and the row ends at
-    its kept state when a candidate is not kept, is not finite or has no
-    solve (I - J exactly singular), at kept norm <= 1e-14, or after 4
-    kept candidates.  Returns the final states (S, N), their residuals
-    (S, N) and the Newton updates each row took (S,), -1 for a dropped
-    row (whose state and residual are undefined).  The caller checks the
-    kernel, tol and lam.
+    own.  At residual norm <= tol (state_norm, as every norm here) it
+    records its updates and stays in the pool to polish, so that two runs
+    landing on one root agree far inside the deduplication radius: each
+    candidate step is kept unless its residual norm is no lower (NaN
+    counts as lower), and the row ends at its kept state when a candidate
+    is not kept, is not finite or has no solve (I - J exactly singular),
+    at kept norm <= 1e-14, or after 4 kept candidates.  Returns the final
+    states (S, N), their residuals (S, N) and the Newton updates each row
+    took (S,), -1 for a dropped row (whose state and residual are
+    undefined).  The caller checks the kernel, tol and lam.
     """
     if not max_iter >= 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
@@ -302,7 +289,7 @@ def _newton(spec: KernelSpec, lam, starts: np.ndarray, tol: float,
             taken = np.concatenate((taken, np.zeros_like(new)))
             coeffs = np.concatenate((coeffs, starts[new]))
         res, jac, cov = _fused_pass(spec, lam[rows], coeffs)
-        norm = _norms(spec.D, res)
+        norm = state_norm(res)
         polish = its[rows] >= 0
         keep = ~polish | ~(norm >= end_norm[rows])  # NaN counts as lower
         end_u[rows[keep]], end_res[rows[keep]] = coeffs[keep], res[keep]
@@ -355,7 +342,7 @@ def solve(spec: KernelSpec, lam: float, init: AxisymState,
         raise SingularLinearizationError(
             f"Newton linearization singular at lambda={lam}; "
             "perturb lambda away from critical values")
-    return _make_report(AxisymState(init.D, u[0]), res[0], spec, lam,
+    return _make_report(AxisymState(init.D, u[0]), res[0], lam,
                         int(its[0]), tol)
 
 
@@ -364,16 +351,14 @@ def _census(spec: KernelSpec, lam: float, u, res, its, tol: float) -> list:
     its in start order) by the rule multistart states, each later
     candidate within 10 tol of a kept one dropped by one stacked norm."""
     cand = np.flatnonzero(its >= 0)
-    cand = cand[_norms(spec.D, res[cand]) <= tol]
+    cand = cand[state_norm(res[cand]) <= tol]
     found = []
     while cand.size:
         first, cand = cand[0], cand[1:]
-        report = _make_report(AxisymState(spec.D, u[first]), res[first],
-                              spec, lam, int(its[first]), tol)
-        if report.converged:
-            found.append(report)
-            cand = cand[_norms(spec.D, u[cand] - u[first]) > 10.0 * tol]
-    found.sort(key=lambda r: (state_norm(spec.D, r.state.coeffs),
+        found.append(_make_report(AxisymState(spec.D, u[first]), res[first],
+                                  lam, int(its[first]), tol))
+        cand = cand[state_norm(u[cand] - u[first]) > 10.0 * tol]
+    found.sort(key=lambda r: (state_norm(r.state.coeffs),
                               tuple(r.state.coeffs)))
     return found
 
@@ -384,7 +369,8 @@ def censuses(spec: KernelSpec, lams, n_starts: int, seeds,
     """The multistart census of every (lam, seed) pair, lams[i] with
     seeds[j] at [i][j], from one pool of Newton rows (_newton) for all of
     them; each census is what multistart(spec, lam, n_starts, seed, N,
-    tol, max_iter) returns.
+    tol, max_iter) returns, tol and the duplicate radius 10 tol taken in
+    state_norm.
 
     A seed is an integer >= 0, numpy integers included.  Its
     (n_starts - 1) N numbers u, the first of the standard library's
@@ -429,11 +415,12 @@ def multistart(spec: KernelSpec, lam: float, n_starts: int, seed: int,
     library's stream, whose sequence Python keeps across versions: each
     number u as -box + 2 box u.  The starts run in the Newton pool, each
     with the steps solve() takes from it.  In start order, a start is
-    kept when its residual norm is <= tol, it lies farther than 10 tol
-    (sphere L2) from every solution kept before, and its sup norm, taken
-    only now, is inside the box; singular, unconverged and duplicate
-    starts are dropped.  Deterministic for a fixed seed; returned sorted
-    by (norm, coeffs).  The one-census case of censuses().
+    kept when its residual norm is <= tol and it lies farther than
+    10 tol from every solution kept before, both in state_norm, the
+    coefficient l1 norm; singular, unconverged and duplicate starts are
+    dropped.  A kept solution is inside the box up to tol
+    (SolutionReport).  Deterministic for a fixed seed; returned sorted
+    by (state_norm, coeffs).  The one-census case of censuses().
     """
     return censuses(spec, [lam], n_starts, [seed], N, tol, max_iter)[0][0]
 

@@ -15,7 +15,7 @@ from onsager.solver import AxisymState, solve, state_norm
 
 
 def _norm(state):
-    return state_norm(state.D, state.coeffs)
+    return state_norm(state.coeffs)
 
 
 def _seed_solution(spec, n, lam, sign, delta, n_modes, tol):

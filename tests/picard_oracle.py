@@ -16,11 +16,11 @@ def picard(spec, lam, init, tol=1e-10, max_iter=200, damping=1.0):
     state = init
     for it in range(1, max_iter + 1):
         res = residual(state, spec, lam)
-        if state_norm(state.D, res) <= tol:
-            return _make_report(state, res, spec, lam, it - 1, tol)
+        if state_norm(res) <= tol:
+            return _make_report(state, res, lam, it - 1, tol)
         new_coeffs = state.coeffs - damping * res
         if not np.all(np.isfinite(new_coeffs)):
-            return _make_report(state, res, spec, lam, it, tol)
+            return _make_report(state, res, lam, it, tol)
         state = AxisymState(state.D, new_coeffs)
-    return _make_report(state, residual(state, spec, lam), spec, lam,
+    return _make_report(state, residual(state, spec, lam), lam,
                         max_iter, tol)

@@ -44,5 +44,5 @@ def density_on_grid(state, grid):
 def amplitudes(branch, sign):
     """Norms of a branch's points with the given sign of u_mode, nearest
     the origin first."""
-    return [state_norm(p.state.D, p.state.coeffs) for p in branch.points
+    return [state_norm(p.state.coeffs) for p in branch.points
             if math.copysign(1, p.state.coeffs[branch.mode - 1]) == sign]

@@ -37,6 +37,7 @@ from onsager.solver import (
     residual,
     solve,
     state_norm,
+    state_sup_norm,
 )
 
 SPEC3 = build_kernel_spec(3, 12, "onsager-quadrature")
@@ -137,10 +138,10 @@ def test_uniqueness_regime_only_trivial_solution():
     for lam in rng.uniform(0.05, 0.999 * lam0, size=20):
         census = multistart(SPEC3, float(lam), 50, seed=0, N=8)
         assert len(census) == 1
-        assert state_norm(3, census[0].state.coeffs) == 0.0
+        assert state_norm(census[0].state.coeffs) == 0.0
         for report in census:
-            assert report.sup_norm_u <= (lam * SPEC3.sup_norm_khat
-                                         + 1e-8)
+            assert state_sup_norm(report.state) <= (
+                lam * SPEC3.sup_norm_khat + 1e-8)
 
 
 def test_bifurcation_census_three_solutions():
@@ -149,15 +150,16 @@ def test_bifurcation_census_three_solutions():
     census = multistart(SPEC3, lam, 40, seed=1, N=12)
     assert len(census) == 3
     nontrivial = [r for r in census
-                  if state_norm(3, r.state.coeffs) > 1e-6]
+                  if state_norm(r.state.coeffs) > 1e-6]
     assert len(nontrivial) == 2
     signs = sorted(math.copysign(1, r.state.coeffs[0]) for r in nontrivial)
     assert signs == [-1.0, 1.0]
     for report in census:
         u = report.state.coeffs
-        if state_norm(3, u) > 1e-6:
+        if state_norm(u) > 1e-6:
             assert abs(u[0]) >= 0.9 * np.max(np.abs(u))
-        assert report.sup_norm_u <= lam * SPEC3.sup_norm_khat + 1e-8
+        assert (state_sup_norm(report.state)
+                <= lam * SPEC3.sup_norm_khat + 1e-8)
 
 
 def test_branch_amplitude_vanishes_toward_onset():
@@ -186,7 +188,7 @@ def test_trivial_index_flip_is_compensated_by_branches():
     assert index_of(above, SPEC3) == -1
     census = multistart(SPEC3, 1.5 * LAM1, 30, seed=0, N=8)
     branch_indices = [index_of(r, SPEC3) for r in census
-                      if state_norm(3, r.state.coeffs) > 1e-6]
+                      if state_norm(r.state.coeffs) > 1e-6]
     assert branch_indices == [1, 1]
 
 

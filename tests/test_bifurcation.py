@@ -365,7 +365,7 @@ def test_trace_branch_points_are_the_natural_continuation_points():
             start = branch.points[int(np.argmin(distance))].state
             report = solve(spec, point.lam, start)
             assert report.converged
-            assert state_norm(3, report.state.coeffs - u) <= 1e-10
+            assert state_norm(report.state.coeffs - u) <= 1e-10
 
 
 def test_trace_branch_validation_and_missing_branch():
@@ -416,7 +416,7 @@ def test_nematic_solution_is_stable():
     lam = 1.2 * LAM1
     census = multistart(SPEC3, lam, 20, seed=2, N=6)
     nematic = census[-1]
-    assert state_norm(3, nematic.state.coeffs) > 0.1
+    assert state_norm(nematic.state.coeffs) > 0.1
     assert classify_stability(nematic, SPEC3) == "stable"
 
 

@@ -1,7 +1,8 @@
 """The paper's uniqueness claims at several dimensions, through the public
 API only: below the threshold lambda_0 the isotropic state is the one
-solution, and every uniqueness threshold lies below the first critical
-value lambda_1."""
+solution, every uniqueness threshold lies below the first critical
+value lambda_1, and past lambda_1 the census finds the isotropic state
+and the two mode-1 branches, whose indices sum to the degree 1."""
 
 import math
 
@@ -9,13 +10,18 @@ import pytest
 
 from onsager.bifurcation import index_of, uniqueness_thresholds
 from onsager.kernel import build_kernel_spec
-from onsager.solver import multistart, state_norm
+from onsager.solver import AxisymState, multistart, solve, state_norm
 
-DIMS = [3, 4, 5, 7, 10]
+# the kernel table size at each dimension; at D = 100 the sphere's
+# surface area is 2.4e-38, so a tolerance taken in a norm that carries it
+# would accept non-solutions there
+NMAX = {3: 12, 4: 12, 5: 12, 7: 12, 10: 12, 50: 4, 100: 4, 343: 4}
+DIMS = list(NMAX)
+LARGE_DIMS = [50, 100, 343]
 
 
 def _spec(D):
-    return build_kernel_spec(D, 12, "onsager-recurrence")
+    return build_kernel_spec(D, NMAX[D], "onsager-recurrence")
 
 
 @pytest.mark.parametrize("D", DIMS)
@@ -26,8 +32,30 @@ def test_isotropic_state_is_unique_below_lambda_0(D, seed):
     census = multistart(spec, lam, 30, seed=seed)
     assert len(census) == 1
     (report,) = census
-    assert state_norm(D, report.state.coeffs) <= 1e-9
+    assert state_norm(report.state.coeffs) <= 1e-9
     assert index_of(report, spec) == 1
+
+
+@pytest.mark.parametrize("D", LARGE_DIMS)
+@pytest.mark.parametrize("init", [[3.0, -2.0, 1.0, 0.0], [0.01, 0, 0, 0]])
+def test_solve_below_lambda_1_does_not_accept_a_non_solution(D, init):
+    # lambda = 50 is far below lambda_1 (2525 at D = 50), and neither
+    # start solves the equation: Newton ends at the isotropic state or
+    # reports no convergence
+    report = solve(_spec(D), 50.0, AxisymState(D, init))
+    assert not report.converged or state_norm(report.state.coeffs) <= 1e-9
+
+
+@pytest.mark.parametrize("D", LARGE_DIMS)
+@pytest.mark.parametrize("factor", [1.2, 1.5])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_census_past_lambda_1_has_index_sum_one(D, factor, seed):
+    spec = _spec(D)
+    lam = factor * uniqueness_thresholds(spec).lambda_crit[0]
+    census = multistart(spec, lam, 30, seed=seed)
+    assert len(census) == 3
+    assert state_norm(census[0].state.coeffs) == 0.0
+    assert sum(index_of(report, spec) for report in census) == 1
 
 
 @pytest.mark.parametrize("D", DIMS)

@@ -41,9 +41,13 @@ def test_state_validation():
 
 
 def test_state_norm_closed_form():
-    # ||P_2||^2 over S^2 is sigma_3 / N(3, 2) = 4 pi / 5
-    assert state_norm(3, [1.0]) == pytest.approx(
-        math.sqrt(4 * math.pi / 5), rel=1e-13)
+    # sum_n |u_n|, with no surface area in it: the same value at every D,
+    # row by row for a stack
+    assert state_norm([1.0, -2.5, 0.25]) == 3.75
+    assert np.array_equal(state_norm([[1.0, -2.5], [0.0, -0.5]]),
+                          [3.5, 0.5])
+    # a sum past the largest double is inf, without a RuntimeWarning
+    assert state_norm([1e308, -1e308]) == math.inf
 
 
 def test_sup_norm_of_single_mode():
@@ -61,7 +65,7 @@ def test_trivial_state_has_exactly_zero_moments_and_residual():
 def _widest_solution(D, N, lam):
     spec = build_kernel_spec(D, N, "onsager-recurrence")
     census = multistart(spec, lam, 30, seed=0)
-    return max(census, key=lambda r: r.sup_norm_u).state
+    return max(census, key=lambda r: state_sup_norm(r.state)).state
 
 
 def test_zonal_moments_match_adaptive_quadrature():
@@ -155,7 +159,7 @@ def test_solve_small_lambda_reaches_trivial(method):
     else:
         report = picard(SPEC3, 0.8, init, damping=0.8)
     assert report.converged
-    assert state_norm(3, report.state.coeffs) < 1e-9
+    assert state_norm(report.state.coeffs) < 1e-9
 
 
 def test_solve_finds_nematic_solution():
@@ -164,7 +168,7 @@ def test_solve_finds_nematic_solution():
     assert report.converged
     assert report.residual_norm <= 1e-10
     assert report.state.coeffs[0] > 0.5
-    assert report.sup_norm_u <= 12.0 * SPEC3.sup_norm_khat + 1e-8
+    assert state_sup_norm(report.state) <= 12.0 * SPEC3.sup_norm_khat + 1e-8
 
 
 def test_solve_singular_linearization():
@@ -183,7 +187,7 @@ def test_multistart_census_and_determinism():
     assert len(census_a) == 3
     for ra, rb in zip(census_a, census_b):
         assert np.array_equal(ra.state.coeffs, rb.state.coeffs)
-    norms = [state_norm(3, r.state.coeffs) for r in census_a]
+    norms = [state_norm(r.state.coeffs) for r in census_a]
     assert norms == sorted(norms)
     assert norms[0] == 0.0
 
@@ -192,7 +196,7 @@ def test_multistart_distinct_solutions_are_well_separated():
     census = multistart(SPEC3, 15.0, 25, seed=1, N=8)
     for i in range(len(census)):
         for j in range(i + 1, len(census)):
-            dist = state_norm(3, census[i].state.coeffs
+            dist = state_norm(census[i].state.coeffs
                               - census[j].state.coeffs)
             assert dist > 1e-3
 

@@ -79,10 +79,10 @@ def test_picard_returns_exactly_to_stable_solutions(lam):
     verdicts = []
     for report in _census(3, lam):
         kick = rng.standard_normal(N)
-        kick *= 1e-4 / state_norm(3, kick)
+        kick *= 1e-4 / state_norm(kick)
         start = AxisymState(3, report.state.coeffs + kick)
         end = picard(spec, lam, start, max_iter=1000)
-        distance = state_norm(3, end.state.coeffs - report.state.coeffs)
+        distance = state_norm(end.state.coeffs - report.state.coeffs)
         stable = classify_stability(report, spec) == "stable"
         assert (distance < 1e-8) == stable
         if not stable:

@@ -76,7 +76,7 @@ def test_nontrivial_states_at_six_modes():
     # unstable state on the branch that bends back to lambda_1
     lam = 9.0
     census = multistart(SPEC6, lam, 20, seed=2, N=6)
-    nontrivial = [r for r in census if state_norm(3, r.state.coeffs) > 0.1]
+    nontrivial = [r for r in census if state_norm(r.state.coeffs) > 0.1]
     verdicts = [_agree(r) for r in nontrivial]
     assert verdicts == ["unstable", "stable"]
 
