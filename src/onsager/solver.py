@@ -127,13 +127,15 @@ def state_sup_norm(state: AxisymState) -> float:
 
 def _density_weights(D: int, coeffs: np.ndarray):
     """Normalized zonal weights W_i e^(-u_i) / Z of the orientation
-    density, computed with a max shift so any finite state is safe, and
-    its moments a_n, for one state (coeffs of shape (N,)) or a stack of
-    states (S, N).  A stack is multiplied one matrix-vector product per
-    state, so each row is bitwise what that state alone gives."""
+    density, shifted by min u so that no exponential overflows, and its
+    moments a_n, for one state (coeffs of shape (N,)) or a stack of
+    states (S, N); a u that overflows gives NaN, silently.  A stack is
+    multiplied one matrix-vector product per state, so each row is
+    bitwise what that state alone gives."""
     weights, table, base = _mode_tables(D, coeffs.shape[-1])
-    u = (coeffs[..., None, :] @ table)[..., 0, :]
-    e = np.exp(-(u - u.min(axis=-1, keepdims=True)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = (coeffs[..., None, :] @ table)[..., 0, :]
+        e = np.exp(-(u - u.min(axis=-1, keepdims=True)))
     wz = weights * e
     gw = wz / wz.sum(axis=-1, keepdims=True)
     return gw, table, (table @ gw[..., None])[..., 0] - base
@@ -198,16 +200,20 @@ def _spectrum(spec: KernelSpec, lam, cov: np.ndarray):
     """Eigenvalues g of I - J, ascending, for one covariance Cov (N, N) or
     a stack (S, N, N) with lam a scalar or one per matrix, and a flag per
     matrix that is True where I - J is degenerate:
-    min |g| <= 1e-12 max(1, max |g|).
+    min |g| <= 1e-12 max(1, max |g|), or a NaN or infinite entry (its g
+    are NaN, and eigvalsh never sees it).
 
     d = sqrt(lam k) is real (lam >= 0 and every k_n >= 0), so g is real
     and comes from eigvalsh of _symmetric_system.  This is the one linear
     analysis: the Brouwer index and the stability read it, and its flag
     is Newton's singularity test (which _singular mostly decides alone).
     """
-    g = np.linalg.eigvalsh(_symmetric_system(spec, lam, cov))
-    size = np.abs(g)
-    return g, size.min(axis=-1) <= 1e-12 * np.maximum(size.max(axis=-1), 1.0)
+    system = _symmetric_system(spec, lam, cov)
+    finite = np.isfinite(system).all(axis=(-2, -1))
+    g = np.full(system.shape[:-1], np.nan)
+    g[finite] = np.linalg.eigvalsh(system[finite])
+    size = np.abs(g)  # NaN counts as degenerate
+    return g, ~(size.min(axis=-1) > 1e-12 * np.maximum(size.max(axis=-1), 1))
 
 
 def _singular(spec: KernelSpec, lam, cov: np.ndarray) -> np.ndarray:
@@ -220,7 +226,7 @@ def _singular(spec: KernelSpec, lam, cov: np.ndarray) -> np.ndarray:
     N + tr P; by AM-GM, min |g| >= |det(I - P)| e^-(1 + tr P).  So
     log |det(I - P)| - (1 + tr P) > log(1e-11 max(1, tr P)) passes it with
     the same margin.  Every other matrix (near-singular, zero sign, NaN or
-    inf entries) gets _spectrum's flag."""
+    inf entries) gets _spectrum's flag, which is True for the last."""
     lam = np.broadcast_to(lam, cov.shape[:-2])
     system = _symmetric_system(spec, lam, cov)
     trace = cov.shape[-1] - np.trace(system, axis1=-2, axis2=-1)

@@ -12,7 +12,6 @@ from onsager.dynamics import (
     _face_sines,
     _moment_tables,
     grid_mass,
-    grid_norm,
     potential_on_grid,
 )
 from onsager.polybasis import surface_area
@@ -48,13 +47,13 @@ def explicit_step(f, spec, lam, dt, grid):
 
 
 def explicit_relax(f0, spec, lam, dt, grid, settle_tol, max_steps):
-    """Explicit steps from f0 (normalized) until ||f_next - f|| / dt <
-    settle_tol; returns the last density, or raises RuntimeError after
-    max_steps."""
+    """Explicit steps from f0 (normalized) until the l1 change
+    grid_mass(|f_next - f|) / dt < settle_tol; returns the last density,
+    or raises RuntimeError after max_steps."""
     f = np.asarray(f0, dtype=float) / grid_mass(f0, grid)
     for _ in range(max_steps):
         f_next = explicit_step(f, spec, lam, dt, grid)
-        settled = grid_norm(f_next - f, grid) / dt < settle_tol
+        settled = grid_mass(np.abs(f_next - f), grid) / dt < settle_tol
         f = f_next
         if settled:
             return f

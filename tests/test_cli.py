@@ -177,7 +177,8 @@ def test_evolve_relaxes_at_large_lambda(monkeypatch, tmp_path):
 
 
 def test_evolve_at_dim_343_prints_no_warning(capsys):
-    # grid_norm squares densities of size 1/sigma_343, about 3e222
+    # the density is of size 1/sigma_343, about 3e222: the energy and
+    # the l1 settle test take it to the first power only
     argv = ["evolve", "--dim", "343", "--lambda", "5", "--grid", "32",
             "--t-max", "0.001", "--nmax", "3"]
     with warnings.catch_warnings():
@@ -219,6 +220,39 @@ def test_overflowing_norms_print_no_warning(capsys, argv, expected):
     assert values[1:4] == pytest.approx(
         [1.0286092346992486, 0.99268091710727324, -0.033822482243169083],
         rel=1e-12)
+
+
+SWEEP_AT_1E308 = ("lambda,branch,norm,residual," + ",".join(
+    f"u_{i}" for i in range(1, 13)) + "\n1e+308" + ",0" * 15 + "\n")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    ("solve --lambda 12 --modes 8 --init 1e308,1e308", None),
+    ("sweep --lambda-min 1e308 --lambda-max 1e308 --steps 1", SWEEP_AT_1E308),
+], ids=["solve", "sweep"])
+def test_overflowing_densities_print_no_warning(monkeypatch, capsys, argv,
+                                                expected):
+    # u of size 1e308 overflows in the density pass: the weights, moments
+    # and Cov of such a start are NaN, and the spectrum flags it
+    # degenerate without calling eigvalsh; the solve start's first
+    # residual norm overflows to inf
+    norms, state_norm = [], solver.state_norm
+
+    def recording(coeffs):
+        norms.append(state_norm(coeffs))
+        return norms[-1]
+
+    monkeypatch.setattr(solver, "state_norm", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv.split()) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    if expected is not None:
+        assert out == expected
+        return
+    assert np.isinf(norms[0]).all()
+    assert out.splitlines()[1].startswith("12,true,")
 
 
 def test_overflow_exits_3_with_error_record(tmp_path, capsys):

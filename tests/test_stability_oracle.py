@@ -10,7 +10,7 @@ from explicit_oracle import explicit_step
 from pointwise_oracle import density_on_grid, zonal
 
 from onsager.bifurcation import classify_stability, trace_branch
-from onsager.dynamics import grid_norm, make_grid
+from onsager.dynamics import grid_mass, make_grid
 from onsager.kernel import build_kernel_spec
 from onsager.solver import AxisymState, multistart, solve, state_norm
 
@@ -22,9 +22,12 @@ def dynamics_stability(report, spec, grid_points=64, horizon=2.0, eps=1e-3,
                        rate_tol=1e-8):
     """Stability of a solution under the relaxation dynamics.
 
-    Perturbs the solution's density along each retained mode, evolves the
-    perturbed and unperturbed densities side by side and measures the
-    growth rate of their separation over the second half of the horizon.
+    Perturbs the solution's density along each retained mode, at the
+    solution's mass, evolves the perturbed and unperturbed densities side
+    by side and measures the growth rate of their separation in l1
+    (grid_mass of its absolute value) over the second half of the
+    horizon.  The flow conserves mass, so a separation that carried mass
+    could not decay, and once one-signed its l1 size would be that mass.
     Stable means every rate is negative; a rate inside (-rate_tol,
     rate_tol) is inconclusive and fails the calling test.
     """
@@ -41,14 +44,15 @@ def dynamics_stability(report, spec, grid_points=64, horizon=2.0, eps=1e-3,
     for mode in range(1, report.state.N + 1):
         shape = zonal(spec.D, 2 * mode, t)
         f = base * (1.0 + eps * shape)
+        f *= grid_mass(base, grid) / grid_mass(f, grid)
         fb = base.copy()
         d_half = None
         for k in range(1, n_steps + 1):
             f = explicit_step(f, spec, lam, dt, grid)
             fb = explicit_step(fb, spec, lam, dt, grid)
             if k == half:
-                d_half = grid_norm(f - fb, grid)
-        d_end = grid_norm(f - fb, grid)
+                d_half = grid_mass(np.abs(f - fb), grid)
+        d_end = grid_mass(np.abs(f - fb), grid)
         assert d_half > 0 and d_end > 0, (
             f"mode {mode} perturbation vanished identically")
         rate = math.log(d_end / d_half) / ((n_steps - half) * dt)
