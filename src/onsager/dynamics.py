@@ -33,7 +33,9 @@ DT_PER_H2 = 32.0
 
 @dataclass(frozen=True)
 class ThetaGrid:
-    """Uniform interior grid on (0, pi); zero-flux faces at the poles."""
+    """Gauss nodes on (0, pi) with positive cell volumes; zero-flux faces
+    at the poles.  h = pi/(G+1) is the nominal node spacing that sizes
+    the default step."""
 
     D: int
     points: np.ndarray
@@ -48,78 +50,66 @@ class ThetaGrid:
 
 
 def make_grid(D: int, G: int) -> ThetaGrid:
-    """Interior nodes theta_i = i h, i = 1..G, h = pi/(G+1)."""
+    """Nodes theta_i = arccos t_i of the G-point zonal Gauss rule
+    zonal_rule(D, G), in ascending order.  The cell volumes are
+    sigma_(D-1) w_i, w the rule's weights: positive at every D, exact for
+    polynomials in cos theta of degree <= 2G - 1, and, the rule being
+    symmetric, already in the order of the nodes."""
     if D < 3:
         raise ValueError(f"dimension must be >= 3, got {D}")
     if G < MIN_POINTS:
         raise ValueError(f"grid needs at least {MIN_POINTS} points, got {G}")
-    h = math.pi / (G + 1)
-    return ThetaGrid(D=D, points=h * np.arange(1, G + 1), h=h)
+    return ThetaGrid(D=D, points=np.arccos(zonal_rule(D, G)[0][::-1]),
+                     h=math.pi / (G + 1))
 
 
 @lru_cache(maxsize=64)
 def _face_sines(D: int, G: int) -> np.ndarray:
-    """sin^(D-2) at the interior cell faces."""
-    h = math.pi / (G + 1)
-    faces = h * (np.arange(1, G) + 0.5)
-    return np.sin(faces) ** (D - 2)
+    """sin^(D-2) at the interior cell faces, the midpoints of consecutive
+    nodes, over the node gaps."""
+    theta = make_grid(D, G).points
+    return np.sin(0.5 * (theta[1:] + theta[:-1])) ** (D - 2) / np.diff(theta)
 
 
 @lru_cache(maxsize=64)
 def _moment_tables(D: int, G: int, n_modes: int):
-    """Interpolatory quadrature weights on the grid nodes for integrals
-    against sin^(D-2) theta dtheta, plus mode values and the moments of
-    the discretely uniform density.
-
-    The nodes are Chebyshev-spaced in t = cos theta, so weights exact for
-    all polynomials of degree < G follow from a discrete sine transform of
-    the Chebyshev-U moments of the weight (1 - t^2)^((D-3)/2); for smooth
-    densities the moment error then decays spectrally in G, far below the
-    O(h^2) of a plain midpoint sum.
-    """
-    h = math.pi / (G + 1)
-    theta = h * np.arange(1, G + 1)
-    nodes, jw = zonal_rule(D, G // 2 + 2)
-    # U_k(cos phi) = sin((k+1) phi) / sin phi
-    phi = np.arccos(nodes)
-    m = np.sin(np.outer(np.arange(1, G + 1), phi)) @ (jw / np.sin(phi))
-    sines = np.sin(np.outer(theta, np.arange(1, G + 1)))
-    weights = surface_area(D - 1) * np.sin(theta) * (
-        (2.0 / (G + 1)) * (sines @ m))
-    table = legendre_table(D, 2 * n_modes, np.cos(theta))[2::2]
+    """Mode values P_2n at the grid nodes and the moments of the
+    discretely uniform density in the Gauss weights."""
+    nodes, weights = zonal_rule(D, G)
+    table = legendre_table(D, 2 * n_modes, nodes[::-1])[2::2]
     # moments of the uniform density in the same weights; subtracting
     # them in grid_moments makes the uniform density exactly mean-free
     base = (table @ weights) / weights.sum()
-    return weights, table, base
+    return table, base
 
 
 def grid_mass(f: np.ndarray, grid: ThetaGrid) -> float:
     """Total probability int f dsigma in the grid's cell volumes.
 
-    The cell volumes are the interpolatory node weights, which are also
-    the volumes `step` conserves, so this quantity is invariant under
-    `step` to rounding."""
-    weights, _, _ = _moment_tables(grid.D, grid.G, 1)
-    return float(np.dot(weights, f))
+    These are the volumes `step` conserves, so this quantity is invariant
+    under `step` to rounding."""
+    return surface_area(grid.D - 1) * float(zonal_rule(grid.D, grid.G)[1] @ f)
 
 
 def grid_moments(f: np.ndarray, grid: ThetaGrid, n_modes: int) -> np.ndarray:
     """Zonal moments a_n = int f P_{2n} dsigma, n = 1..n_modes.
 
-    Computed from the interpolatory node weights, normalized by the mass
-    in the same weights and with the uniform-density moments subtracted,
-    so a constant density has exactly zero moments."""
-    weights, table, base = _moment_tables(grid.D, grid.G, n_modes)
-    mass = float(weights @ f)
-    return (table @ (weights * f)) / mass - base
+    Computed in the cell volumes, normalized by the mass in the same
+    volumes and with the uniform-density moments subtracted, so a
+    constant density has exactly zero moments."""
+    weights = zonal_rule(grid.D, grid.G)[1]
+    table, base = _moment_tables(grid.D, grid.G, n_modes)
+    return (table @ (weights * f)) / float(weights @ f) - base
 
 
 def potential_on_grid(f: np.ndarray, spec: KernelSpec, lam: float,
                       grid: ThetaGrid) -> np.ndarray:
     """Mean-field potential lam (k0 - sum_n k_n a_n P_{2n}) from the
     density's own zonal moments."""
+    if grid.D != spec.D:
+        raise ValueError("grid and kernel dimension mismatch")
     a = grid_moments(f, grid, spec.n_max)
-    _, table, _ = _moment_tables(grid.D, grid.G, spec.n_max)
+    table, _ = _moment_tables(grid.D, grid.G, spec.n_max)
     return lam * (spec.k0 - (spec.coeffs * a) @ table)
 
 
@@ -127,9 +117,9 @@ def grid_energy(f: np.ndarray, spec: KernelSpec, lam: float,
                 grid: ThetaGrid) -> float:
     """Free energy int f (log f + U(f)/2) dsigma on the grid."""
     potential = potential_on_grid(f, spec, lam, grid)
-    weights, _, _ = _moment_tables(grid.D, grid.G, 1)
     safe = np.where(f > 0.0, f, 1.0)
-    return float(np.dot(weights, f * (np.log(safe) + 0.5 * potential)))
+    return surface_area(grid.D - 1) * float(
+        zonal_rule(grid.D, grid.G)[1] @ (f * (np.log(safe) + 0.5 * potential)))
 
 
 # non-finite intermediates surface as a DivergenceError
@@ -140,33 +130,34 @@ def step(f: np.ndarray, spec: KernelSpec, lam: float, dt: float,
 
     With U from f, b = e^(-(U - min U)) and the exponential-fitting
     (Scharfetter-Gummel) face conductances
-    a = sigma_(D-1) sin^(D-2) sqrt(b_i b_(i+1)) / h, phi solves the
-    tridiagonal M-matrix system (V b / dt) phi - div(a grad phi) = V f / dt
-    in the node weights V, and the step returns b phi.  Densities
-    proportional to e^(-U) carry zero flux, so the discrete equilibria
-    are the self-consistency fixed points.  Every k_n >= 0 (KernelSpec
-    checks it) makes the interaction energy concave on mass-preserving
-    perturbations, so this is a convex splitting (Eyre): positivity, mass
-    and energy decay hold with no step limit.  Raises DivergenceError when
-    a Boltzmann factor vanishes or the new density is negative or not
-    finite."""
+    a = sin^(D-2) sqrt(b_i b_(i+1)) / (theta_(i+1) - theta_i) at the face
+    midway between two nodes, phi solves the tridiagonal M-matrix system
+    (w b / dt) phi - div(a grad phi) = w f / dt in the positive Gauss
+    weights w, and the step returns b phi.  The cell volumes and face
+    areas carry the common factor sigma_(D-1), left out here: it would
+    underflow the outer volumes at large D (D = 343 on 256 points).
+    Densities proportional to e^(-U) carry zero flux, so the discrete
+    equilibria are the self-consistency fixed points.  Every k_n >= 0
+    (KernelSpec checks it) makes the interaction energy concave on
+    mass-preserving perturbations, so this is a convex splitting (Eyre):
+    positivity, mass and energy decay hold with no step limit.  Raises
+    DivergenceError when a Boltzmann factor vanishes or the new density is
+    negative or not finite."""
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
     f = np.asarray(f, dtype=float)
     potential = potential_on_grid(f, spec, lam, grid)
-    volumes, _, _ = _moment_tables(grid.D, grid.G, 1)
+    weights = zonal_rule(grid.D, grid.G)[1]
     boltzmann = np.exp(-(potential - potential.min()))
-    cond = (dt * surface_area(grid.D - 1) / grid.h
-            * _face_sines(grid.D, grid.G)
+    cond = (dt * _face_sines(grid.D, grid.G)
             * np.sqrt(boltzmann[1:] * boltzmann[:-1]))
-    diag = volumes * boltzmann
+    diag = weights * boltzmann
     diag[1:] += cond
     diag[:-1] += cond
-    # Thomas sweep, off-diagonal -cond.  With V > 0 every pivot is at
-    # least V_i b_i; some V near the poles are negative at large D, so only
-    # zero or non-finite pivots stop it, and the result is checked.
+    # Thomas sweep, off-diagonal -cond: every pivot is at least w_i b_i,
+    # which underflows only with b, so zero or non-finite pivots stop it
     pivots = diag.tolist()
-    rhs = (volumes * f).tolist()
+    rhs = (weights * f).tolist()
     off = cond.tolist()
     for i, p in enumerate(pivots):
         if p == 0.0 or not abs(p) < math.inf:
@@ -182,7 +173,7 @@ def step(f: np.ndarray, spec: KernelSpec, lam: float, dt: float,
     f_next = boltzmann * np.array(phi)
     # the rows sum to mass conservation; rescaling removes the solve's
     # rounding, up to about eps dt/h^2 per step
-    f_next *= (volumes @ f) / (volumes @ f_next)
+    f_next *= (weights @ f) / (weights @ f_next)
     if not np.all((f_next >= 0.0) & (f_next < math.inf)):
         raise DivergenceError("density is negative or not finite")
     return f_next
@@ -207,8 +198,8 @@ def evolve(f0: np.ndarray, spec: KernelSpec, lam: float, dt: float,
     """Integrate f0, normalized to mass 1, to t_max, recording (t,
     density, energy) every record_every steps; the last step is shortened
     to end at t_max.  The run stops early once a step of size dt changes
-    the density by sum_i |V_i| |f_next - f|_i < 1e-10 dt in l1, V the node
-    weights: like the solver's sum_n |c_n|, no surface area, no square.
+    the density by sum_i V_i |f_next - f|_i < 1e-10 dt in l1, V the cell
+    volumes: like the solver's sum_n |c_n|, no surface area, no square.
     """
     if not (0 < dt < math.inf and 0 <= t_max < math.inf and record_every >= 1):
         raise ValueError("need finite dt > 0 and t_max >= 0 and record_every "
@@ -220,7 +211,6 @@ def evolve(f0: np.ndarray, spec: KernelSpec, lam: float, dt: float,
     if mass <= 0 or not math.isfinite(mass):
         raise ValueError("initial density must have positive finite mass")
     f /= mass
-    abs_volumes = np.abs(_moment_tables(grid.D, grid.G, 1)[0])
     n_steps = math.ceil(t_max / dt)
     if n_steps and (n_steps - 1) * dt >= t_max:
         # t_max / dt rounded up past a whole number of steps
@@ -235,7 +225,7 @@ def evolve(f0: np.ndarray, spec: KernelSpec, lam: float, dt: float,
         except DivergenceError as err:
             raise DivergenceError(f"density diverged at t={t_next}: {err}",
                                   last_time=t) from None
-        settled = abs_volumes @ np.abs(f_next - f) < 1e-10 * (t_next - t)
+        settled = grid_mass(np.abs(f_next - f), grid) < 1e-10 * (t_next - t)
         f, t = f_next, t_next
         if k % record_every == 0 or k == n_steps or settled:
             traj.times.append(t)

@@ -1,20 +1,17 @@
 """The explicit finite-volume step, kept as the test oracle for the
 semi-implicit `dynamics.step`: forward Euler on the same
-exponential-fitting (Scharfetter-Gummel) face fluxes, stable only for
-dt <= h^2/4.  A uniform density is a bitwise fixed point of it, and its
-flux form conserves mass to rounding at every step."""
+exponential-fitting (Scharfetter-Gummel) face fluxes over the node gaps,
+stable only for small dt; it takes dt <= h^2/4, about half the
+forward-Euler diagonal bound at D = 3.  A uniform density is a bitwise
+fixed point of it, and its flux form conserves mass to rounding at every
+step."""
 
 import math
 
 import numpy as np
 
-from onsager.dynamics import (
-    _face_sines,
-    _moment_tables,
-    grid_mass,
-    potential_on_grid,
-)
-from onsager.polybasis import surface_area
+from onsager.dynamics import _face_sines, grid_mass, potential_on_grid
+from onsager.polybasis import zonal_rule
 
 
 class StepSizeError(ValueError):
@@ -23,9 +20,10 @@ class StepSizeError(ValueError):
 
 def explicit_step(f, spec, lam, dt, grid):
     """One conservative forward-Euler update with fluxes
-    s M_face (phi_(i+1) - phi_i) / h, phi = f e^U, M_face = sqrt(b_i b_(i+1)),
-    b = e^(-(U - min U)), in the interpolatory node weights as cell
-    volumes."""
+    s M_face (phi_(i+1) - phi_i) / (theta_(i+1) - theta_i), phi = f e^U,
+    M_face = sqrt(b_i b_(i+1)), b = e^(-(U - min U)), in the grid's cell
+    volumes sigma_(D-1) w_i, w the zonal Gauss weights; sigma_(D-1)
+    cancels."""
     limit = grid.h ** 2 / 4.0
     if dt > limit * (1.0 + 1e-12):
         raise StepSizeError(
@@ -33,17 +31,16 @@ def explicit_step(f, spec, lam, dt, grid):
     f = np.asarray(f, dtype=float)
     potential = potential_on_grid(f, spec, lam, grid)
     s_faces = _face_sines(grid.D, grid.G)
-    volumes, _, _ = _moment_tables(grid.D, grid.G, 1)
+    weights = zonal_rule(grid.D, grid.G)[1]
     boltzmann = np.exp(-(potential - potential.min()))
     phi = f / boltzmann
     m_face = np.sqrt(boltzmann[1:] * boltzmann[:-1])
-    fluxes = (surface_area(grid.D - 1) * s_faces * m_face * np.diff(phi)
-              / grid.h)
+    fluxes = s_faces * m_face * np.diff(phi)
     div = np.empty_like(f)
     div[0] = fluxes[0]
     div[-1] = -fluxes[-1]
     div[1:-1] = fluxes[1:] - fluxes[:-1]
-    return f + dt * div / volumes
+    return f + dt * div / weights
 
 
 def explicit_relax(f0, spec, lam, dt, grid, settle_tol, max_steps):

@@ -17,6 +17,7 @@ from onsager.dynamics import (
 )
 from onsager.errors import DivergenceError
 from onsager.kernel import build_kernel_spec
+from onsager.polybasis import surface_area
 from onsager.solver import AxisymState, residual, solve, zonal_moments
 
 SPEC3 = build_kernel_spec(3, 12, "onsager-quadrature")
@@ -59,6 +60,29 @@ def test_uniform_density_has_exactly_zero_moments():
     grid = make_grid(3, 96)
     f = np.full(grid.G, 0.25)
     assert np.all(grid_moments(f, grid, 6) == 0.0)
+
+
+@pytest.mark.parametrize("D", [3, 20, 50, 100, 343])
+@pytest.mark.parametrize("G", [32, 128])
+def test_cell_volumes_are_positive_at_every_dimension(D, G):
+    # sigma_(D-1) times the zonal Gauss weights: positive however strongly
+    # the grid under-resolves sin^(D-2), and exact for the constant
+    grid = make_grid(D, G)
+    volumes = [grid_mass(cell, grid) for cell in np.eye(G)]
+    assert min(volumes) > 0.0
+    assert math.fsum(volumes) == pytest.approx(surface_area(D), rel=1e-13)
+    assert np.all(np.abs(grid_moments(np.ones(G), grid, 6)) <= 1e-15)
+
+
+def test_step_leaves_out_the_underflowing_surface_area():
+    # at D = 343 on 256 points sigma_(D-1) w_i underflows to 0 at the
+    # outer nodes; with the common factor left out of the step no pivot
+    # vanishes and the run settles
+    spec = build_kernel_spec(343, 4, "onsager-recurrence")
+    grid = make_grid(343, 256)
+    traj = evolve(_bump(grid), spec, 5.0, DT_PER_H2 * grid.h ** 2, 50.0, grid,
+                  record_every=10 ** 9)
+    assert traj.terminated_early
 
 
 def test_uniform_potential_is_constant_mean():
@@ -155,6 +179,20 @@ def test_divergence_error_reports_last_time():
     with pytest.raises(DivergenceError) as err:
         evolve(f, spec, 500.0, grid.h ** 2 / 8, 1.0, grid)
     assert err.value.last_time >= 0.0
+
+
+def test_kernel_of_another_dimension_is_rejected():
+    spec = build_kernel_spec(5, 6, "onsager-recurrence")
+    grid = make_grid(3, 64)
+    f = np.ones(grid.G)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        potential_on_grid(f, spec, 30.0, grid)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        step(f, spec, 30.0, 0.01, grid)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        grid_energy(f, spec, 30.0, grid)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        evolve(f, spec, 30.0, 0.01, 0.1, grid)
 
 
 def test_evolve_rejects_empty_density():

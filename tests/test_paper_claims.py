@@ -3,7 +3,8 @@ API only: below the threshold lambda_0 the isotropic state is the one
 solution, every uniqueness threshold lies below the first critical
 value lambda_1, and past lambda_1 the census finds the isotropic state
 and the two mode-1 branches, whose indices sum to the degree 1.  The
-relaxation dynamics settles on an equilibrium at every dimension too."""
+relaxation dynamics settles on an equilibrium at every dimension too,
+on the Newton solution where the flow lands past lambda_1."""
 
 import math
 
@@ -11,20 +12,25 @@ import numpy as np
 import pytest
 
 from onsager.bifurcation import index_of, uniqueness_thresholds
-from onsager.dynamics import DT_PER_H2, evolve, make_grid
+from onsager.dynamics import DT_PER_H2, evolve, grid_moments, make_grid, step
 from onsager.kernel import build_kernel_spec
 from onsager.polybasis import legendre_table
-from onsager.solver import AxisymState, multistart, solve, state_norm
+from onsager.solver import (
+    AxisymState,
+    multistart,
+    solve,
+    state_norm,
+    zonal_moments,
+)
 
 # the kernel table size at each dimension; at D = 100 the sphere's
 # surface area is 2.4e-38, so a tolerance taken in a norm that carries it
 # would accept non-solutions there
-NMAX = {3: 12, 4: 12, 5: 12, 7: 12, 10: 12, 50: 4, 100: 4, 343: 4}
+NMAX = {3: 12, 4: 12, 5: 12, 7: 12, 10: 12, 20: 12, 50: 4, 100: 4, 343: 4}
 DIMS = list(NMAX)
 LARGE_DIMS = [50, 100, 343]
-# D = 50 and 100 are left out: a 128-point grid under-resolves
-# sin^(D-2) there, and its negative node weights break the step
-EVOLVE_DIMS = [3, 4, 5, 7, 10, 343]
+EVOLVE_DIMS = [3, 4, 5, 7, 10, 20, 50, 100, 343]
+SMALL_DIMS = [3, 4, 5, 7, 10]
 
 
 def _spec(D):
@@ -85,16 +91,41 @@ def test_thresholds_lie_below_lambda_1(D):
     assert report.lambda_0_interval[1] < lam1
 
 
-@pytest.mark.parametrize("D", EVOLVE_DIMS)
-def test_evolve_settles_before_t_max(D):
-    # the settle test takes the density's l1 change relative to its
-    # mass, which carries no surface area, so the run stops at an
-    # equilibrium at every D: past lambda_1 at D <= 10, and at D = 343
-    # at lambda = 5, far below it
+def _settle(D):
+    """Relax 1 + 0.01 P_2 on 128 points at 1.1 lambda_1 for D <= 10 and at
+    lambda = 5, far below lambda_1, above; returns the spec, lambda,
+    grid and trajectory."""
     spec = _spec(D)
     lam = 1.1 * uniqueness_thresholds(spec).lambda_crit[0] if D <= 10 else 5.0
     grid = make_grid(D, 128)
     f0 = 1.0 + 0.01 * legendre_table(D, 2, np.cos(grid.points))[2]
     traj = evolve(f0, spec, lam, DT_PER_H2 * grid.h ** 2, 50.0, grid,
                   record_every=10 ** 9)
+    return spec, lam, grid, traj
+
+
+@pytest.mark.parametrize("D", EVOLVE_DIMS)
+def test_evolve_settles_before_t_max(D):
+    # the settle test takes the density's l1 change relative to its
+    # mass, which carries no surface area, and the Gauss cell volumes are
+    # positive at every D, so the run stops at an equilibrium at every D
+    traj = _settle(D)[3]
     assert traj.terminated_early and traj.times[-1] < 50.0
+
+
+@pytest.mark.parametrize("D", SMALL_DIMS)
+def test_settled_density_matches_the_newton_solution(D):
+    spec, lam, grid, traj = _settle(D)
+    a = grid_moments(traj.final_density, grid, spec.n_max)
+    implied = AxisymState(D, -lam * np.asarray(spec.coeffs) * a)
+    report = solve(spec, lam, implied)
+    assert report.converged
+    newton = zonal_moments(report.state)[0]
+    # the settle test stops about 6e-12 short in a_1 at D = 3
+    assert abs(a[0] - newton) <= 1e-11
+    # the discrete equilibrium itself: the Gauss volumes integrate its
+    # moments to rounding
+    f = traj.final_density
+    for _ in range(100):
+        f = step(f, spec, lam, 10.0, grid)
+    assert abs(grid_moments(f, grid, 1)[0] - newton) <= 1e-14
