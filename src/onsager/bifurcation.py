@@ -59,7 +59,7 @@ class Branch:
     """Solution family attached to the critical value origin = lambda_n.
 
     points holds the SolutionReports of both coefficient-sign families,
-    each ordered from the samples nearest the origin outward.
+    the u_n > 0 one first, each in order of |u_n| from the origin out.
     """
 
     mode: int
@@ -225,20 +225,21 @@ def degree_audit(spec: KernelSpec, lam: float, n_starts: int, seed: int,
     )
 
 
-# Arclength step control in the Euclidean norm of (u, lambda): the first
-# step, cap and floor; a failed corrector halves the step, one converging
-# within _FAST updates grows it by _GROW.
-_DS_FIRST, _DS_MAX, _DS_MIN = 1e-2, 0.2, 1e-8
-_GROW, _FAST, _CORRECTOR_ITERS, _MAX_STEPS = 1.5, 3, 12, 5000
+# Continuation in s = |u_n| (Rheinboldt & Burkardt, ACM TOMS 9, 1983):
+# the first step and its floor; a step is kept when the corrector lands
+# within _RTOL of the prediction in the one solver norm, else it halves
+# (Allgower & Georg, Numerical Continuation Methods, 1990, ch. 6).
+_DS_FIRST, _DS_MIN, _RTOL, _CORRECTOR_ITERS, _MAX_STEPS = (
+    1e-2, 1e-8, 1e-4, 12, 5000)
 
 
-def _corrector(spec, y, tangent, tol):
-    """Newton's method on F = u - lam G(u) = 0 from y = (u, lam) within
-    the hyperplane through y normal to the tangent, with the bordered
-    matrix [[I - J, dF/dlam], [tangent]] from one density pass (F is
-    linear in lam: dF/dlam = (F - u) / lam).  Returns (y, F, matrix,
-    updates) at the first y with state_norm(F) <= tol, the coefficient l1
-    norm of every solver test, or None."""
+def _corrector(spec, y, border, tol):
+    """Newton's method on F = u - lam G(u) = 0 from y = (u, lam) with
+    border . y held fixed, with the bordered matrix
+    [[I - J, dF/dlam], [border]] from one density pass (F is linear in
+    lam: dF/dlam = (F - u) / lam).  Returns (y, F, matrix, updates) at
+    the first y with state_norm(F) <= tol, the coefficient l1 norm of
+    every solver test, or None."""
     import numpy as np
 
     from .solver import _fused_pass, state_norm
@@ -246,7 +247,7 @@ def _corrector(spec, y, tangent, tol):
         u, lam = y[:-1], y[-1]
         res, jac, _ = _fused_pass(spec, lam, u)
         matrix = np.block([[np.eye(u.size) - jac, ((res - u) / lam)[:, None]],
-                           [tangent]])
+                           [border]])
         if state_norm(res) <= tol:
             return y, res, matrix, it
         try:
@@ -259,52 +260,49 @@ def _corrector(spec, y, tangent, tol):
 
 
 def _family(spec, n, origin, sign, lambda_max, n_modes, tol):
-    """Points of the family leaving (0, origin) along sign e_n, in
-    arclength order, up to the first with lambda > lambda_max, a sign
-    change of u_n or a return to the trivial state (|u| < _DS_FIRST / 2),
-    or until the step falls below _DS_MIN or _MAX_STEPS steps."""
+    """Points of the family leaving (0, origin) along sign e_n, in order
+    of s = sign u_n, up to the first with lambda > lambda_max, or until
+    the step in s falls below _DS_MIN or _MAX_STEPS steps.  The predictor
+    errs by O(ds^2), so the next step is ds min(2, sqrt(_RTOL / error))."""
     import numpy as np
 
-    from .solver import AxisymState, _make_report
+    from .solver import AxisymState, _make_report, state_norm
     unit = np.eye(n_modes + 1)
-    x, tangent = origin * unit[-1], sign * unit[n - 1]
-    ds, points = _DS_FIRST, []
+    x, border = origin * unit[-1], sign * unit[n - 1]
+    slope, ds, points = border, _DS_FIRST, []
     for _ in range(_MAX_STEPS):
-        found = _corrector(spec, x + ds * tangent, tangent, tol)
-        if found is None:
+        guess = x + ds * slope
+        found = _corrector(spec, guess, border, tol)
+        error = (math.inf if found is None else
+                 state_norm(found[0] - guess) / state_norm(found[0]))
+        if error > _RTOL:
             ds /= 2.0
             if ds < _DS_MIN:
                 break
             continue
         x, res, matrix, iterations = found
-        u, lam = x[:-1], float(x[-1])
-        if (lam > lambda_max or sign * u[n - 1] <= 0
-                or np.linalg.norm(u) < _DS_FIRST / 2):
+        if x[-1] > lambda_max:
             break
-        report = _make_report(AxisymState(spec.D, u), res, lam, iterations,
-                              tol)
-        points.append(report)
-        # the next tangent t solves the same bordered system:
-        # (I - J) t_u + dF/dlam t_lam = 0 and old tangent . t = 1
-        tangent = np.linalg.solve(matrix, unit[-1])
-        tangent /= np.linalg.norm(tangent)
-        if iterations <= _FAST:
-            ds = min(_GROW * ds, _DS_MAX)
+        points.append(_make_report(AxisymState(spec.D, x[:-1]), res,
+                                   float(x[-1]), iterations, tol))
+        # the slope solves the same bordered system with border . t = 1
+        slope = np.linalg.solve(matrix, unit[-1])
+        ds *= math.sqrt(_RTOL / max(error, _RTOL / 4.0))
     return points
 
 
 def trace_branch(spec: KernelSpec, n: int, lambda_max: float,
                  n_modes: int | None = None, tol: float = 1e-10) -> Branch:
-    """Pseudo-arclength continuation (Keller) of the mode-n solution
-    family through its folds.
+    """Continuation of the mode-n solution family through its folds in
+    its own amplitude s = |u_n|, which is monotone along each family.
 
     Each coefficient sign starts at (0, lambda_n) along +-e_n.  A step
-    predicts along the unit tangent of (u, lambda), then Newton's method
-    on u - lam G(u) = 0 bordered by the tangent corrects it until the
-    solver's own test state_norm(residual) <= tol holds, in the
-    coefficient l1 norm, so every point is a converged SolutionReport.
-    Only points with lambda <= lambda_max are kept.  tol must be positive
-    and lambda_max nonnegative, both finite.
+    predicts along the slope d(u, lambda)/ds, then Newton's method on
+    u - lam G(u) = 0 at fixed u_n corrects it until the solver's own
+    test state_norm(residual) <= tol holds, in the coefficient l1 norm,
+    so every point is a converged SolutionReport.  Only points with
+    lambda <= lambda_max are kept.  tol must be positive and lambda_max
+    nonnegative, both finite.
     """
     from .solver import _check_tol_lambda
     _check_tol_lambda(tol, lambda_max)

@@ -28,12 +28,12 @@ __all__ = [
     "censuses",
 ]
 
-# Nodes of the one Gauss-Jacobi rule behind every density pass.  At 128
-# the moments a_1..a_4 of the widest converged states at (D, lam) =
-# (3, 15), (5, 40) and (10, 80), with sup |u| up to 62, agree with
-# adaptive quadrature to 6.2e-13; 64 nodes miss by 1.2e-5 at D = 10.
-# Every integrand of a pass is even in t, so a pass runs on the folded
-# rule (_mode_tables): the 64 nodes t > 0.
+# Fewest nodes of the one Gauss-Jacobi rule behind every density pass:
+# at 128 the moments a_1..a_4 of the widest converged states at (D, lam)
+# = (3, 15), (5, 40) and (10, 80), sup |u| up to 62, match adaptive
+# quadrature to 6.2e-13 (64 nodes miss by 1.2e-5 at D = 10).  From
+# N = 64 a pass takes 2N + 1, so the degree-4N Jacobian terms are exact.
+# Each pass runs on the rule folded onto t >= 0 (_mode_tables).
 _ORDER = 128
 
 
@@ -88,7 +88,7 @@ def _mode_tables(D: int, N: int):
     t > 0 (an odd rule's middle node is exactly 0 and keeps its own),
     P_{2n} at those nodes for n = 1..N as one C-contiguous array, and the
     rule's moments of the isotropic density; cached, so read-only."""
-    nodes, weights = zonal_rule(D, _ORDER)
+    nodes, weights = zonal_rule(D, max(_ORDER, 2 * N + 1))
     half = nodes >= 0.0
     weights = np.where(nodes > 0.0, 2.0 * weights, weights)[half]
     table = np.ascontiguousarray(legendre_table(D, 2 * N, nodes[half])[2::2])

@@ -1,12 +1,10 @@
 """The explicit finite-volume step, kept as the test oracle for the
 semi-implicit `dynamics.step`: forward Euler on the same
 exponential-fitting (Scharfetter-Gummel) face fluxes over the node gaps,
-stable only for small dt; it takes dt <= h^2/4, about half the
-forward-Euler diagonal bound at D = 3.  A uniform density is a bitwise
-fixed point of it, and its flux form conserves mass to rounding at every
-step."""
-
-import math
+stable only for small dt; it takes dt up to `step_limit`, at most half
+the forward-Euler diagonal bound at every D.  A uniform density is a
+bitwise fixed point of it, and its flux form conserves mass to rounding
+at every step."""
 
 import numpy as np
 
@@ -15,7 +13,17 @@ from onsager.polybasis import zonal_rule
 
 
 class StepSizeError(ValueError):
-    """Requested dt exceeds the explicit stability limit h^2/4."""
+    """Requested dt exceeds the explicit stability limit `step_limit`."""
+
+
+def step_limit(grid):
+    """min(h^2/4, min_i w_i / (2 (s_(i-1/2) + s_(i+1/2)))): the face
+    conductances s of cell i over its volume w_i bound the forward-Euler
+    diagonal, and h^2/4 is the smaller term at D = 3."""
+    s_faces = np.pad(_face_sines(grid.D, grid.G), 1)
+    weights = zonal_rule(grid.D, grid.G)[1]
+    return min(grid.h ** 2 / 4.0,
+               0.5 * np.min(weights / (s_faces[1:] + s_faces[:-1])))
 
 
 def explicit_step(f, spec, lam, dt, grid):
@@ -24,10 +32,10 @@ def explicit_step(f, spec, lam, dt, grid):
     M_face = sqrt(b_i b_(i+1)), b = e^(-(U - min U)), in the grid's cell
     volumes sigma_(D-1) w_i, w the zonal Gauss weights; sigma_(D-1)
     cancels."""
-    limit = grid.h ** 2 / 4.0
+    limit = step_limit(grid)
     if dt > limit * (1.0 + 1e-12):
         raise StepSizeError(
-            f"dt={dt} exceeds the explicit stability limit h^2/4={limit}")
+            f"dt={dt} exceeds the explicit stability limit {limit}")
     f = np.asarray(f, dtype=float)
     potential = potential_on_grid(f, spec, lam, grid)
     s_faces = _face_sines(grid.D, grid.G)

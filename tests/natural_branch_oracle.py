@@ -1,7 +1,7 @@
 """Natural-parameter continuation of a mode-n solution family, kept as a
-test oracle for the pseudo-arclength `bifurcation.trace_branch` on the
-lambda range it can reach: it steps in lambda from onset samples found by
-probing both sides of lambda_n, so it cannot pass a fold."""
+test oracle for `bifurcation.trace_branch`, which continues in |u_n|, on
+the lambda range it can reach: it steps in lambda from onset samples
+found by probing both sides of lambda_n, so it cannot pass a fold."""
 
 import math
 

@@ -166,7 +166,7 @@ def test_branch_amplitude_vanishes_toward_onset():
     for sign in (1, -1):
         amps = amplitudes(branch, sign)
         assert len(amps) >= 3
-        # the first samples are the arclength steps out of the critical
+        # the first samples are the steps in |u_1| out of the critical
         # value; amplitudes must shrink toward it
         assert all(b > a for a, b in zip(amps[:3], amps[1:3]))
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from natural_branch_oracle import trace_branch as natural_branch
@@ -315,8 +316,13 @@ def test_trace_branch_mode_one_dominates():
         assert abs(u[0]) >= 0.9 * np.max(np.abs(u))
 
 
-# fold lambda* of the u_1 < 0 family by dimension, to the digits given
-FOLDS = {3: 8.87663, 4: 12.6759, 5: 16.2940, 7: 23.2629, 10: 33.4212}
+# fold lambda* of the u_1 < 0 family by dimension, located by a
+# continuation with a 1000 times tighter step test
+FOLDS = {3: 8.8765804, 4: 12.6757422, 5: 16.2940035, 7: 23.2627941,
+         10: 33.4211683}
+# the same for the u_2 < 0 family of mode 2
+FOLDS2 = {3: 76.2785, 4: 166.2593, 5: 292.7061, 7: 650.1856,
+          10: 1441.5565071}
 
 
 def _flips(values):
@@ -337,7 +343,7 @@ def test_trace_branch_passes_the_fold(D):
     lams = [p.lam for p in prolate]
     fold = int(np.argmin(lams))
     assert thresholds.lambda_0_interval[0] < lams[fold] < lam1
-    assert lams[fold] == pytest.approx(FOLDS[D], rel=1e-3)
+    assert lams[fold] == pytest.approx(FOLDS[D], rel=1e-4)
     # the saddle leaving lambda_1 becomes the stable prolate state at
     # the fold: one eigenvalue of I - J changes sign there
     indices = [index_of(p, spec) for p in prolate]
@@ -345,6 +351,81 @@ def test_trace_branch_passes_the_fold(D):
     for flips in (_flips(indices), _flips(stable)):
         assert len(flips) == 1 and flips[0] in (fold, fold + 1)
     assert indices[0] == -1 and not stable[0]
+
+
+@pytest.mark.parametrize("D", sorted(FOLDS2))
+def test_every_family_keeps_its_sign_and_samples_its_fold(D):
+    # up to 1.2 lambda_2 both families of modes 1 and 2 keep the sign of
+    # u_n, and the u_2 < 0 family passes its fold
+    spec = build_kernel_spec(D, 16, "onsager-recurrence")
+    lambda_max = 1.2 * critical_values(spec)[1]
+    for n in (1, 2):
+        branch = trace_branch(spec, n, lambda_max)
+        assert all(p.converged and p.lam <= lambda_max
+                   for p in branch.points)
+        # the u_n > 0 family, then the u_n < 0 one, each in order of |u_n|
+        signs = [np.sign(p.state.coeffs[n - 1]) for p in branch.points]
+        flip = signs.index(-1.0)
+        assert set(signs[:flip]) == {1.0} and set(signs[flip:]) == {-1.0}
+        for family in (branch.points[:flip], branch.points[flip:]):
+            amps = [abs(p.state.coeffs[n - 1]) for p in family]
+            assert all(b > a for a, b in zip(amps, amps[1:]))
+    lams = [p.lam for p in branch.points[flip:]]
+    assert min(lams) == pytest.approx(FOLDS2[D], rel=1e-4)
+
+
+def test_trace_branch_stops_at_lambda_max_not_at_the_step_limit(
+        monkeypatch):
+    # both D = 7 mode-1 families reach 1.2 lambda_2 within 1000 steps, so
+    # that guard leaves the trace as it is
+    spec = build_kernel_spec(7, 16, "onsager-recurrence")
+    lambda_max = 1.2 * critical_values(spec)[1]
+
+    def path():
+        branch = trace_branch(spec, 1, lambda_max)
+        return np.array([np.append(p.state.coeffs, p.lam)
+                         for p in branch.points])
+
+    full = path()
+    monkeypatch.setattr(bifurcation, "_MAX_STEPS", 1000)
+    assert np.array_equal(path(), full)
+
+
+MAIER_SAUPE_DIMS = (3, 4, 5, 7)
+
+
+def _maier_saupe_fold(D):
+    """Fold of the one-mode kernel k_1 = 1, where the axisymmetric
+    equation is scalar: u = -lam a(u), a the P_2 moment of
+    e^(-u P_2) (1 - t^2)^((D-3)/2) on t in [0, 1], so lam = -u / a(u)
+    and the fold is the root of d lam / du, a(u) + u Var(P_2) = 0, in
+    20-digit mpmath."""
+    def moments(u):
+        def p2(t):
+            return (D * t * t - 1) / (D - 1)
+
+        def weight(t):
+            return ((1 - t * t) ** (mpmath.mpf(D - 3) / 2)
+                    * mpmath.exp(-u * p2(t)))
+        z, m1, m2 = (mpmath.quad(lambda t: weight(t) * p2(t) ** j, [0, 1])
+                     for j in range(3))
+        return m1 / z, m2 / z - (m1 / z) ** 2
+
+    def stationary(u):
+        a, var = moments(u)
+        return a + u * var
+
+    with mpmath.workdps(20):
+        u = mpmath.findroot(stationary, (-12, -1), solver="anderson")
+        return float(-u / moments(u)[0])
+
+
+@pytest.mark.parametrize("D", MAIER_SAUPE_DIMS)
+def test_trace_branch_samples_the_maier_saupe_fold(D):
+    spec = build_kernel_spec(D, 1, "custom", custom_coeffs=(1.0,))
+    branch = trace_branch(spec, 1, 1.3 * harmonic_count(D, 2))
+    lams = [p.lam for p in branch.points if p.state.coeffs[0] < 0]
+    assert min(lams) == pytest.approx(_maier_saupe_fold(D), rel=1e-4)
 
 
 def test_trace_branch_points_are_the_natural_continuation_points():

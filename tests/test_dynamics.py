@@ -2,7 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from explicit_oracle import StepSizeError, explicit_relax, explicit_step
+from explicit_oracle import (
+    StepSizeError,
+    explicit_relax,
+    explicit_step,
+    step_limit,
+)
 from pointwise_oracle import density_on_grid
 
 from onsager.dynamics import (
@@ -168,6 +173,16 @@ def test_step_size_guard():
         explicit_step(f, SPEC3, 1.0, grid.h ** 2 / 3.9, grid)
     with pytest.raises(StepSizeError):
         explicit_relax(f, SPEC3, 1.0, grid.h ** 2, grid, 1e-10, 10)
+    # from D = 10 the cells near the poles set the limit, below h^2/4: at
+    # D = 20 2000 steps of h^2/4 grew this ripple to 32 times the mean
+    grid = make_grid(20, 64)
+    spec = build_kernel_spec(20, 6, "onsager-recurrence")
+    f = 1.0 + 1e-3 * np.cos(40 * grid.points)
+    with pytest.raises(StepSizeError):
+        explicit_step(f, spec, 1.0, grid.h ** 2 / 4.0, grid)
+    for _ in range(2000):
+        f = explicit_step(f, spec, 1.0, step_limit(grid), grid)
+    assert np.max(np.abs(f - f.mean())) <= 1e-12 * f.mean()
 
 
 def test_divergence_error_reports_last_time():

@@ -116,6 +116,22 @@ def test_jacobian_at_trivial_is_diagonal():
     assert np.max(np.abs(jac - expected)) < 1e-10
 
 
+@pytest.mark.parametrize("D", [3, 10, 343])
+@pytest.mark.parametrize("N", [63, 64, 65, 128, 200])
+def test_isotropic_jacobian_is_exact_at_every_truncation(D, N):
+    # the rule grows with N, so the degree-4N products P_2m P_2n stay
+    # exact: scaled by sqrt(N(D, 2m) N(D, 2n)) / (lam k), the isotropic
+    # Jacobian is the identity.  A fixed 128-node rule has P_128 vanish
+    # at every node, so the n = 64 diagonal entry read 0
+    spec = build_kernel_spec(D, N, "custom", custom_coeffs=(1.0,) * N)
+    lam = 2.0
+    jac = jacobian(AxisymState(D, np.zeros(N)), spec, lam)
+    scale = np.sqrt([float(harmonic_count(D, 2 * n))
+                     for n in range(1, N + 1)])
+    gram = jac / lam * np.outer(scale, scale)
+    assert np.max(np.abs(gram - np.eye(N))) <= 1e-13
+
+
 def test_jacobian_matches_finite_differences():
     rng = np.random.default_rng(5)
     state = AxisymState(D=3, coeffs=rng.uniform(-0.5, 0.5, size=5))
