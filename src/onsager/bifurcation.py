@@ -60,11 +60,14 @@ class Branch:
 
     points holds the SolutionReports of both coefficient-sign families,
     the u_n > 0 one first, each in order of |u_n| from the origin out.
+    stops holds why each family ended, in that order: "lambda_max",
+    "step_floor" or "step_limit" (see `_family`).
     """
 
     mode: int
     origin: float
     points: tuple
+    stops: tuple
 
 
 @dataclass(frozen=True)
@@ -261,9 +264,9 @@ def _corrector(spec, y, border, tol):
 
 def _family(spec, n, origin, sign, lambda_max, n_modes, tol):
     """Points of the family leaving (0, origin) along sign e_n, in order
-    of s = sign u_n, up to the first with lambda > lambda_max, or until
-    the step in s falls below _DS_MIN or _MAX_STEPS steps.  The predictor
-    errs by O(ds^2), so the next step is ds min(2, sqrt(_RTOL / error))."""
+    of s = sign u_n, and why it ended: "lambda_max", "step_floor" (a step
+    below _DS_MIN) or "step_limit" (_MAX_STEPS).  The next step is
+    ds min(2, sqrt(_RTOL / error)): the predictor errs by O(ds^2)."""
     import numpy as np
 
     from .solver import AxisymState, _make_report, state_norm
@@ -278,17 +281,17 @@ def _family(spec, n, origin, sign, lambda_max, n_modes, tol):
         if error > _RTOL:
             ds /= 2.0
             if ds < _DS_MIN:
-                break
+                return points, "step_floor"
             continue
         x, res, matrix, iterations = found
         if x[-1] > lambda_max:
-            break
+            return points, "lambda_max"
         points.append(_make_report(AxisymState(spec.D, x[:-1]), res,
                                    float(x[-1]), iterations, tol))
         # the slope solves the same bordered system with border . t = 1
         slope = np.linalg.solve(matrix, unit[-1])
         ds *= math.sqrt(_RTOL / max(error, _RTOL / 4.0))
-    return points
+    return points, "step_limit"
 
 
 def trace_branch(spec: KernelSpec, n: int, lambda_max: float,
@@ -319,12 +322,13 @@ def trace_branch(spec: KernelSpec, n: int, lambda_max: float,
     if not lambda_max > origin:
         raise ValueError(f"lambda_max must exceed lambda_{n} = {origin}, "
                          f"got {lambda_max}")
-    points = [p for sign in (1, -1) for p in _family(
-        spec, n, origin, sign, lambda_max, n_modes, tol)]
+    families, stops = zip(*[_family(spec, n, origin, sign, lambda_max,
+                                    n_modes, tol) for sign in (1, -1)])
+    points = tuple(families[0] + families[1])
     if not points:
         raise BranchNotFoundError(
             f"no mode-{n} continuation points below {lambda_max}")
-    return Branch(mode=n, origin=origin, points=tuple(points))
+    return Branch(mode=n, origin=origin, points=points, stops=stops)
 
 
 def classify_stability(report: "SolutionReport", spec: KernelSpec) -> str:

@@ -51,27 +51,26 @@ def surface_area(D: int) -> float:
     return 2.0 * math.pi ** (D / 2) / math.gamma(D / 2)
 
 
-def _gegenbauer_rows(alpha: float, max_degree: int, t: "np.ndarray"):
-    """Raw C_k^(alpha)(t) for k = 0..max_degree by the standard three-term
-    recurrence, yielded one degree at a time."""
+def _zonal_rows(D: int, max_degree: int, t: "np.ndarray"):
+    """P_k(D, t) for k = 0..max_degree, one degree at a time, by the
+    normalized recurrence (k + D - 2) P_(k+1) = (2k + D - 2) t P_k - k P_(k-1)
+    from P_0 = 1, P_1 = t.  |P_k| <= 1 on [-1, 1]: no row overflows."""
     import numpy as np
-    c_prev = np.ones_like(t)
-    yield c_prev
+    p_prev, p = np.ones_like(t), t
+    yield p_prev
     if max_degree == 0:
         return
-    c = 2.0 * alpha * t
-    yield c
-    for k in range(2, max_degree + 1):
-        c, c_prev = (2.0 * (k + alpha - 1.0) * t * c
-                     - (k + 2.0 * alpha - 2.0) * c_prev) / k, c
-        yield c
+    yield p
+    for k in range(1, max_degree):
+        p, p_prev = ((2 * k + D - 2) * t * p - k * p_prev) / (k + D - 2), p
+        yield p
 
 
 def legendre_table(D: int, max_degree: int,
                    t: "np.ndarray") -> "np.ndarray":
     """All zonal polynomials P_k(D, t) = C_k^(alpha)(t) / C_k^(alpha)(1),
-    alpha = (D - 2)/2, normalized so P_k(D, 1) = 1, for k = 0..max_degree
-    in one recurrence pass; the classical Legendre polynomials at D = 3.
+    alpha = (D - 2)/2, for k = 0..max_degree from one pass of
+    `_zonal_rows`; Legendre's at D = 3.  Every entry lies in [-1, 1].
 
     Returns an array of shape (max_degree + 1, len(t)).
     """
@@ -80,12 +79,9 @@ def legendre_table(D: int, max_degree: int,
     t = np.asarray(t, dtype=float)
     if np.any(np.abs(t) > 1.0):
         raise ValueError("argument outside [-1, 1]")
-    alpha = (D - 2) / 2
     table = np.empty((max_degree + 1, t.size))
-    at_one = 1.0  # C_k^(alpha)(1) = prod_{j<k} (2 alpha + j) / (1 + j)
-    for k, c in enumerate(_gegenbauer_rows(alpha, max_degree, t)):
-        table[k] = c / at_one
-        at_one *= (2.0 * alpha + k) / (1.0 + k)
+    for k, row in enumerate(_zonal_rows(D, max_degree, t)):
+        table[k] = row
     return table
 
 
@@ -94,17 +90,16 @@ def zonal_rule(D: int, order: int):
     """Nodes and weights for integrals against (1 - t^2)^((D-3)/2) dt.
 
     Gauss rule for the zonal weight itself (Gauss-Legendre at D = 3,
-    Gauss-Gegenbauer above), so polynomial integrands of degree
-    <= 2*order - 1 are integrated exactly for every D >= 3; plain sums of
-    f(node)*weight give the weighted integral.  Built by Golub-Welsch: the
-    nodes are the eigenvalues of the Jacobi matrix of the orthonormal
-    polynomials p_k of the weight, polished by two Newton steps on their
-    three-term recurrence, and the weights are the Christoffel numbers
-    mu_0 / sum_(k<order) (p_k / p_0)^2 with mu_0 = B(1/2, (D-1)/2) the
-    weight's mass, from lgamma so that D = 344 (used for the kernel
-    integrals at D = 343) does not overflow.  Nodes and weights are
-    symmetrised, so the middle node of an odd rule is exactly 0.  Cached:
-    the arrays are shared and read-only.
+    Gauss-Gegenbauer above): exact for polynomials of degree
+    <= 2*order - 1 at every D >= 3, as plain sums of f(node)*weight.  Its
+    orthogonal polynomials are the P_k(D, t) of `_zonal_rows`.  The
+    eigenvalues of the weight's Jacobi matrix (Golub-Welsch) take two
+    Newton steps with (1 - t^2) P_n' = n (P_(n-1) - t P_n); the weights
+    are the Christoffel numbers mu_0 / sum_(k<order) N(D, k) P_k^2,
+    mu_0 = B(1/2, (D-1)/2), both through logarithms so that D = 344 (the
+    kernel integrals at D = 343) does not overflow.  Symmetrised, so the
+    middle node of an odd rule is exactly 0.  Cached: the arrays are
+    shared and read-only.
     """
     import numpy as np
     if D < 3:
@@ -116,20 +111,21 @@ def zonal_rule(D: int, order: int):
     # t p_k = b_(k+1) p_(k+1) + b_k p_(k-1) for the weight (1 - t^2)^a
     b = np.sqrt(k * (k + 2 * a) / ((2 * k + 2 * a + 1) * (2 * k + 2 * a - 1)))
     t = np.linalg.eigvalsh(np.diag(b[:-1], -1))
+    # sqrt N(D, k): the orthonormal polynomials are sqrt(N / mu_0) P_k
+    root_counts = [math.exp(0.5 * math.log(harmonic_count(D, j)))
+                   for j in range(order)]
     for _ in range(2):
-        # p runs over p_k / p_0 for k = 0..order, dp over its derivative
-        p_prev, p = np.zeros_like(t), np.ones_like(t)
-        dp_prev, dp = np.zeros_like(t), np.zeros_like(t)
+        rows = _zonal_rows(D, order, t)
         squares = np.zeros_like(t)
-        b_k = 0.0
-        for b_next in b.tolist():
-            squares += p * p
-            p, p_prev = (t * p - b_k * p_prev) / b_next, p
-            dp, dp_prev = (p_prev + t * dp - b_k * dp_prev) / b_next, dp
-            b_k = b_next
-        # p is p_order, zero at the nodes; the step is at rounding after
-        # the first one, so `squares` holds at the final nodes too
-        t = t - p / dp
+        for root in root_counts:
+            p_prev = next(rows)
+            squares += (root * p_prev) ** 2
+        p = next(rows)
+        step = (1.0 - t * t) * p / (order * (p_prev - t * p))
+        t = t - step
+    # `squares` is from the nodes before the last step: carry it along
+    # that step, d log(squares)/dt = (D - 1) t / (1 - t^2) at a node
+    squares *= 1.0 - (D - 1) * t * step / (1.0 - t * t)
     mu0 = math.exp(math.lgamma(0.5) + math.lgamma(a + 1)
                    - math.lgamma(a + 1.5))
     nodes = (t - t[::-1]) / 2

@@ -116,4 +116,5 @@ def trace_branch(spec: KernelSpec, n: int, lambda_end: float, steps: int,
         raise BranchNotFoundError(
             f"no nontrivial mode-{n} solutions found near lambda_{n} = "
             f"{origin}")
-    return Branch(mode=n, origin=origin, points=tuple(points))
+    # natural continuation has stop reasons of its own; none is recorded
+    return Branch(mode=n, origin=origin, points=tuple(points), stops=())

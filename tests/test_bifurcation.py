@@ -363,6 +363,7 @@ def test_every_family_keeps_its_sign_and_samples_its_fold(D):
         branch = trace_branch(spec, n, lambda_max)
         assert all(p.converged and p.lam <= lambda_max
                    for p in branch.points)
+        assert branch.stops == ("lambda_max", "lambda_max")
         # the u_n > 0 family, then the u_n < 0 one, each in order of |u_n|
         signs = [np.sign(p.state.coeffs[n - 1]) for p in branch.points]
         flip = signs.index(-1.0)
@@ -383,12 +384,44 @@ def test_trace_branch_stops_at_lambda_max_not_at_the_step_limit(
 
     def path():
         branch = trace_branch(spec, 1, lambda_max)
+        assert branch.stops == ("lambda_max", "lambda_max")
         return np.array([np.append(p.state.coeffs, p.lam)
                          for p in branch.points])
 
     full = path()
     monkeypatch.setattr(bifurcation, "_MAX_STEPS", 1000)
     assert np.array_equal(path(), full)
+
+
+def test_trace_branch_reports_the_step_limit(monkeypatch):
+    # 12 steps, halvings included, leave both families short of
+    # lambda_max
+    monkeypatch.setattr(bifurcation, "_MAX_STEPS", 12)
+    branch = trace_branch(SPEC3, 1, 1.3 * LAM1)
+    assert branch.stops == ("step_limit", "step_limit")
+    for sign in (1, -1):
+        lams = [p.lam for p in branch.points
+                if np.sign(p.state.coeffs[0]) == sign]
+        assert 0 < len(lams) <= 12 and max(lams) < 1.1 * LAM1
+
+
+def test_trace_branch_reports_the_step_floor(monkeypatch):
+    # a corrector that fails on the u_1 > 0 family above 1.1 lambda_1:
+    # that family's step halves to the floor there, the other one
+    # reaches lambda_max
+    corrector = bifurcation._corrector
+
+    def failing(spec, y, border, tol):
+        if y[0] > 0 and y[-1] > 1.1 * LAM1:
+            return None
+        return corrector(spec, y, border, tol)
+
+    monkeypatch.setattr(bifurcation, "_corrector", failing)
+    branch = trace_branch(SPEC3, 1, 1.3 * LAM1)
+    assert branch.stops == ("step_floor", "lambda_max")
+    oblate = [p.lam for p in branch.points if p.state.coeffs[0] > 0]
+    prolate = [p.lam for p in branch.points if p.state.coeffs[0] < 0]
+    assert oblate and max(oblate) < 1.1 * LAM1 < 1.2 * LAM1 < max(prolate)
 
 
 MAIER_SAUPE_DIMS = (3, 4, 5, 7)
@@ -420,12 +453,37 @@ def _maier_saupe_fold(D):
         return float(-u / moments(u)[0])
 
 
+# the folds lambda* of _maier_saupe_fold, to 15 digits
+MAIER_SAUPE_FOLDS = {3: 4.48765759765557, 4: 6.87485065093518,
+                     5: 9.16630468837205, 7: 13.5572578033344}
+
+
 @pytest.mark.parametrize("D", MAIER_SAUPE_DIMS)
 def test_trace_branch_samples_the_maier_saupe_fold(D):
     spec = build_kernel_spec(D, 1, "custom", custom_coeffs=(1.0,))
     branch = trace_branch(spec, 1, 1.3 * harmonic_count(D, 2))
     lams = [p.lam for p in branch.points if p.state.coeffs[0] < 0]
-    assert min(lams) == pytest.approx(_maier_saupe_fold(D), rel=1e-4)
+    fold = _maier_saupe_fold(D)
+    assert fold == pytest.approx(MAIER_SAUPE_FOLDS[D], rel=1e-13)
+    assert min(lams) == pytest.approx(fold, rel=1e-4)
+
+
+@pytest.mark.parametrize("where, count", [("below the fold", 1),
+                                          ("between", 3),
+                                          ("above lambda_1", 3)])
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("D", MAIER_SAUPE_DIMS)
+def test_maier_saupe_census_counts_and_index_sum(D, seed, where, count):
+    # the one-mode equation has 1 solution below its fold lambda*, 3
+    # between lambda* and lambda_1 and 3 above lambda_1, the isotropic
+    # state and two nontrivial ones; their indices sum to the degree 1
+    spec = build_kernel_spec(D, 1, "custom", custom_coeffs=(1.0,))
+    fold, lam1 = MAIER_SAUPE_FOLDS[D], harmonic_count(D, 2)
+    lam = {"below the fold": 0.9 * fold, "between": (fold + lam1) / 2,
+           "above lambda_1": 1.5 * lam1}[where]
+    census = multistart(spec, lam, 30, seed)
+    assert len(census) == count
+    assert sum(index_of(r, spec) for r in census) == 1
 
 
 def test_trace_branch_points_are_the_natural_continuation_points():

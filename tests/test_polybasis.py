@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -103,6 +104,43 @@ def test_legendre_normalization_and_bound():
             assert np.max(np.abs(table[n])) <= 1.0 + 1e-12
 
 
+def _mp_rows(D, n, x):
+    """P_0..P_n(D, x) by the normalized recurrence in mpmath."""
+    rows = [mpmath.mpf(1), x]
+    for k in range(1, n):
+        rows.append(((2 * k + D - 2) * x * rows[-1] - k * rows[-2])
+                    / (k + D - 2))
+    return rows[:n + 1]
+
+
+def test_legendre_table_stays_finite_past_degree_1000_at_dim_343():
+    # C_k^(341/2)(1) passes the largest double from degree about 1000;
+    # the normalized rows stay within [-1, 1], without a warning, and
+    # match the 40-digit recurrence
+    t = np.concatenate([np.linspace(-1.0, 1.0, 41), zonal_rule(344, 64)[0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = legendre_table(343, 1200, t)
+    assert np.all(np.isfinite(table))
+    assert np.max(np.abs(table)) <= 1.0
+    # P_k(D, +-1) = (+-1)^k, exactly
+    assert np.array_equal(table[:, 40], np.ones(1201))
+    assert np.array_equal(table[:, 0], (-1.0) ** np.arange(1201))
+    with mpmath.workdps(40):
+        for j in (1, 10, 20, 21, 39, 41, 72):
+            ref = [float(r) for r in _mp_rows(343, 1200, mpmath.mpf(t[j]))]
+            assert np.max(np.abs(table[:, j] - ref)) <= 1e-13, t[j]
+
+
+def test_legendre_table_matches_mpmath_legendre_at_degree_400():
+    t = np.linspace(-1.0, 1.0, 41)
+    table = legendre_table(3, 400, t)
+    with mpmath.workdps(40):
+        for k in (1, 2, 57, 200, 399, 400):
+            ref = [float(mpmath.legendre(k, mpmath.mpf(x))) for x in t]
+            assert np.max(np.abs(table[k] - ref)) <= 1e-13, k
+
+
 def test_domain_check():
     with pytest.raises(ValueError):
         legendre_table(3, 2, np.array([1.0 + 1e-9]))
@@ -124,7 +162,8 @@ def test_quadrature_exactness_degree():
         assert got == pytest.approx(exact, rel=1e-13)
 
 
-RULE_DIMS = (3, 4, 5, 7, 10, 50, 343)
+# D = 344 is the rule behind the kernel integrals at D = 343
+RULE_DIMS = (3, 4, 5, 7, 10, 50, 343, 344)
 
 
 @pytest.mark.parametrize("D", RULE_DIMS)
@@ -160,6 +199,29 @@ def test_zonal_rule_integrates_even_monomials(D, order):
             assert abs(got - exact) <= 1e-13 * exact, m
 
 
+@pytest.mark.parametrize("D, order", [(3, 128), (4, 224), (10, 129),
+                                      (343, 257), (344, 257)])
+def test_zonal_rule_matches_the_40_digit_christoffel_numbers(D, order):
+    # each node polished in 40-digit mpmath by Newton's method on the
+    # recurrence, its weight mu_0 / sum_(k<order) N(D, k) P_k^2 there
+    nodes, weights = zonal_rule(D, order)
+    with mpmath.workdps(40):
+        mu0 = mpmath.beta(mpmath.mpf(1) / 2, mpmath.mpf(D - 1) / 2)
+        # the extreme nodes, where the weights are most sensitive, and a
+        # sample of the interior ones
+        for i in [*range(6), *range(6, order // 2 + 1, 17)]:
+            x = mpmath.mpf(nodes[i])
+            for _ in range(3):
+                rows = _mp_rows(D, order, x)
+                x -= ((1 - x * x) * rows[order]
+                      / (order * (rows[order - 1] - x * rows[order])))
+            rows = _mp_rows(D, order, x)
+            weight = mu0 / sum(harmonic_count(D, k) * rows[k] ** 2
+                               for k in range(order))
+            assert abs(nodes[i] - x) <= 2 ** -53, i
+            assert abs(weights[i] - weight) <= 5e-13 * weight, i
+
+
 def test_weighted_integral_closed_forms():
     # D = 3: flat weight
     assert weighted_integral(lambda t: t ** 2, 3, 64) == pytest.approx(
@@ -185,21 +247,24 @@ def test_weighted_integral_matches_adaptive_quadrature():
 
 
 def test_zonal_norm_identity():
-    # int_0^pi P_n(D, cos)^2 sin^(D-2) = sigma_D / (sigma_(D-1) N(D, n))
-    for D in (3, 4, 5):
-        nodes, weights = zonal_rule(D, 96)
-        table = legendre_table(D, 12, nodes)
-        for n in range(13):
+    # int_0^pi P_n(D, cos)^2 sin^(D-2) = sigma_D / (sigma_(D-1) N(D, n)),
+    # exact on the 256-node rule up to degree 255
+    for D in (3, 4, 5, 10, 343):
+        nodes, weights = zonal_rule(D, 256)
+        table = legendre_table(D, 200, nodes)
+        for n in range(201):
             got = float(np.dot(weights, table[n] ** 2))
             expected = surface_area(D) / (surface_area(D - 1)
                                           * harmonic_count(D, n))
-            assert got == pytest.approx(expected, rel=1e-12)
+            assert got == pytest.approx(expected, rel=1e-12), (D, n)
 
 
 def test_zonal_orthogonality():
-    for D in (3, 4):
-        nodes, weights = zonal_rule(D, 96)
-        table = legendre_table(D, 10, nodes)
+    # the Gram matrix of P_0..P_200, scaled to a unit diagonal
+    for D in (3, 4, 10, 343):
+        nodes, weights = zonal_rule(D, 256)
+        table = legendre_table(D, 200, nodes)
         gram = table @ (weights[:, None] * table.T)
-        off = gram - np.diag(np.diag(gram))
-        assert np.max(np.abs(off)) < 1e-12
+        scale = np.sqrt(np.diag(gram))
+        off = gram / np.outer(scale, scale) - np.eye(201)
+        assert np.max(np.abs(off)) < 1e-12, D
