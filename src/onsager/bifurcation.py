@@ -13,7 +13,7 @@ from .errors import (
     ThresholdUndefinedError,
     ValidationError,
 )
-from .kernel import KernelSpec, coeff_by_recurrence, tail_bound
+from .kernel import KernelSpec, tail_bound
 from .polybasis import harmonic_count
 
 # numpy and the solver are imported where they run, so that
@@ -26,7 +26,6 @@ if TYPE_CHECKING:
 __all__ = [
     "ThresholdReport",
     "Branch",
-    "DegreeReport",
     "critical_values",
     "uniqueness_thresholds",
     "index_of",
@@ -70,31 +69,11 @@ class Branch:
     stops: tuple
 
 
-@dataclass(frozen=True)
-class DegreeReport:
-    """Census of solutions at one concentration with their indices, at
-    the audit's last truncation.  degree_sum is always 1 and
-    stable_across_truncations always true (any other index sum raises);
-    both stay as columns of the audit table, which `perfbench/run.py`
-    checks."""
-
-    lam: float
-    solutions: tuple
-    degree_sum: int
-    stable_across_truncations: bool
-
-
 def critical_values(spec: KernelSpec) -> list:
-    """Critical concentrations lambda_n = N(D, 2n)/k_n, n = 1..n_max."""
-    out = []
-    for n in range(1, spec.n_max + 1):
-        k = spec.coeff(n)
-        if k <= 0:
-            raise ValidationError(
-                f"critical value undefined: k_{n} = {k} is not positive",
-                index=n)
-        out.append(harmonic_count(spec.D, 2 * n) / k)
-    return out
+    """Critical concentrations lambda_n = N(D, 2n)/k_n, n = 1..n_max;
+    math.inf where k_n = 0, since no family bifurcates from mode n."""
+    return [harmonic_count(spec.D, 2 * n) / k if k > 0 else math.inf
+            for n, k in enumerate(spec.coeffs, start=1)]
 
 
 def _lambert_w(x: float) -> float:
@@ -118,27 +97,23 @@ def uniqueness_thresholds(spec: KernelSpec) -> ThresholdReport:
     """Uniqueness thresholds and critical values in one report.
 
     lambda_tilde0 = (1/5) ||K_hat||_inf^-1; lambda_0 is bracketed by
-    [1/(S' + tail), 1/S] with S the coefficient partial sum and tail the
-    bound on the closed-form tail (`tail_bound`).  S' is S, except that a
-    quadrature table that sums short of the closed-form one is topped up
-    to it, so that S' + tail bounds the whole series k0 as the tail
-    promises and 1/(S' + tail) stays <= 1/k0.  lambda_exp_bound solves
-    lam e^(4 lam ||K||_inf) (S' + tail) = 1/2, that is
-    lam = W(4 ||K||_inf / (2 (S' + tail))) / (4 ||K||_inf) with W the
-    principal branch of the Lambert W function.
+    [1/T, 1/S] with S the coefficient partial sum and T = max(S + tail,
+    k0) a bound on the whole series, tail the bound on the closed-form
+    tail (`tail_bound`): the |sin gamma| series sums exactly to k0, so
+    1/T stays <= 1/k0 also for a quadrature table that sums short of the
+    closed form, and a custom kernel has k0 = 0.  lambda_exp_bound solves
+    lam e^(4 lam ||K||_inf) T = 1/2, that is
+    lam = W(4 ||K||_inf / (2 T)) / (4 ||K||_inf) with W the principal
+    branch of the Lambert W function.  A zero k_n has lambda_n = inf
+    (`critical_values`); only a coefficient sum of 0 or one that is not
+    finite raises ThresholdUndefinedError.
     """
-    if any(k <= 0 for k in spec.coeffs):
-        raise ThresholdUndefinedError(
-            "thresholds require positive coefficients")
     partial = math.fsum(spec.coeffs)
     tail = tail_bound(spec)
-    head = partial
-    if spec.source == "onsager-quadrature":
-        head = max(partial,
-                   math.fsum(coeff_by_recurrence(spec.D, spec.n_max)))
-    total = head + tail
-    if not math.isfinite(total):
-        raise ThresholdUndefinedError("coefficient sum is not summable")
+    total = max(partial + tail, spec.k0)
+    if not (partial > 0 and math.isfinite(total)):
+        raise ThresholdUndefinedError(
+            f"coefficient sum {partial} + tail {tail} is 0 or not finite")
     lam_tilde = 0.2 / spec.sup_norm_khat
     interval = (1.0 / total, 1.0 / partial)
     # full kernel sup norm: the exact |sin| profile lies in [0, 1], custom
@@ -185,8 +160,10 @@ def index_of(report: "SolutionReport", spec: KernelSpec) -> int:
 
 
 def degree_audit(spec: KernelSpec, lam: float, n_starts: int, seed: int,
-                 truncations) -> DegreeReport:
-    """Solution census with index sums at several truncations.
+                 truncations) -> tuple:
+    """Solution census with index sums at several truncations: the
+    SolutionReports found at the last truncation, each with its index
+    set, as a tuple.
 
     The degree of u - lam G(u) on a ball holding every solution is 1 at
     every truncation and every lam off the critical values: G is bounded,
@@ -195,11 +172,12 @@ def degree_audit(spec: KernelSpec, lam: float, n_starts: int, seed: int,
     sum must therefore be 1; any other sum means the census missed
     solutions and raises InconclusiveAuditError, as does a second
     census at seed + 1, run in the same Newton pool, that finds a
-    different count.
+    different count.  lam within 1e-6 of a finite critical value raises
+    ValidationError.
     """
     from .solver import censuses
     for n, crit in enumerate(critical_values(spec), start=1):
-        if abs(lam - crit) <= 1e-6 * crit:
+        if crit < math.inf and abs(lam - crit) <= 1e-6 * crit:
             raise ValidationError(
                 f"lambda = {lam} is within 1e-6 of critical value "
                 f"lambda_{n}", index=n)
@@ -220,12 +198,7 @@ def degree_audit(spec: KernelSpec, lam: float, n_starts: int, seed: int,
                 f"index sum at N={N} is {degree}, not the degree 1: the "
                 f"census of {len(indexed)} solutions is incomplete",
                 censuses=(census, recheck))
-    return DegreeReport(
-        lam=lam,
-        solutions=indexed,
-        degree_sum=degree,
-        stable_across_truncations=True,
-    )
+    return indexed
 
 
 # Continuation in s = |u_n| (Rheinboldt & Burkardt, ACM TOMS 9, 1983):

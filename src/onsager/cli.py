@@ -360,17 +360,21 @@ def _run_sweep(cfg, spec):
 def _run_audit(cfg, spec):
     from . import bifurcation, solver
     truncs = cfg["truncations"]
-    report = bifurcation.degree_audit(spec, cfg["lambda"], cfg["starts"],
+    census = bifurcation.degree_audit(spec, cfg["lambda"], cfg["starts"],
                                       cfg["seed"], truncs)
+    degree = sum(sol.index for sol in census)
     width = max(truncs)
     records = []
-    for i, sol in enumerate(report.solutions):
+    for i, sol in enumerate(census):
         record = {
             "lambda": cfg["lambda"],
             "solution": i,
             "index": sol.index,
-            "degree_sum": report.degree_sum,
-            "stable_across_truncations": report.stable_across_truncations,
+            # degree_audit raises unless every truncation's index sum is
+            # 1; both columns stay while perfbench/run.py's check_audit
+            # reads them (ROADMAP.md item 7 drops them)
+            "degree_sum": degree,
+            "stable_across_truncations": True,
             "norm": solver.state_norm(sol.state.coeffs),
             "residual": sol.residual_norm,
         }

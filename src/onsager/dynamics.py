@@ -34,15 +34,20 @@ DT_PER_H2 = 32.0
 @dataclass(frozen=True)
 class ThetaGrid:
     """Gauss nodes on (0, pi) with positive cell volumes; zero-flux faces
-    at the poles.  h = pi/(G+1) is the nominal node spacing that sizes
-    the default step."""
+    at the poles.  weights are the zonal Gauss weights w_i, the cell
+    volumes over sigma_(D-1); faces are sin^(D-2) at the interior faces,
+    the midpoints of consecutive nodes, over the node gaps.  h = pi/(G+1)
+    is the nominal node spacing that sizes the default step."""
 
     D: int
     points: np.ndarray
+    weights: np.ndarray
+    faces: np.ndarray
     h: float
 
     def __post_init__(self):
-        self.points.setflags(write=False)
+        for array in (self.points, self.weights, self.faces):
+            array.setflags(write=False)
 
     @property
     def G(self) -> int:
@@ -51,24 +56,19 @@ class ThetaGrid:
 
 def make_grid(D: int, G: int) -> ThetaGrid:
     """Nodes theta_i = arccos t_i of the G-point zonal Gauss rule
-    zonal_rule(D, G), in ascending order.  The cell volumes are
-    sigma_(D-1) w_i, w the rule's weights: positive at every D, exact for
+    zonal_rule(D, G), in ascending order, with the rule's weights w as
+    cell volumes over sigma_(D-1): positive at every D, exact for
     polynomials in cos theta of degree <= 2G - 1, and, the rule being
     symmetric, already in the order of the nodes."""
     if D < 3:
         raise ValueError(f"dimension must be >= 3, got {D}")
     if G < MIN_POINTS:
         raise ValueError(f"grid needs at least {MIN_POINTS} points, got {G}")
-    return ThetaGrid(D=D, points=np.arccos(zonal_rule(D, G)[0][::-1]),
+    nodes, weights = zonal_rule(D, G)
+    theta = np.arccos(nodes[::-1])
+    faces = np.sin(0.5 * (theta[1:] + theta[:-1])) ** (D - 2) / np.diff(theta)
+    return ThetaGrid(D=D, points=theta, weights=weights, faces=faces,
                      h=math.pi / (G + 1))
-
-
-@lru_cache(maxsize=64)
-def _face_sines(D: int, G: int) -> np.ndarray:
-    """sin^(D-2) at the interior cell faces, the midpoints of consecutive
-    nodes, over the node gaps."""
-    theta = make_grid(D, G).points
-    return np.sin(0.5 * (theta[1:] + theta[:-1])) ** (D - 2) / np.diff(theta)
 
 
 @lru_cache(maxsize=64)
@@ -88,7 +88,7 @@ def grid_mass(f: np.ndarray, grid: ThetaGrid) -> float:
 
     These are the volumes `step` conserves, so this quantity is invariant
     under `step` to rounding."""
-    return surface_area(grid.D - 1) * float(zonal_rule(grid.D, grid.G)[1] @ f)
+    return surface_area(grid.D - 1) * float(grid.weights @ f)
 
 
 def grid_moments(f: np.ndarray, grid: ThetaGrid, n_modes: int) -> np.ndarray:
@@ -97,9 +97,8 @@ def grid_moments(f: np.ndarray, grid: ThetaGrid, n_modes: int) -> np.ndarray:
     Computed in the cell volumes, normalized by the mass in the same
     volumes and with the uniform-density moments subtracted, so a
     constant density has exactly zero moments."""
-    weights = zonal_rule(grid.D, grid.G)[1]
     table, base = _moment_tables(grid.D, grid.G, n_modes)
-    return (table @ (weights * f)) / float(weights @ f) - base
+    return (table @ (grid.weights * f)) / float(grid.weights @ f) - base
 
 
 def potential_on_grid(f: np.ndarray, spec: KernelSpec, lam: float,
@@ -119,7 +118,7 @@ def grid_energy(f: np.ndarray, spec: KernelSpec, lam: float,
     potential = potential_on_grid(f, spec, lam, grid)
     safe = np.where(f > 0.0, f, 1.0)
     return surface_area(grid.D - 1) * float(
-        zonal_rule(grid.D, grid.G)[1] @ (f * (np.log(safe) + 0.5 * potential)))
+        grid.weights @ (f * (np.log(safe) + 0.5 * potential)))
 
 
 # non-finite intermediates surface as a DivergenceError
@@ -147,10 +146,9 @@ def step(f: np.ndarray, spec: KernelSpec, lam: float, dt: float,
         raise ValueError(f"dt must be positive and finite, got {dt}")
     f = np.asarray(f, dtype=float)
     potential = potential_on_grid(f, spec, lam, grid)
-    weights = zonal_rule(grid.D, grid.G)[1]
+    weights = grid.weights
     boltzmann = np.exp(-(potential - potential.min()))
-    cond = (dt * _face_sines(grid.D, grid.G)
-            * np.sqrt(boltzmann[1:] * boltzmann[:-1]))
+    cond = dt * grid.faces * np.sqrt(boltzmann[1:] * boltzmann[:-1])
     diag = weights * boltzmann
     diag[1:] += cond
     diag[:-1] += cond

@@ -24,7 +24,6 @@ __all__ = [
     "KernelSpec",
     "SOURCES",
     "onsager_mean",
-    "coeff_ratio",
     "coeff_by_quadrature",
     "coeff_by_recurrence",
     "build_kernel_spec",
@@ -161,21 +160,17 @@ def coeff_by_quadrature(D: int, n_max: int):
 
 
 def _ratio_terms(D: int, n):
-    """Numerator and denominator of coeff_ratio(D, n), integers for an
-    integer n."""
+    """Numerator and denominator of the ratio k_(n+1)/k_n of the
+    |sin gamma| kernel, integers for an integer n; the ratio is always
+    in (0, 1).
+
+    It is the product of the harmonic-count ratio N(D,2n+2)/N(D,2n), the
+    leading Gegenbauer values C_2n(1)/C_2n+2(1) and the weighted
+    Gegenbauer moment ratio; the first two collapse to
+    (4n+D+2)/(4n+D-2).
+    """
     return ((2 * n - 1) * (4 * n + D + 2) * (2 * n + D - 2),
             (4 * n + D - 2) * (2 * n + 2) * (2 * n + D + 1))
-
-
-def coeff_ratio(D: int, n):
-    """Ratio k_(n+1)/k_n for the |sin gamma| kernel; always in (0, 1).
-
-    Product of the harmonic-count ratio N(D,2n+2)/N(D,2n), the leading
-    Gegenbauer values C_2n(1)/C_2n+2(1) and the weighted Gegenbauer moment
-    ratio; the first two collapse to (4n+D+2)/(4n+D-2).
-    """
-    num, den = _ratio_terms(D, n)
-    return num / den
 
 
 # Fraction bits of the fixed-point running product in coeff_by_recurrence.
@@ -192,11 +187,12 @@ def coeff_by_recurrence(D: int, n_max: int) -> tuple:
     with B the Beta function; since N(D,2) = (D+2)(D-1)/2 and the Beta
     values share Gamma(D/2)/Gamma((D+1)/2), this is k0 (D+2)/(2(D+1)) with
     k0 = onsager_mean(D), 5 pi/32 at D = 3.  k_n is k_1 times the running
-    product of coeff_ratio, formed exactly in integers: m = k_1 2^256 and
-    m <- m num // den with the integer terms of each ratio, so k_n is
-    m / 2^256, which Python rounds correctly.  The table is the same on
-    every platform; a running product in floating point would gather the
-    rounding of 10^6 ratios (2e-12 relative in double precision).
+    product of the ratios k_(j+1)/k_j (`_ratio_terms`), formed exactly in
+    integers: m = k_1 2^256 and m <- m num // den with the integer terms
+    of each ratio, so k_n is m / 2^256, which Python rounds correctly.
+    The table is the same on every platform; a running product in
+    floating point would gather the rounding of 10^6 ratios (2e-12
+    relative in double precision).
     """
     if D < 3:
         raise ValueError(f"dimension must be >= 3, got {D}")

@@ -8,8 +8,7 @@ at every step."""
 
 import numpy as np
 
-from onsager.dynamics import _face_sines, grid_mass, potential_on_grid
-from onsager.polybasis import zonal_rule
+from onsager.dynamics import grid_mass, potential_on_grid
 
 
 class StepSizeError(ValueError):
@@ -20,10 +19,9 @@ def step_limit(grid):
     """min(h^2/4, min_i w_i / (2 (s_(i-1/2) + s_(i+1/2)))): the face
     conductances s of cell i over its volume w_i bound the forward-Euler
     diagonal, and h^2/4 is the smaller term at D = 3."""
-    s_faces = np.pad(_face_sines(grid.D, grid.G), 1)
-    weights = zonal_rule(grid.D, grid.G)[1]
+    s_faces = np.pad(grid.faces, 1)
     return min(grid.h ** 2 / 4.0,
-               0.5 * np.min(weights / (s_faces[1:] + s_faces[:-1])))
+               0.5 * np.min(grid.weights / (s_faces[1:] + s_faces[:-1])))
 
 
 def explicit_step(f, spec, lam, dt, grid):
@@ -38,17 +36,15 @@ def explicit_step(f, spec, lam, dt, grid):
             f"dt={dt} exceeds the explicit stability limit {limit}")
     f = np.asarray(f, dtype=float)
     potential = potential_on_grid(f, spec, lam, grid)
-    s_faces = _face_sines(grid.D, grid.G)
-    weights = zonal_rule(grid.D, grid.G)[1]
     boltzmann = np.exp(-(potential - potential.min()))
     phi = f / boltzmann
     m_face = np.sqrt(boltzmann[1:] * boltzmann[:-1])
-    fluxes = s_faces * m_face * np.diff(phi)
+    fluxes = grid.faces * m_face * np.diff(phi)
     div = np.empty_like(f)
     div[0] = fluxes[0]
     div[-1] = -fluxes[-1]
     div[1:-1] = fluxes[1:] - fluxes[:-1]
-    return f + dt * div / weights
+    return f + dt * div / grid.weights
 
 
 def explicit_relax(f0, spec, lam, dt, grid, settle_tol, max_steps):

@@ -174,10 +174,9 @@ def test_branch_amplitude_vanishes_toward_onset():
 @pytest.mark.parametrize("factor", [0.5, 1.5])
 def test_degree_sum_is_one_across_truncations(factor):
     spec = build_kernel_spec(3, 16, "onsager-quadrature")
-    report = degree_audit(spec, factor * LAM1, n_starts=30, seed=0,
+    census = degree_audit(spec, factor * LAM1, n_starts=30, seed=0,
                           truncations=(8, 12, 16))
-    assert report.degree_sum == 1
-    assert report.stable_across_truncations
+    assert sum(r.index for r in census) == 1
 
 
 def test_trivial_index_flip_is_compensated_by_branches():

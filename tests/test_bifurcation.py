@@ -60,10 +60,9 @@ def test_critical_values_increase(D):
     assert all(b > a for a, b in zip(crit, crit[1:]))
 
 
-def test_critical_values_reject_nonpositive_coefficient():
-    with pytest.raises(ValidationError) as err:
-        critical_values(_degenerate_spec())
-    assert err.value.index == 2
+def test_critical_value_of_a_zero_coefficient_is_infinite():
+    # k_2 = 0: no family bifurcates from mode 2
+    assert critical_values(_degenerate_spec()) == [5.0, math.inf]
 
 
 def test_lambda_tilde0_closed_form():
@@ -122,8 +121,14 @@ def test_lambda_0_lower_end_never_exceeds_one_over_k0(D, n_max, source):
 
 
 def test_thresholds_undefined_for_degenerate_kernel():
+    # a zero k_n leaves the thresholds defined, with lambda_n = inf; only
+    # a zero coefficient sum makes them undefined
+    report = uniqueness_thresholds(_degenerate_spec())
+    assert report.lambda_0_interval == (1.0, 1.0)
+    assert report.lambda_crit == [5.0, math.inf]
     with pytest.raises(ThresholdUndefinedError):
-        uniqueness_thresholds(_degenerate_spec())
+        uniqueness_thresholds(KernelSpec(D=3, coeffs=(0.0, 0.0), k0=0.0,
+                                         source="custom"))
 
 
 def test_trivial_index_factorizes_over_modes():
@@ -176,28 +181,24 @@ def test_index_requires_convergence():
 
 
 def test_degree_audit_below_first_critical_value():
-    report = degree_audit(SPEC3, 5.0, n_starts=20, seed=0,
+    census = degree_audit(SPEC3, 5.0, n_starts=20, seed=0,
                           truncations=(6, 8))
-    assert len(report.solutions) == 1
-    assert report.degree_sum == 1
-    assert report.stable_across_truncations
-    assert report.solutions[0].index == 1
+    assert [r.index for r in census] == [1]
+    assert census[0].lam == 5.0
 
 
 def test_degree_audit_between_first_and_second_critical_values():
-    report = degree_audit(SPEC3, 15.0, n_starts=25, seed=0,
+    census = degree_audit(SPEC3, 15.0, n_starts=25, seed=0,
                           truncations=(8, 12))
-    assert len(report.solutions) == 3
-    assert sorted(r.index for r in report.solutions) == [-1, 1, 1]
-    assert report.degree_sum == 1
-    assert report.stable_across_truncations
+    assert sorted(r.index for r in census) == [-1, 1, 1]
+    # the census of the last truncation
+    assert all(r.state.N == 12 for r in census)
 
 
 def test_degree_audit_dilute_limit():
-    report = degree_audit(SPEC3, 0.01, n_starts=10, seed=3,
+    census = degree_audit(SPEC3, 0.01, n_starts=10, seed=3,
                           truncations=(4, 6))
-    assert len(report.solutions) == 1
-    assert report.degree_sum == 1
+    assert [r.index for r in census] == [1]
 
 
 def test_degree_audit_raises_when_a_solution_is_missing(monkeypatch):
@@ -233,9 +234,7 @@ def test_degree_audit_of_the_isotropic_state_alone(monkeypatch, D, n, side):
 
     monkeypatch.setattr(solver, "censuses", isotropic_census)
     if (-1) ** sum(c < lam for c in crit) == 1:
-        report = degree_audit(spec, lam, 5, 0, (6,))
-        assert [r.index for r in report.solutions] == [1]
-        assert report.degree_sum == 1
+        assert [r.index for r in degree_audit(spec, lam, 5, 0, (6,))] == [1]
     else:
         with pytest.raises(InconclusiveAuditError,
                            match=r"index sum at N=6 is -1"):
@@ -424,7 +423,7 @@ def test_trace_branch_reports_the_step_floor(monkeypatch):
     assert oblate and max(oblate) < 1.1 * LAM1 < 1.2 * LAM1 < max(prolate)
 
 
-MAIER_SAUPE_DIMS = (3, 4, 5, 7)
+MAIER_SAUPE_DIMS = (3, 4, 5, 7, 10)
 
 
 def _maier_saupe_fold(D):
@@ -455,7 +454,8 @@ def _maier_saupe_fold(D):
 
 # the folds lambda* of _maier_saupe_fold, to 15 digits
 MAIER_SAUPE_FOLDS = {3: 4.48765759765557, 4: 6.87485065093518,
-                     5: 9.16630468837205, 7: 13.5572578033344}
+                     5: 9.16630468837205, 7: 13.5572578033344,
+                     10: 19.8744082058847}
 
 
 @pytest.mark.parametrize("D", MAIER_SAUPE_DIMS)
@@ -466,6 +466,16 @@ def test_trace_branch_samples_the_maier_saupe_fold(D):
     fold = _maier_saupe_fold(D)
     assert fold == pytest.approx(MAIER_SAUPE_FOLDS[D], rel=1e-13)
     assert min(lams) == pytest.approx(fold, rel=1e-4)
+
+
+@pytest.mark.parametrize("D", MAIER_SAUPE_DIMS)
+def test_lambda_0_lies_below_the_maier_saupe_fold(D):
+    # below lambda_0 the solution is unique, so lambda_0 cannot pass the
+    # fold, where the two nontrivial solutions appear
+    spec = build_kernel_spec(D, 1, "custom", custom_coeffs=(1.0,))
+    lower, upper = uniqueness_thresholds(spec).lambda_0_interval
+    assert lower == upper == 1.0
+    assert upper <= MAIER_SAUPE_FOLDS[D]
 
 
 @pytest.mark.parametrize("where, count", [("below the fold", 1),
@@ -484,6 +494,19 @@ def test_maier_saupe_census_counts_and_index_sum(D, seed, where, count):
     census = multistart(spec, lam, 30, seed)
     assert len(census) == count
     assert sum(index_of(r, spec) for r in census) == 1
+    audited = degree_audit(spec, lam, 30, seed, (1,))
+    assert len(audited) == count
+    assert sum(r.index for r in audited) == 1
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_degree_audit_skips_the_infinite_critical_values(seed):
+    # k_2 = k_3 = k_4 = 0 put lambda_2..lambda_4 at inf, which the audit's
+    # distance test must not flag; the census is the one-mode one above
+    # lambda_1 = 5: the isotropic state and the two nematic ones
+    spec = build_kernel_spec(3, 4, "custom", custom_coeffs=(1, 0, 0, 0))
+    census = degree_audit(spec, 7.5, 30, seed, (4,))
+    assert sorted(r.index for r in census) == [-1, 1, 1]
 
 
 def test_trace_branch_points_are_the_natural_continuation_points():

@@ -13,10 +13,10 @@ from onsager.errors import AccuracyError, ValidationError
 from onsager.kernel import (
     QUAD_RTOL,
     KernelSpec,
+    _ratio_terms,
     build_kernel_spec,
     coeff_by_quadrature,
     coeff_by_recurrence,
-    coeff_ratio,
     onsager_mean,
     tail_bound,
 )
@@ -40,7 +40,8 @@ def test_k2_closed_form_d3():
     # k_2 = k_1 * (9/40) = 9 pi / 256 for D = 3
     assert coeff_by_quadrature(3, 2)[1] == pytest.approx(9 * math.pi / 256,
                                                          rel=1e-12)
-    assert coeff_ratio(3, 1) == pytest.approx(9 / 40, rel=1e-15)
+    num, den = _ratio_terms(3, 1)
+    assert 40 * num == 9 * den
 
 
 def test_onsager_mean_closed_forms():
@@ -80,9 +81,9 @@ def test_mean_value_accuracy_error_for_rough_profile():
 def test_ratio_matches_quadrature(D):
     table = coeff_by_quadrature(D, 12)
     for n in range(1, 12):
-        ratio = table[n] / table[n - 1]
-        assert coeff_ratio(D, n) == pytest.approx(ratio, rel=1e-9)
-        assert 0.0 < coeff_ratio(D, n) < 1.0
+        num, den = _ratio_terms(D, n)
+        assert num / den == pytest.approx(table[n] / table[n - 1], rel=1e-9)
+        assert 0 < num < den
 
 
 def test_coeff_quadrature_matches_adaptive_integration():
@@ -110,8 +111,8 @@ def test_recurrence_chain():
 
 def _gamma_product_reference(D, n):
     """k_n to 40 digits: k_1 from its Beta-function closed form times
-    (4n+D-2)/(D+2) and the Gamma ratios that the ratio product of
-    coeff_ratio telescopes to."""
+    (4n+D-2)/(D+2) and the Gamma ratios that the product of the
+    `_ratio_terms` ratios telescopes to."""
     with mpmath.workdps(40):
         g, half, d = mpmath.gamma, mpmath.mpf(1) / 2, mpmath.mpf(D)
 

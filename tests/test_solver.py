@@ -243,7 +243,7 @@ def _census_entry_points(seed):
     each public entry point that takes a seed."""
     return (censuses(SPEC3, [15.0], 6, [seed], N=4)[0][0],
             multistart(SPEC3, 15.0, 6, seed, N=4),
-            degree_audit(SPEC3, 15.0, 6, seed, (4,)).solutions)
+            degree_audit(SPEC3, 15.0, 6, seed, (4,)))
 
 
 @pytest.mark.parametrize(("seed", "error", "match"), [
