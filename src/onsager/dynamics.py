@@ -31,22 +31,26 @@ MIN_POINTS = 32
 DT_PER_H2 = 32.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThetaGrid:
     """Gauss nodes on (0, pi) with positive cell volumes; zero-flux faces
-    at the poles.  weights are the zonal Gauss weights w_i, the cell
-    volumes over sigma_(D-1); faces are sin^(D-2) at the interior faces,
-    the midpoints of consecutive nodes, over the node gaps.  h = pi/(G+1)
-    is the nominal node spacing that sizes the default step."""
+    at the poles.  t are the zonal Gauss nodes t_i themselves, points
+    theta_i = arccos t_i (cos theta_i need not round back to t_i);
+    weights are the zonal Gauss weights w_i, the cell volumes over
+    sigma_(D-1); faces are sin^(D-2) at the interior faces, the midpoints
+    of consecutive nodes, over the node gaps.  h = pi/(G+1) is the
+    nominal node spacing that sizes the default step.  Grids compare by
+    identity, so the mode tables are cached per grid."""
 
     D: int
     points: np.ndarray
+    t: np.ndarray
     weights: np.ndarray
     faces: np.ndarray
     h: float
 
     def __post_init__(self):
-        for array in (self.points, self.weights, self.faces):
+        for array in (self.points, self.t, self.weights, self.faces):
             array.setflags(write=False)
 
     @property
@@ -65,21 +69,21 @@ def make_grid(D: int, G: int) -> ThetaGrid:
     if G < MIN_POINTS:
         raise ValueError(f"grid needs at least {MIN_POINTS} points, got {G}")
     nodes, weights = zonal_rule(D, G)
-    theta = np.arccos(nodes[::-1])
+    t = nodes[::-1]
+    theta = np.arccos(t)
     faces = np.sin(0.5 * (theta[1:] + theta[:-1])) ** (D - 2) / np.diff(theta)
-    return ThetaGrid(D=D, points=theta, weights=weights, faces=faces,
+    return ThetaGrid(D=D, points=theta, t=t, weights=weights, faces=faces,
                      h=math.pi / (G + 1))
 
 
 @lru_cache(maxsize=64)
-def _moment_tables(D: int, G: int, n_modes: int):
+def _moment_tables(grid: ThetaGrid, n_modes: int):
     """Mode values P_2n at the grid nodes and the moments of the
     discretely uniform density in the Gauss weights."""
-    nodes, weights = zonal_rule(D, G)
-    table = legendre_table(D, 2 * n_modes, nodes[::-1])[2::2]
+    table = legendre_table(grid.D, 2 * n_modes, grid.t)[2::2]
     # moments of the uniform density in the same weights; subtracting
     # them in grid_moments makes the uniform density exactly mean-free
-    base = (table @ weights) / weights.sum()
+    base = (table @ grid.weights) / grid.weights.sum()
     return table, base
 
 
@@ -97,7 +101,7 @@ def grid_moments(f: np.ndarray, grid: ThetaGrid, n_modes: int) -> np.ndarray:
     Computed in the cell volumes, normalized by the mass in the same
     volumes and with the uniform-density moments subtracted, so a
     constant density has exactly zero moments."""
-    table, base = _moment_tables(grid.D, grid.G, n_modes)
+    table, base = _moment_tables(grid, n_modes)
     return (table @ (grid.weights * f)) / float(grid.weights @ f) - base
 
 
@@ -108,7 +112,7 @@ def potential_on_grid(f: np.ndarray, spec: KernelSpec, lam: float,
     if grid.D != spec.D:
         raise ValueError("grid and kernel dimension mismatch")
     a = grid_moments(f, grid, spec.n_max)
-    table, _ = _moment_tables(grid.D, grid.G, spec.n_max)
+    table, _ = _moment_tables(grid, spec.n_max)
     return lam * (spec.k0 - (spec.coeffs * a) @ table)
 
 

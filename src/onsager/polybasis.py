@@ -10,6 +10,8 @@ import math
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
+from .errors import AccuracyError
+
 if TYPE_CHECKING:
     import numpy as np
 
@@ -85,6 +87,14 @@ def legendre_table(D: int, max_degree: int,
     return table
 
 
+def _top_rows(D: int, n: int, t: "np.ndarray"):
+    """P_(n-1)(D, t) and P_n(D, t), n >= 1, streamed from `_zonal_rows`."""
+    p_prev = p = None
+    for row in _zonal_rows(D, n, t):
+        p_prev, p = p, row
+    return p_prev, p
+
+
 @lru_cache(maxsize=256)
 def zonal_rule(D: int, order: int):
     """Nodes and weights for integrals against (1 - t^2)^((D-3)/2) dt.
@@ -92,25 +102,56 @@ def zonal_rule(D: int, order: int):
     Gauss rule for the zonal weight itself (Gauss-Legendre at D = 3,
     Gauss-Gegenbauer above): exact for polynomials of degree
     <= 2*order - 1 at every D >= 3, as plain sums of f(node)*weight.  Its
-    orthogonal polynomials are the P_k(D, t) of `_zonal_rows`.  The
-    eigenvalues of the weight's Jacobi matrix (Golub-Welsch) take two
-    Newton steps with (1 - t^2) P_n' = n (P_(n-1) - t P_n); the weights
-    are the Christoffel numbers mu_0 / sum_(k<order) N(D, k) P_k^2,
+    orthogonal polynomials are the P_k(D, t) of `_zonal_rows`, and its
+    nodes, the zeros of P_order(D, t), are found on that recurrence alone
+    in O(order^2) flops, with no eigenproblem (Hale & Townsend): the
+    signs of P_order(D, cos theta) at the midpoints of m cells of (0, pi),
+    m = 4*order doubled until they change exactly order times, bracket
+    every zero; Newton's method with (1 - t^2) P_n' = n (P_(n-1) - t P_n)
+    starts at each bracket's secant point, bisects a step that would leave
+    the bracket, and ends with two plain Newton steps.  The weights are
+    the Christoffel numbers mu_0 / sum_(k<order) N(D, k) P_k^2,
     mu_0 = B(1/2, (D-1)/2), both through logarithms so that D = 344 (the
     kernel integrals at D = 343) does not overflow.  Symmetrised, so the
     middle node of an odd rule is exactly 0.  Cached: the arrays are
-    shared and read-only.
+    shared and read-only.  Raises AccuracyError if the zeros crowd too
+    closely to bracket (D beyond about 10^6).
     """
     import numpy as np
     if D < 3:
         raise ValueError(f"dimension must be >= 3, got {D}")
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    a = (D - 3) / 2
-    k = np.arange(1.0, order + 1)
-    # t p_k = b_(k+1) p_(k+1) + b_k p_(k-1) for the weight (1 - t^2)^a
-    b = np.sqrt(k * (k + 2 * a) / ((2 * k + 2 * a + 1) * (2 * k + 2 * a - 1)))
-    t = np.linalg.eigvalsh(np.diag(b[:-1], -1))
+    m = 4 * order
+    # 8 refinements at most: at order 2 they bracket the zeros
+    # +-1/sqrt(D - 1) up to D ~ 10^6
+    for _ in range(9):
+        # ascending cell midpoints -cos(pi (j + 1/2) / m); m is even, so
+        # none is 0
+        x = -np.cos(np.pi / m * (np.arange(m) + 0.5))
+        p = _top_rows(D, order, x)[1]
+        sign = np.sign(p)
+        change = np.flatnonzero(sign[:-1] * sign[1:] < 0)
+        if change.size == order:
+            break
+        m *= 2
+    else:
+        raise AccuracyError(f"cannot bracket the {order} zeros of "
+                            f"P_{order}({D}, t) on {m // 2} cells")
+    lo, hi = x[change], x[change + 1]
+    t = lo - p[change] * (hi - lo) / (p[change + 1] - p[change])
+    sign_lo = sign[change]
+    # bisection alone would reach rounding within 64 steps
+    for _ in range(64):
+        p_prev, p = _top_rows(D, order, t)
+        # the zero lies right of t where P(t) has the sign of P(lo)
+        right = np.sign(p) == sign_lo
+        lo, hi = np.where(right, t, lo), np.where(right, hi, t)
+        newton = t - (1.0 - t * t) * p / (order * (p_prev - t * p))
+        inside = (lo <= newton) & (newton <= hi)
+        t, t_prev = np.where(inside, newton, 0.5 * (lo + hi)), t
+        if np.max(np.abs(t - t_prev)) < 1e-12:
+            break
     # sqrt N(D, k): the orthonormal polynomials are sqrt(N / mu_0) P_k
     root_counts = [math.exp(0.5 * math.log(harmonic_count(D, j)))
                    for j in range(order)]
@@ -126,6 +167,7 @@ def zonal_rule(D: int, order: int):
     # `squares` is from the nodes before the last step: carry it along
     # that step, d log(squares)/dt = (D - 1) t / (1 - t^2) at a node
     squares *= 1.0 - (D - 1) * t * step / (1.0 - t * t)
+    a = (D - 3) / 2
     mu0 = math.exp(math.lgamma(0.5) + math.lgamma(a + 1)
                    - math.lgamma(a + 1.5))
     nodes = (t - t[::-1]) / 2

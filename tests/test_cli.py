@@ -9,12 +9,15 @@ import sys
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 from onsager import cli, dynamics, kernel, solver
+from onsager.bifurcation import degree_audit
 from onsager.dynamics import evolve
-from onsager.errors import ValidationError
+from onsager.errors import InconclusiveAuditError, ValidationError
+from onsager.polybasis import zonal_rule
 
 
 def _read_csv(path):
@@ -208,23 +211,37 @@ def test_solve_at_dim_343_past_degree_1000_prints_no_warning(capsys):
 SWEEP_AT_1E300 = ("lambda,branch,norm,residual," + ",".join(
     f"u_{i}" for i in range(1, 13)) + "\n1.0000000000000001e+300"
     + ",0" * 15 + "\n")
-AUDIT_AT_1E200 = (
-    "lambda,solution,index,degree_sum,stable_across_truncations,norm,"
-    "residual,u_1,u_2\n9.9999999999999997e+199,0,1,1,true,0,0,0,0\n")
+AUDIT_AT_1E200 = ("index sum at N=2 is 2, not the degree 1: the census of 2 "
+                  "solutions is incomplete")
 
 
-@pytest.mark.parametrize("argv, expected", [
-    ("sweep --lambda-min 1e300 --lambda-max 1e300 --steps 1",
+@pytest.mark.parametrize("argv, code, expected", [
+    ("sweep --lambda-min 1e300 --lambda-max 1e300 --steps 1", 0,
      SWEEP_AT_1E300),
-    ("audit-degree --lambda 1e200 --truncations 2 --nmax 2", AUDIT_AT_1E200),
-    ("solve --lambda 12 --init 1e300", None),
+    ("audit-degree --lambda 1e200 --truncations 2 --nmax 2", 3,
+     AUDIT_AT_1E200),
+    ("solve --lambda 12 --init 1e300", 0, None),
 ], ids=["sweep", "audit-degree", "solve"])
-def test_overflowing_norms_print_no_warning(capsys, argv, expected):
+def test_overflowing_norms_print_no_warning(capsys, argv, code, expected):
     # states of size 1e300 give residual norms near the largest double,
-    # without a RuntimeWarning: the sweep and the audit print the
-    # isotropic state alone, and the solve from u_1 = 1e300 converges
-    assert cli.main(argv.split()) == 0
+    # without a RuntimeWarning: the sweep prints the isotropic state
+    # alone, and the solve from u_1 = 1e300 converges.  The audit's census
+    # at 1e200 holds the isotropic state and the prolate one whose
+    # density sits on the pole nodes, a fixed point of the discrete map
+    # (test_prolate_state_at_1e200_is_a_fixed_point): index sum 2, so it
+    # exits 3 with the error record and no traceback
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv.split()) == code
     out, err = capsys.readouterr()
+    if code:
+        assert out == ""
+        line, record = err.split("\n", 1)
+        assert line == "onsager: " + expected
+        record = json.loads(record)
+        assert record["error"] == "InconclusiveAuditError"
+        assert record["message"] == expected
+        return
     assert err == ""
     if expected is not None:
         assert out == expected
@@ -243,6 +260,78 @@ def test_overflowing_norms_print_no_warning(capsys, argv, expected):
     spec = kernel.build_kernel_spec(3, 12, "onsager-recurrence")
     census = solver.multistart(spec, 12.0, 30, 0)
     assert min(solver.state_norm(r.state.coeffs - u) for r in census) <= 1e-9
+
+
+def test_prolate_state_at_1e200_is_a_fixed_point():
+    # the audit-degree case above: an independent 300-bit replay of
+    # u = lam G(u) on the solver's 128-node rule, at the census's
+    # prolate state.  Its density sits on the two pole nodes (the rest
+    # weighs below 1e-300), so lam G(u) = -lam k_n (P_2n(pole) - base_n)
+    # is constant near u and u matches it to an ulp: the census finds a
+    # fixed point of the discrete map, not a rounding artefact
+    spec = kernel.build_kernel_spec(3, 2, "onsager-recurrence")
+    with pytest.raises(InconclusiveAuditError) as caught:
+        degree_audit(spec, 1e200, 30, 0, (2,))
+    census, _ = caught.value.censuses
+    assert [r.converged for r in census] == [True, True]
+    assert [r.residual_norm for r in census] == [0.0, 0.0]
+    assert np.array_equal(census[0].state.coeffs, [0.0, 0.0])
+    u = census[1].state.coeffs
+    assert u[0] < -4e199 and u[1] < -1e199
+    nodes, weights = zonal_rule(3, 128)
+    with mpmath.workprec(300):
+        rows = [[mpmath.legendre(2 * n, mpmath.mpf(t)) for t in nodes]
+                for n in (1, 2)]
+        field = [u[0] * p2 + u[1] * p4 for p2, p4 in zip(*rows)]
+        low = min(field)
+        density = [mpmath.mpf(w) * mpmath.exp(low - f)
+                   for w, f in zip(weights, field)]
+        total = sum(density)
+        pole = np.abs(nodes) == nodes[-1]
+        rest = sum(d for d, at in zip(density, pole) if not at)
+        assert rest < 1e-300 * total
+        for n, row in enumerate(rows):
+            base = sum(w * p for w, p in zip(weights, row)) / sum(weights)
+            moment = sum(d * p for d, p in zip(density, row)) / total - base
+            image = -1e200 * mpmath.mpf(spec.coeffs[n]) * moment
+            assert abs(image - u[n]) <= 2 ** -52 * abs(u[n]), n
+
+
+# every numpy.linalg routine that hands its matrix to LAPACK
+LAPACK = ("cholesky", "det", "eig", "eigh", "eigvals", "eigvalsh", "inv",
+          "lstsq", "pinv", "qr", "slogdet", "solve", "svd")
+
+
+@pytest.mark.parametrize("argv, size", [
+    ("sweep --lambda-min 9 --lambda-max 13 --steps 40 --modes 16 --nmax 16",
+     16),
+    ("audit-degree --lambda 15 --truncations 8,12,16 --nmax 16", 16),
+    ("evolve --lambda 11.3 --grid 128 --t-max 50", 12),
+    ("coeffs --dim 3 --nmax 12 --method both", 12),
+    ("coeffs --dim 3 --nmax 200 --method both", 200),
+], ids=["sweep", "audit-degree", "evolve", "coeffs", "coeffs-200"])
+def test_readme_commands_hand_lapack_no_matrix_above_n(monkeypatch, capsys,
+                                                       argv, size):
+    # the Gauss rules come from Newton's method on the recurrence, not
+    # from an eigensolve of their Jacobi matrices (order 128 to 224): the
+    # only matrices numpy.linalg sees are the N x N Newton systems and
+    # spectra.  The caches are cleared, so every rule is built here
+    shapes = []
+
+    def recording(routine):
+        def call(a, *args, **kwargs):
+            shapes.append(np.shape(a)[-2:])
+            return routine(a, *args, **kwargs)
+        return call
+
+    for name in LAPACK:
+        monkeypatch.setattr(np.linalg, name,
+                            recording(getattr(np.linalg, name)))
+    for cache in (zonal_rule, solver._mode_tables, dynamics._moment_tables):
+        cache.cache_clear()
+    assert cli.main(argv.split()) == 0
+    capsys.readouterr()
+    assert all(max(shape, default=0) <= size for shape in shapes), shapes
 
 
 SWEEP_AT_1E308 = ("lambda,branch,norm,residual," + ",".join(

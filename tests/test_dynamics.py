@@ -22,7 +22,7 @@ from onsager.dynamics import (
 )
 from onsager.errors import DivergenceError
 from onsager.kernel import build_kernel_spec
-from onsager.polybasis import surface_area
+from onsager.polybasis import legendre_table, surface_area, zonal_rule
 from onsager.solver import AxisymState, residual, solve, zonal_moments
 
 SPEC3 = build_kernel_spec(3, 12, "onsager-quadrature")
@@ -45,6 +45,16 @@ def test_make_grid_structure():
                        atol=1e-14)
     with pytest.raises(ValueError):
         grid.points[0] = 0.0
+    # the grid carries the rule's nodes themselves, which cos(points)
+    # reproduces only to rounding; the mode tables are taken at them
+    assert np.array_equal(grid.t, zonal_rule(3, 64)[0][::-1])
+    assert np.allclose(np.cos(grid.points), grid.t, rtol=0, atol=1e-15)
+    assert not grid.t.flags.writeable
+    f = _bump(grid)
+    table = legendre_table(3, 4, grid.t)[2::2]
+    moments = (table @ (grid.weights * f)) / (grid.weights @ f)
+    base = (table @ grid.weights) / grid.weights.sum()
+    assert np.array_equal(grid_moments(f, grid, 2), moments - base)
 
 
 def test_make_grid_validation():

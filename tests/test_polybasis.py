@@ -13,6 +13,7 @@ from scipy.special import (
     roots_legendre,
 )
 
+from onsager.errors import AccuracyError
 from onsager.polybasis import (
     harmonic_count,
     legendre_table,
@@ -166,23 +167,63 @@ def test_quadrature_exactness_degree():
 RULE_DIMS = (3, 4, 5, 7, 10, 50, 343, 344)
 
 
-@pytest.mark.parametrize("D", RULE_DIMS)
-@pytest.mark.parametrize("order", [1, 2, 8, 128, 424])
-def test_zonal_rule_matches_scipy_gauss_rules(D, order):
-    # Golub-Welsch against scipy's Gauss-Legendre (D = 3) and
-    # Gauss-Jacobi rules
+def _check_against_scipy(D, order, weight_tol):
     nodes, weights = zonal_rule(D, order)
     expo = (D - 3) / 2
     ref_nodes, ref_weights = (roots_legendre(order) if D == 3
                               else roots_jacobi(order, expo, expo))
     assert np.max(np.abs(nodes - ref_nodes)) <= 4e-16
     assert (np.max(np.abs(weights - ref_weights))
-            <= 1e-11 * np.max(ref_weights))
+            <= weight_tol * np.max(ref_weights))
     assert np.array_equal(nodes, -nodes[::-1])
     assert np.array_equal(weights, weights[::-1])
     if order % 2:
         assert nodes[order // 2] == 0.0
     assert not nodes.flags.writeable and not weights.flags.writeable
+
+
+@pytest.mark.parametrize("D", RULE_DIMS)
+@pytest.mark.parametrize("order", [1, 2, 3, 8, 127, 128, 129, 424])
+def test_zonal_rule_matches_scipy_gauss_rules(D, order):
+    # bracketed Newton on the recurrence against scipy's Gauss-Legendre
+    # (D = 3) and Gauss-Jacobi rules
+    _check_against_scipy(D, order, 1e-11)
+
+
+@pytest.mark.parametrize("D, order", [
+    # the zeros crowd near t = 0 within about 1/sqrt(D): the bracketing
+    # grid must refine
+    *((D, order) for D in (100, 343, 344) for order in range(2, 17)),
+    # scipy's order-1041 rule is NaN from D = 343 on, and its weights are
+    # 2.7e-11 of the largest from the 40-digit Christoffel numbers at
+    # D = 3 (ours are within 5e-13 of them, see below)
+    *((D, 1041) for D in RULE_DIMS if D < 343),
+])
+def test_zonal_rule_matches_scipy_at_crowded_zeros_and_order_1041(D, order):
+    _check_against_scipy(D, order, 1e-11 if order < 1041 else 1e-10)
+
+
+@pytest.mark.parametrize("D, order", [(3, 128), (4, 208), (4, 224),
+                                      (344, 257), (343, 1041), (5, 129)])
+def test_zonal_rule_calls_no_linalg_routine(monkeypatch, D, order):
+    # the nodes are the zeros of P_order(D, t), bracketed and polished on
+    # the recurrence: no eigensolve of the order x order Jacobi matrix
+    def refuse(*args, **kwargs):
+        raise AssertionError("zonal_rule called numpy.linalg")
+
+    for name in ("eigvalsh", "eigh", "eig", "eigvals", "svd", "solve"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    zonal_rule.cache_clear()
+    nodes, weights = zonal_rule(D, order)
+    assert nodes.size == order and np.all(np.diff(nodes) > 0)
+    assert np.all(weights > 0)
+
+
+def test_zonal_rule_raises_where_it_cannot_bracket():
+    # at D = 10^9 the zeros of P_2 lie at +-3.2e-5, closer to 0 than any
+    # cell midpoint of the finest bracketing grid
+    with pytest.raises(AccuracyError):
+        zonal_rule(10 ** 9, 2)
 
 
 @pytest.mark.parametrize("D", RULE_DIMS)
@@ -199,8 +240,9 @@ def test_zonal_rule_integrates_even_monomials(D, order):
             assert abs(got - exact) <= 1e-13 * exact, m
 
 
-@pytest.mark.parametrize("D, order", [(3, 128), (4, 224), (10, 129),
-                                      (343, 257), (344, 257)])
+@pytest.mark.parametrize("D, order", [(3, 128), (4, 208), (4, 224),
+                                      (10, 129), (343, 257), (344, 257),
+                                      (3, 1041), (343, 1041)])
 def test_zonal_rule_matches_the_40_digit_christoffel_numbers(D, order):
     # each node polished in 40-digit mpmath by Newton's method on the
     # recurrence, its weight mu_0 / sum_(k<order) N(D, k) P_k^2 there
