@@ -20,10 +20,20 @@ the thresholds need no numpy: `thresholds` and `coeffs --method
 recurrence` run on the standard library, and numpy loads with the
 first module that computes on arrays.  `evolve --help` reads its
 default step from the dynamics module.
+
+A process enters through `run`, both as the `onsager` console script and
+as `python -m onsager.cli`: it calls `main`, then freezes the garbage
+collector's heap (`gc.freeze`) and exits with main's code.  The
+interpreter's shutdown collections then skip the ~21k tracked objects
+that numpy and the package leave behind, which cost a command 10-20 ms
+after its output is written (2-core x86-64, Python 3.11); atexit
+handlers, stdio flushing and module teardown still run.  `main(argv)`
+called as a library function freezes nothing.
 """
 
 import argparse
 import csv
+import gc
 import io
 import json
 import math
@@ -32,7 +42,7 @@ import sys
 
 from .errors import OnsagerError, ValidationError
 
-__all__ = ["main", "emit_table"]
+__all__ = ["main", "run", "emit_table"]
 
 USAGE = """usage: onsager COMMAND [options]
 
@@ -390,8 +400,8 @@ def _run_evolve(cfg, spec):
     from .polybasis import legendre_table
     grid = dynamics.make_grid(cfg["dim"], cfg["grid"])
     dt = cfg["dt"] or dynamics.DT_PER_H2 * grid.h ** 2
-    shape = 1.0 + cfg["perturb"] * legendre_table(cfg["dim"], 2,
-                                                  np.cos(grid.points))[2]
+    # P_2 at the grid's own nodes t, where the moment table is taken
+    shape = 1.0 + cfg["perturb"] * legendre_table(cfg["dim"], 2, grid.t)[2]
     if np.any(shape < 0.0):
         raise ValidationError(
             f"--perturb {cfg['perturb']} makes the start density "
@@ -480,5 +490,13 @@ def main(argv=None) -> int:
     return 0
 
 
+def run():
+    """The process entry: main() on sys.argv, then exit with its code,
+    the objects it left frozen out of the shutdown collections."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -216,19 +216,26 @@ def _spectrum(spec: KernelSpec, lam, cov: np.ndarray):
     return g, ~(size.min(axis=-1) > 1e-12 * np.maximum(size.max(axis=-1), 1))
 
 
-def _singular(spec: KernelSpec, lam, cov: np.ndarray) -> np.ndarray:
+def _singular(spec: KernelSpec, lam, cov: np.ndarray,
+              system: np.ndarray) -> np.ndarray:
     """_spectrum(spec, lam, cov)[1] for a stack (S, N, N), lam a scalar or
-    one per matrix, from the trace or one slogdet where that settles it.
-    P = diag(d) Cov diag(d) is positive semidefinite, so a finite P with
-    tr P < 1 - 1e-11 has every g = 1 - p of I - J in (1e-11, 1]: it passes
-    the 1e-12 test with 10 times to spare for rounding.  Otherwise
-    max |g| <= max(1, tr P) and all but the smallest |g| sum to at most
-    N + tr P; by AM-GM, min |g| >= |det(I - P)| e^-(1 + tr P).  So
-    log |det(I - P)| - (1 + tr P) > log(1e-11 max(1, tr P)) passes it with
-    the same margin.  Every other matrix (near-singular, zero sign, NaN or
-    inf entries) gets _spectrum's flag, which is True for the last."""
+    one per matrix, from the trace or one slogdet of system = I - J, the
+    matrix Newton solves, where that settles it.  I - J has the spectrum
+    and the determinant of the symmetric I - P that _spectrum reads,
+    P = diag(d) Cov diag(d): with A = diag(d) and B = diag(d) Cov,
+    J = AB and P = BA, and Sylvester's identity
+    det(x I - AB) = det(x I - BA) holds also where some d_n = 0.  And
+    tr J = tr P, as J_nn = d_n^2 Cov_nn = P_nn.  P is positive
+    semidefinite, so a finite P with tr P < 1 - 1e-11 has every g = 1 - p
+    of I - J in (1e-11, 1]: it passes the 1e-12 test with 10 times to
+    spare for rounding.  Otherwise max |g| <= max(1, tr P) and all but
+    the smallest |g| sum to at most N + tr P; by AM-GM,
+    min |g| >= |det(I - P)| e^-(1 + tr P).  So
+    log |det(I - J)| - (1 + tr P) > log(1e-11 max(1, tr P)) passes it
+    with the same margin.  Every other matrix (near-singular, zero sign,
+    NaN or inf entries) gets _spectrum's flag, which is True for the
+    last."""
     lam = np.broadcast_to(lam, cov.shape[:-2])
-    system = _symmetric_system(spec, lam, cov)
     trace = cov.shape[-1] - np.trace(system, axis1=-2, axis2=-1)
     finite = np.isfinite(system).all(axis=(-2, -1))
     flag = ~(finite & (trace < 1.0 - 1e-11))
@@ -253,9 +260,9 @@ def _make_report(state, res, lam, iterations, tol):
 
 # Rows of the Newton pool: bounds the (rows, N, 64) temporary of the
 # second moments on the folded rule whatever the number of starts.  The
-# README sweep evaluates 9481 rows: in 153 density passes at 64 rows
-# (converged rows polish in the pool), 300 at 32, and 79 at 128, whose
-# peak traced memory (tracemalloc) is 1.1 MB higher.
+# README sweep (seed 0) evaluates 9057 rows: in 146 density passes at 64
+# rows (converged rows polish in the pool), 287 at 32, and 76 at 128,
+# whose peak traced memory (tracemalloc) is 1.1 MB higher.
 _BATCH_ROWS = 64
 
 
@@ -306,10 +313,12 @@ def _newton(spec: KernelSpec, lam, starts: np.ndarray, tol: float,
         taken[done] = 0
         go = keep & ~last & (taken < 4) & ~(norm <= 1e-14)
         newton = ~(polish | done | last)
-        go[newton] = ~_singular(spec, lam[rows[newton]], cov[newton])
-        rows, coeffs, res, jac = rows[go], coeffs[go], res[go], jac[go]
+        system = np.eye(N) - jac
+        go[newton] = ~_singular(spec, lam[rows[newton]], cov[newton],
+                                system[newton])
+        rows, coeffs, res, system = rows[go], coeffs[go], res[go], system[go]
         newton, taken = newton[go], taken[go] + 1
-        system, rhs = np.eye(N) - jac, -res[..., None]
+        rhs = -res[..., None]
         try:
             delta = np.linalg.solve(system, rhs)[..., 0]
         except np.linalg.LinAlgError:  # row by row: only singular rows end

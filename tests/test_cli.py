@@ -1,4 +1,6 @@
+import ast
 import csv
+import gc
 import json
 import math
 import os
@@ -962,3 +964,74 @@ def test_readme_examples_run_without_scipy(tmp_path):
                           text=True)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert len(list(tmp_path.glob("out*.csv"))) == len(argvs) == 6
+
+
+def test_main_as_a_library_call_freezes_nothing(tmp_path):
+    # only the process entry freezes the collector's heap: a program that
+    # calls main keeps its own objects collectable
+    for i, argv in enumerate(_readme_command_lines()):
+        frozen = gc.get_freeze_count()
+        out = str(tmp_path / f"out{i}.csv")
+        assert cli.main(argv[1:] + ["--output", out]) == 0
+        assert gc.get_freeze_count() == frozen, argv
+
+
+def _outputs(directory):
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+@pytest.mark.parametrize("argv, code", [
+    ([], 0),
+    (["frob", "--output", "out.csv"], 64),
+    (["sweep", "--bogus", "--output", "out.csv"], 2),
+    (["audit-degree", "--lambda", "120", "--truncations", "8,12,16",
+      "--nmax", "16", "--output", "out.csv"], 3),
+], ids=["usage", "unknown-command", "rejected-flag", "inconclusive-audit"])
+def test_process_exit_is_the_library_call(monkeypatch, capsys, tmp_path,
+                                          argv, code):
+    # `python -m onsager.cli` exits with main's code and writes main's
+    # stdout, stderr and files (CSV, JSON mirror, error record)
+    library, process = tmp_path / "library", tmp_path / "process"
+    library.mkdir()
+    process.mkdir()
+    monkeypatch.chdir(library)
+    assert cli.main(argv) == code
+    out, err = capsys.readouterr()
+    proc = subprocess.run([sys.executable, "-m", "onsager.cli", *argv],
+                          env=_src_env(), cwd=process, capture_output=True,
+                          text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+    assert _outputs(process) == _outputs(library)
+    if code == 3:
+        assert set(_outputs(library)) == {"out.error.json"}
+
+
+def test_process_entry_freezes_the_heap_and_keeps_the_teardown(tmp_path):
+    # after the command, atexit handlers still run with the heap frozen
+    # and stdout is still flushed
+    probe = ("import atexit, gc, sys\n"
+             "atexit.register(lambda: print('frozen', gc.get_freeze_count()"
+             " > 0))\n"
+             "sys.argv[1:] = ['coeffs', '--nmax', '2', '--method',"
+             " 'recurrence']\n"
+             "from onsager.cli import run\n"
+             "run()\n")
+    proc = subprocess.run([sys.executable, "-c", probe], env=_src_env(),
+                          cwd=tmp_path, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("n,k\n1,")
+    assert proc.stdout.endswith("\nfrozen True\n")
+
+
+def test_console_script_is_the_module_entry():
+    # the `onsager` script and `python -m onsager.cli` run one function
+    root = Path(__file__).parent.parent
+    script = re.search(
+        r'^\[project\.scripts\]\nonsager = "onsager\.cli:(\w+)"$',
+        (root / "pyproject.toml").read_text(), re.M)
+    module = ast.parse((root / "src" / "onsager" / "cli.py").read_text())
+    block, = [node for node in module.body if isinstance(node, ast.If)
+              and ast.unparse(node.test) == "__name__ == '__main__'"]
+    call, = block.body
+    assert ast.unparse(call) == f"{script.group(1)}()"
+    assert script.group(1) == "run" and callable(cli.run)

@@ -2,8 +2,9 @@
 `classify_stability` read (`solver._spectrum`) checked against two
 independent oracles: the eigenvalues of the non-symmetric Jacobian, and
 Picard iteration, which converges locally exactly at stable solutions.
-Newton's trace shortcut and determinant certificate (`solver._singular`)
-must give the spectrum's degeneracy flag on every matrix."""
+Newton's trace shortcut and determinant certificate (`solver._singular`),
+read on the non-symmetric I - J that Newton solves, must give the
+spectrum's degeneracy flag on every matrix."""
 
 import numpy as np
 import pytest
@@ -26,6 +27,18 @@ N = 16
 STARTS = 300
 SPECS = {D: build_kernel_spec(D, N, "onsager-recurrence")
          for D in (3, 4, 5, 7, 10)}
+
+
+def _system(spec, lam, cov):
+    """I - J, J = diag(lam k) Cov, as Newton builds it for one covariance
+    or a stack, lam a scalar or one per matrix."""
+    lam_k = np.multiply.outer(lam, spec.coeffs[:cov.shape[-1]])
+    return np.eye(cov.shape[-1]) - lam_k[..., :, None] * cov
+
+
+def _certificate(spec, lam, cov):
+    """_singular's verdict on the covariances' I - J."""
+    return _singular(spec, lam, cov, _system(spec, lam, cov))
 
 
 def _census(D, lam):
@@ -102,10 +115,10 @@ def test_certificate_decides_every_readme_census_matrix(monkeypatch,
     # speed of Newton's singularity test rests on it
     seen, fallbacks, in_singular = [], [], []
 
-    def recording_singular(spec, lam, cov):
-        seen.append((spec, lam, cov.copy()))
+    def recording_singular(spec, lam, cov, system):
+        seen.append((spec, lam, cov.copy(), system.copy()))
         in_singular.append(True)
-        flag = _singular(spec, lam, cov)
+        flag = _singular(spec, lam, cov, system)
         in_singular.pop()
         return flag
 
@@ -120,10 +133,44 @@ def test_certificate_decides_every_readme_census_matrix(monkeypatch,
     assert cli.main(argv.split() + ["--output", str(tmp_path / "t.csv")]) == 0
     monkeypatch.undo()
     assert fallbacks == []
-    assert sum(len(cov) for *_, cov in seen) > 900
-    for spec, lam, cov in seen:
-        assert np.array_equal(_singular(spec, lam, cov),
+    assert sum(len(cov) for _, _, cov, _ in seen) > 900
+    for spec, lam, cov, system in seen:
+        # Newton hands the certificate the I - J it solves
+        assert np.array_equal(system, _system(spec, lam, cov))
+        assert np.array_equal(_singular(spec, lam, cov, system),
                               _spectrum(spec, lam, cov)[1])
+
+
+@pytest.mark.parametrize("spec, lam", [
+    (build_kernel_spec(3, 4, "custom", custom_coeffs=(1, 0, 0, 0)), 7.5),
+    (SPECS[10], 1.5 * critical_values(SPECS[10])[0]),
+], ids=["zero-coefficients", "D10"])
+def test_certificate_on_i_minus_j_far_from_i_minus_p(monkeypatch, spec, lam):
+    # where d = sqrt(lam k) has zeros (the one-mode kernel, 1.5 lambda_1)
+    # and where it spans decades (D = 10), the I - J that Newton solves is
+    # far from the symmetric I - P; the trace and determinant it shares
+    # with I - P still give the spectrum's verdict on every matrix of a
+    # census, also on those past the trace cut
+    seen = []
+
+    def recording_singular(spec, lam, cov, system):
+        seen.append((lam, cov.copy(), system.copy()))
+        return _singular(spec, lam, cov, system)
+
+    monkeypatch.setattr(solver, "_singular", recording_singular)
+    census = multistart(spec, lam, STARTS, seed=0)
+    monkeypatch.undo()
+    assert len(census) == 3
+    past_cut = distance = 0.0
+    for lam, cov, system in seen:
+        trace = cov.shape[-1] - np.trace(system, axis1=-2, axis2=-1)
+        past_cut += np.count_nonzero(trace >= 1.0 - 1e-11)
+        symmetric = solver._symmetric_system(spec, lam, cov)
+        distance = np.abs(system - symmetric).max(initial=distance)
+        assert np.array_equal(_singular(spec, lam, cov, system),
+                              _spectrum(spec, lam, cov)[1])
+    assert past_cut > 50
+    assert distance > 1.0
 
 
 @pytest.mark.parametrize("n", [1, 2, 16])
@@ -149,7 +196,7 @@ def test_certificate_matches_the_spectrum_near_degeneracy(monkeypatch, n,
         return _spectrum(spec, lam, cov)
 
     monkeypatch.setattr(solver, "_spectrum", recording_spectrum)
-    flags = _singular(spec, lam, covs)
+    flags = _certificate(spec, lam, covs)
     assert np.array_equal(flags, _spectrum(spec, lam, covs)[1])
     if delta <= 1e-13:
         assert flags.all()
@@ -171,7 +218,7 @@ def test_certificate_gives_non_finite_covariances_to_the_spectrum(entry,
     spec, lam = build_kernel_spec(3, 4, "onsager-recurrence"), 12.0
     covs = np.tile(np.diag([0.2, 0.1, 0.05, 0.01]), (3, 1, 1))
     covs[1][entry] = value
-    assert _verdict(_singular, spec, lam, covs) == _verdict(
+    assert _verdict(_certificate, spec, lam, covs) == _verdict(
         lambda *args: _spectrum(*args)[1], spec, lam, covs)
 
 
@@ -204,12 +251,11 @@ def test_trace_shortcut_decides_below_the_cut_only(monkeypatch):
     spec, lam = build_kernel_spec(3, 4, "onsager-recurrence"), 12.0
     cut = 1.0 - 1e-11
     covs = _diagonal_covs(spec, lam, [cut - 1e-13, cut + 1e-13, 0.5, 3.0])
-    system = solver._symmetric_system(spec, lam, covs)
-    trace = 4 - np.trace(system, axis1=-2, axis2=-1)
+    trace = 4 - np.trace(_system(spec, lam, covs), axis1=-2, axis2=-1)
     assert trace[0] < cut < trace[1]
     calls = []
     _record_deciders(monkeypatch, calls)
-    flags = _singular(spec, lam, covs)
+    flags = _certificate(spec, lam, covs)
     monkeypatch.undo()
     assert calls == [("slogdet", 2)]  # tr P = 1 - 1e-11 + 1e-13 and 3
     assert np.array_equal(flags, _spectrum(spec, lam, covs)[1])
@@ -228,7 +274,7 @@ def test_trace_shortcut_leaves_non_finite_entries_to_the_spectrum(
     covs[1][entry] = value
     calls = []
     _record_deciders(monkeypatch, calls)
-    got = _verdict(_singular, spec, lam, covs)
+    got = _verdict(_certificate, spec, lam, covs)
     monkeypatch.undo()
     assert calls == [("spectrum", 1)]
     assert got == _verdict(lambda *args: _spectrum(*args)[1], spec, lam,
