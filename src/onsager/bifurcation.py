@@ -133,9 +133,9 @@ def _report_spectrum(report: "SolutionReport",
                      spec: KernelSpec) -> "np.ndarray":
     """Eigenvalues g of I - J at a converged solution, at the report's own
     truncation and lambda, from `solver._spectrum`: the one linear
-    analysis behind Newton, index and stability.  Raises
-    SingularLinearizationError where that flags I - J as degenerate, as
-    Newton does.
+    analysis behind index and stability, and the one place a solution's
+    degeneracy is read.  Raises SingularLinearizationError where that
+    flags I - J as degenerate.
     """
     from .solver import _check_kernel, _fused_pass, _spectrum
     if not report.converged:

@@ -25,9 +25,9 @@ class ValidationError(OnsagerError):
 
 
 class SingularLinearizationError(OnsagerError):
-    """I - J is singular to rounding, so neither a Newton step nor the
-    index or stability of a solution is defined; lambda is likely at a
-    critical value or a fold."""
+    """I - J has no solve at a Newton iterate (exactly singular), or is
+    degenerate to rounding at a solution, whose index and stability are
+    then undefined; lambda is likely at a critical value or a fold."""
 
 
 class InconclusiveAuditError(OnsagerError):

@@ -2,7 +2,6 @@
 sum_n u_n P_{2n}(D, cos theta), the mean-field operator, its Jacobian,
 the spectrum of I - J, Newton iteration and multistart censuses."""
 
-import contextlib
 import math
 import operator
 import random
@@ -188,67 +187,25 @@ def _fused_pass(spec: KernelSpec, lam, coeffs: np.ndarray):
     return res, lam_k[..., :, None] * cov, cov
 
 
-def _symmetric_system(spec: KernelSpec, lam, cov: np.ndarray):
-    """I - diag(d) Cov diag(d), d = sqrt(lam k), for one covariance or a
-    stack, lam a scalar or one per matrix: symmetric, with the spectrum
-    of I - J = I - diag(d)^2 Cov."""
-    d = np.sqrt(np.multiply.outer(lam, spec.coeffs[:cov.shape[-1]]))
-    return np.eye(cov.shape[-1]) - d[..., :, None] * cov * d[..., None, :]
-
-
-def _spectrum(spec: KernelSpec, lam, cov: np.ndarray):
-    """Eigenvalues g of I - J, ascending, for one covariance Cov (N, N) or
-    a stack (S, N, N) with lam a scalar or one per matrix, and a flag per
-    matrix that is True where I - J is degenerate:
-    min |g| <= 1e-12 max(1, max |g|), or a NaN or infinite entry (its g
-    are NaN, and eigvalsh never sees it).
+def _spectrum(spec: KernelSpec, lam: float, cov: np.ndarray):
+    """Eigenvalues g of I - J, ascending, at one covariance Cov (N, N),
+    and whether I - J is degenerate: min |g| <= 1e-12 max(1, max |g|),
+    or a NaN or infinite entry (its g are NaN, and eigvalsh never sees
+    it).
 
     d = sqrt(lam k) is real (lam >= 0 and every k_n >= 0), so g is real
-    and comes from eigvalsh of _symmetric_system.  This is the one linear
-    analysis: the Brouwer index and the stability read it, and its flag
-    is Newton's singularity test (which _singular mostly decides alone).
+    and comes from eigvalsh of the symmetric I - diag(d) Cov diag(d),
+    which has the spectrum of I - J = I - diag(d)^2 Cov.  This is the one
+    linear analysis: the Brouwer index and the stability read it, once
+    per reported state.
     """
-    system = _symmetric_system(spec, lam, cov)
-    finite = np.isfinite(system).all(axis=(-2, -1))
-    g = np.full(system.shape[:-1], np.nan)
-    g[finite] = np.linalg.eigvalsh(system[finite])
-    size = np.abs(g)  # NaN counts as degenerate
-    return g, ~(size.min(axis=-1) > 1e-12 * np.maximum(size.max(axis=-1), 1))
-
-
-def _singular(spec: KernelSpec, lam, cov: np.ndarray,
-              system: np.ndarray) -> np.ndarray:
-    """_spectrum(spec, lam, cov)[1] for a stack (S, N, N), lam a scalar or
-    one per matrix, from the trace or one slogdet of system = I - J, the
-    matrix Newton solves, where that settles it.  I - J has the spectrum
-    and the determinant of the symmetric I - P that _spectrum reads,
-    P = diag(d) Cov diag(d): with A = diag(d) and B = diag(d) Cov,
-    J = AB and P = BA, and Sylvester's identity
-    det(x I - AB) = det(x I - BA) holds also where some d_n = 0.  And
-    tr J = tr P, as J_nn = d_n^2 Cov_nn = P_nn.  P is positive
-    semidefinite, so a finite P with tr P < 1 - 1e-11 has every g = 1 - p
-    of I - J in (1e-11, 1]: it passes the 1e-12 test with 10 times to
-    spare for rounding.  Otherwise max |g| <= max(1, tr P) and all but
-    the smallest |g| sum to at most N + tr P; by AM-GM,
-    min |g| >= |det(I - P)| e^-(1 + tr P).  So
-    log |det(I - J)| - (1 + tr P) > log(1e-11 max(1, tr P)) passes it
-    with the same margin.  Every other matrix (near-singular, zero sign,
-    NaN or inf entries) gets _spectrum's flag, which is True for the
-    last."""
-    lam = np.broadcast_to(lam, cov.shape[:-2])
-    trace = cov.shape[-1] - np.trace(system, axis1=-2, axis2=-1)
-    finite = np.isfinite(system).all(axis=(-2, -1))
-    flag = ~(finite & (trace < 1.0 - 1e-11))
-    check = flag & finite
-    if check.any():
-        trace = trace[check]
-        with np.errstate(invalid="ignore"):  # inf - inf from an overflow
-            flag[check] = ~(np.linalg.slogdet(system[check])[1]
-                            - (1.0 + trace)
-                            > np.log(1e-11 * np.maximum(trace, 1.0)))
-    if flag.any():
-        flag[flag] = _spectrum(spec, lam[flag], cov[flag])[1]
-    return flag
+    d = np.sqrt(np.multiply(lam, spec.coeffs[:cov.shape[-1]]))
+    system = np.eye(d.size) - d[:, None] * cov * d[None, :]
+    if not np.isfinite(system).all():
+        return np.full(d.size, np.nan), True
+    g = np.linalg.eigvalsh(system)
+    size = np.abs(g)
+    return g, not size.min() > 1e-12 * max(size.max(), 1.0)
 
 
 def _make_report(state, res, lam, iterations, tol):
@@ -273,18 +230,20 @@ def _newton(spec: KernelSpec, lam, starts: np.ndarray, tol: float,
     _BATCH_ROWS rows that refills in start order as rows end.
 
     Each row takes exactly the steps it would take alone.  A Newton row
-    ends when _singular finds I - J degenerate (the row is dropped),
-    before an update that is not finite, or after max_iter updates of its
-    own.  At residual norm <= tol (state_norm, as every norm here) it
-    records its updates and stays in the pool to polish, so that two runs
-    landing on one root agree far inside the deduplication radius: each
-    candidate step is kept unless its residual norm is no lower (NaN
-    counts as lower), and the row ends at its kept state when a candidate
-    is not kept, is not finite or has no solve (I - J exactly singular),
-    at kept norm <= 1e-14, or after 4 kept candidates.  Returns the final
-    states (S, N), their residuals (S, N) and the Newton updates each row
-    took (S,), -1 for a dropped row (whose state and residual are
-    undefined).  The caller checks the kernel, tol and lam.
+    is dropped when its I - J has no solve (np.linalg.solve raises: I - J
+    exactly singular), and ends before an update that is not finite or
+    after max_iter updates of its own; an ill-conditioned I - J that has
+    a solve takes its step, as degeneracy is read once, at a reported
+    state (_spectrum).  At residual norm <= tol (state_norm, as every
+    norm here) a row records its updates and stays in the pool to
+    polish, so that two runs landing on one root agree far inside the
+    deduplication radius: each candidate step is kept unless its
+    residual norm is no lower (NaN counts as lower), and the row ends at
+    its kept state when a candidate is not kept, is not finite or has no
+    solve, at kept norm <= 1e-14, or after 4 kept candidates.  Returns
+    the final states (S, N), their residuals (S, N) and the Newton
+    updates each row took (S,), -1 for a dropped row (whose state and
+    residual are undefined).  The caller checks the kernel, tol and lam.
     """
     if not max_iter >= 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
@@ -301,7 +260,7 @@ def _newton(spec: KernelSpec, lam, starts: np.ndarray, tol: float,
             rows, queued = np.concatenate((rows, new)), new[-1] + 1
             taken = np.concatenate((taken, np.zeros_like(new)))
             coeffs = np.concatenate((coeffs, starts[new]))
-        res, jac, cov = _fused_pass(spec, lam[rows], coeffs)
+        res, jac, _ = _fused_pass(spec, lam[rows], coeffs)
         norm = state_norm(res)
         polish = its[rows] >= 0
         keep = ~polish | ~(norm >= end_norm[rows])  # NaN counts as lower
@@ -311,21 +270,20 @@ def _newton(spec: KernelSpec, lam, starts: np.ndarray, tol: float,
         done = ~polish & ~last & (norm <= tol)
         its[rows[done | last]] = taken[done | last]
         taken[done] = 0
-        go = keep & ~last & (taken < 4) & ~(norm <= 1e-14)
         newton = ~(polish | done | last)
-        system = np.eye(N) - jac
-        go[newton] = ~_singular(spec, lam[rows[newton]], cov[newton],
-                                system[newton])
-        rows, coeffs, res, system = rows[go], coeffs[go], res[go], system[go]
-        newton, taken = newton[go], taken[go] + 1
-        rhs = -res[..., None]
+        go = newton | (keep & ~last & (taken < 4) & ~(norm <= 1e-14))
+        rows, coeffs, res, newton = rows[go], coeffs[go], res[go], newton[go]
+        system, rhs = np.eye(N) - jac[go], -res[..., None]
+        taken = taken[go] + 1
         try:
             delta = np.linalg.solve(system, rhs)[..., 0]
         except np.linalg.LinAlgError:  # row by row: only singular rows end
             delta = np.full(res.shape, np.nan)
             for j in range(rows.size):
-                with contextlib.suppress(np.linalg.LinAlgError):
+                try:
                     delta[j] = np.linalg.solve(system[j], rhs[j])[:, 0]
+                except np.linalg.LinAlgError:
+                    taken[j] = -1  # a Newton row without a solve is dropped
         new = coeffs + delta
         bad = ~np.isfinite(new).all(axis=1)  # the row ends at its kept state
         its[rows[bad & newton]] = taken[bad & newton]
@@ -347,7 +305,7 @@ def solve(spec: KernelSpec, lam: float, init: AxisymState,
     """Solve u = lam G(u) from the given initial state by Newton's method,
     (I - J) delta = -(u - lam G(u)), as the one-row case of the pooled
     loop multistart runs.  Non-convergence yields a report with
-    converged=False; a singular Newton system raises
+    converged=False; an I - J with no solve (exactly singular) raises
     SingularLinearizationError.
     """
     _check_tol_lambda(tol, lam)

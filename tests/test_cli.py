@@ -347,9 +347,9 @@ SWEEP_AT_1E308 = ("lambda,branch,norm,residual," + ",".join(
 def test_overflowing_densities_print_no_warning(monkeypatch, capsys, argv,
                                                 expected):
     # u of size 1e308 overflows in the density pass: the weights, moments
-    # and Cov of such a start are NaN, and the spectrum flags it
-    # degenerate without calling eigvalsh; the solve start's first
-    # residual norm overflows to inf
+    # and Cov of such a start are NaN, so its Newton update is not finite
+    # and the row ends; the solve start's first residual norm overflows
+    # to inf
     norms, state_norm = [], solver.state_norm
 
     def recording(coeffs):

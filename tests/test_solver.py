@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from picard_oracle import picard
@@ -188,13 +189,42 @@ def test_solve_finds_nematic_solution():
 
 
 def test_solve_singular_linearization():
-    # pick lambda so that I - J is singular to rounding at the starting
-    # iterate while the residual is still large
+    # pick lambda so that I - J is exactly 0 at the starting iterate
+    # while the residual is still large: the Newton system has no solve
     init = AxisymState(D=3, coeffs=[0.3])
     spec1 = build_kernel_spec(3, 1, "custom", custom_coeffs=[SPEC3.coeff(1)])
     lam_star = 1.0 / jacobian(init, spec1, 1.0)[0, 0]
+    assert 1.0 - jacobian(init, spec1, lam_star)[0, 0] == 0.0
     with pytest.raises(SingularLinearizationError):
         solve(spec1, lam_star, init)
+
+
+def test_solve_steps_through_a_near_singular_start():
+    # with the recurrence k_1 the same construction leaves I - J at
+    # -2.2e-16, not 0, at a lambda that is no critical value
+    # (lambda_1 = 10.19): the step is taken, and Newton lands on the
+    # oblate root of the scalar equation u_1 = -lambda k_1 a_1(u_1)
+    init = AxisymState(D=3, coeffs=[0.3])
+    spec1 = build_kernel_spec(3, 1, "onsager-recurrence")
+    lam = 11.21838206784395
+    assert 0.0 < abs(1.0 - jacobian(init, spec1, lam)[0, 0]) <= 1e-15
+    report = solve(spec1, lam, init)
+    assert report.converged and report.iterations == 7
+    assert report.state.coeffs[0] == -3.8453226826231952
+
+    def a1(u):
+        # P_2 moment of e^(-u P_2) in t = cos theta, even, on [0, 1]
+        def p2(t):
+            return (3 * t * t - 1) / 2
+
+        z, m1 = (mpmath.quad(lambda t: mpmath.exp(-u * p2(t)) * p2(t) ** j,
+                             [0, 1]) for j in range(2))
+        return m1 / z
+
+    with mpmath.workdps(40):
+        lam_k1 = mpmath.mpf(lam) * mpmath.mpf(spec1.coeff(1))
+        u1 = mpmath.findroot(lambda u: u + lam_k1 * a1(u), -3.8)
+        assert abs(float(u1) - report.state.coeffs[0]) <= 1e-12
 
 
 def test_multistart_census_and_determinism():
