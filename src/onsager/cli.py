@@ -261,6 +261,11 @@ def _validate(cfg: dict):
         fail("dt", "positive and finite")
     if "seed" in cfg and cfg["seed"] < 0:
         fail("seed", ">= 0")
+    # min P_2 = -1/(D - 1), at t = 0, which an even grid has no node at
+    if "perturb" in cfg and cfg["perturb"] > cfg["dim"] - 1:
+        raise ValidationError(
+            f"--perturb {cfg['perturb']} makes the start density "
+            f"1 + perturb P_2 negative (min P_2 = -1/{cfg['dim'] - 1})")
     if "grid" in cfg:
         from .dynamics import MIN_POINTS
         if cfg["grid"] < MIN_POINTS:
@@ -402,10 +407,10 @@ def _run_evolve(cfg, spec):
     dt = cfg["dt"] or dynamics.DT_PER_H2 * grid.h ** 2
     # P_2 at the grid's own nodes t, where the moment table is taken
     shape = 1.0 + cfg["perturb"] * legendre_table(cfg["dim"], 2, grid.t)[2]
-    if np.any(shape < 0.0):
+    if np.any(shape < 0.0):  # rounding at --perturb D - 1 and t = 0
         raise ValidationError(
-            f"--perturb {cfg['perturb']} makes the start density "
-            f"1 + perturb P_2 negative (min P_2 = -1/{cfg['dim'] - 1})")
+            f"--perturb {cfg['perturb']} rounds the start density "
+            f"1 + perturb P_2 below 0 at a grid node")
     traj = dynamics.evolve(shape, spec, cfg["lambda"], dt, cfg["t_max"], grid,
                            record_every=cfg["record_every"])
     records = []

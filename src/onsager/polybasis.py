@@ -176,3 +176,14 @@ def zonal_rule(D: int, order: int):
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
+
+
+def _folded_rule(D: int, order: int):
+    """`zonal_rule(D, order)` folded onto its nodes t >= 0, which
+    integrates every even function as the whole rule does: those nodes in
+    ascending order and their weights, doubled at t > 0 (an odd rule's
+    middle node is exactly 0 and keeps its own)."""
+    import numpy as np
+    nodes, weights = zonal_rule(D, order)
+    half = nodes >= 0.0
+    return nodes[half], np.where(nodes > 0.0, 2.0 * weights, weights)[half]

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import SingularLinearizationError
 from .kernel import KernelSpec
-from .polybasis import legendre_table, zonal_rule
+from .polybasis import _folded_rule, legendre_table
 
 __all__ = [
     "AxisymState",
@@ -82,15 +82,11 @@ class SolutionReport:
 
 @lru_cache(maxsize=64)
 def _mode_tables(D: int, N: int):
-    """The rule folded onto t >= 0, which integrates every even function
-    as the whole rule does: the weights of its nodes t >= 0, doubled at
-    t > 0 (an odd rule's middle node is exactly 0 and keeps its own),
-    P_{2n} at those nodes for n = 1..N as one C-contiguous array, and the
+    """The weights of the rule folded onto t >= 0 (`_folded_rule`),
+    P_{2n} at its nodes for n = 1..N as one C-contiguous array, and the
     rule's moments of the isotropic density; cached, so read-only."""
-    nodes, weights = zonal_rule(D, max(_ORDER, 2 * N + 1))
-    half = nodes >= 0.0
-    weights = np.where(nodes > 0.0, 2.0 * weights, weights)[half]
-    table = np.ascontiguousarray(legendre_table(D, 2 * N, nodes[half])[2::2])
+    nodes, weights = _folded_rule(D, max(_ORDER, 2 * N + 1))
+    table = np.ascontiguousarray(legendre_table(D, 2 * N, nodes)[2::2])
     tables = weights, table, table @ (weights / weights.sum())
     for array in tables:
         array.setflags(write=False)

@@ -819,6 +819,30 @@ def test_evolve_perturbation_within_the_bound_runs(tmp_path):
     assert _read_csv(out)
 
 
+@pytest.mark.parametrize("argv", [
+    ["--grid", "128", "--perturb", "2.0005"],
+    ["--grid", "32", "--perturb", "2.014"],
+    ["--dim", "5", "--grid", "128", "--perturb", "4.002"],
+    ["--dim", "5", "--grid", "32", "--perturb", "4.04"],
+], ids=["d3-128", "d3-32", "d5-128", "d5-32"])
+def test_perturbation_above_the_bound_exits_2_before_a_grid_is_built(
+        monkeypatch, tmp_path, capsys, argv):
+    # min P_2 = -1/(D - 1) lies at t = 0, which an even grid has no node
+    # at: checked at the nodes alone, these starts passed and ran.  The
+    # bound is now checked on the flags
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(dynamics, "make_grid", no_grid)
+    out = tmp_path / "t.csv"
+    assert cli.main(["evolve", "--lambda", "11.3", *argv,
+                     "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"onsager: --perturb {float(argv[-1])} ")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_json_format_on_stdout(capsys):
     assert cli.main(["coeffs", "--nmax", "3", "--method", "recurrence",
                      "--format", "json"]) == 0

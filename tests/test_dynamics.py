@@ -8,8 +8,10 @@ from explicit_oracle import (
     explicit_step,
     step_limit,
 )
+from full_grid_oracle import full_evolve, full_step, make_full_grid
 from pointwise_oracle import density_on_grid
 
+from onsager.bifurcation import critical_values
 from onsager.dynamics import (
     DT_PER_H2,
     evolve,
@@ -23,7 +25,13 @@ from onsager.dynamics import (
 from onsager.errors import DivergenceError
 from onsager.kernel import build_kernel_spec
 from onsager.polybasis import legendre_table, surface_area, zonal_rule
-from onsager.solver import AxisymState, residual, solve, zonal_moments
+from onsager.solver import (
+    AxisymState,
+    _mode_tables,
+    residual,
+    solve,
+    zonal_moments,
+)
 
 SPEC3 = build_kernel_spec(3, 12, "onsager-quadrature")
 LAM1 = 32.0 / math.pi
@@ -36,18 +44,20 @@ def _bump(grid, amp=0.1):
 
 
 def test_make_grid_structure():
+    # the 64-point rule folded onto its 32 nodes t > 0, pole first
     grid = make_grid(3, 64)
-    assert grid.G == 64
+    assert grid.G == 32
     assert grid.h == pytest.approx(math.pi / 65, rel=1e-15)
     assert np.all(np.diff(grid.points) > 0)
-    # interior nodes symmetric about pi/2
-    assert np.allclose(grid.points + grid.points[::-1], math.pi,
-                       atol=1e-14)
+    assert 0.0 < grid.points[0] and grid.points[-1] < math.pi / 2
     with pytest.raises(ValueError):
         grid.points[0] = 0.0
     # the grid carries the rule's nodes themselves, which cos(points)
-    # reproduces only to rounding; the mode tables are taken at them
-    assert np.array_equal(grid.t, zonal_rule(3, 64)[0][::-1])
+    # reproduces only to rounding, and their weights doubled; the mode
+    # tables are taken at them
+    nodes, weights = zonal_rule(3, 64)
+    assert np.array_equal(grid.t, nodes[:31:-1])
+    assert np.array_equal(grid.weights, 2.0 * weights[:31:-1])
     assert np.allclose(np.cos(grid.points), grid.t, rtol=0, atol=1e-15)
     assert not grid.t.flags.writeable
     f = _bump(grid)
@@ -78,15 +88,35 @@ def test_uniform_density_has_exactly_zero_moments():
 
 
 @pytest.mark.parametrize("D", [3, 20, 50, 100, 343])
-@pytest.mark.parametrize("G", [32, 128])
+@pytest.mark.parametrize("G", [32, 33, 128])
 def test_cell_volumes_are_positive_at_every_dimension(D, G):
-    # sigma_(D-1) times the zonal Gauss weights: positive however strongly
-    # the grid under-resolves sin^(D-2), and exact for the constant
+    # sigma_(D-1) times the folded zonal Gauss weights: positive however
+    # strongly the grid under-resolves sin^(D-2), and exact for the
+    # constant
     grid = make_grid(D, G)
-    volumes = [grid_mass(cell, grid) for cell in np.eye(G)]
+    assert grid.G == (G + 1) // 2
+    volumes = [grid_mass(cell, grid) for cell in np.eye(grid.G)]
     assert min(volumes) > 0.0
     assert math.fsum(volumes) == pytest.approx(surface_area(D), rel=1e-13)
-    assert np.all(np.abs(grid_moments(np.ones(G), grid, 6)) <= 1e-15)
+    assert np.all(np.abs(grid_moments(np.ones(grid.G), grid, 6)) <= 1e-15)
+    # the whole rule's weights, doubled at t > 0; an odd rule's middle
+    # node t = 0 comes last and keeps its own weight
+    nodes, weights = zonal_rule(D, G)
+    assert grid.weights.sum() == pytest.approx(weights.sum(), rel=1e-15)
+    if G % 2:
+        assert grid.t[-1] == 0.0 and grid.weights[-1] == weights[G // 2]
+    # twice the whole grid's faces, up to the last before the equator,
+    # where an even density carries no flux
+    full = make_full_grid(D, G)
+    assert grid.faces.size == grid.G - 1
+    assert np.array_equal(grid.faces, 2.0 * full.faces[:grid.G - 1])
+    if G == 128:
+        # the nodes and weights of the solver's folded density pass
+        for N in (1, 16, 63):
+            rule_weights, table, _ = _mode_tables(D, N)
+            assert np.array_equal(grid.weights[::-1], rule_weights)
+            assert np.array_equal(
+                legendre_table(D, 2 * N, grid.t[::-1])[2::2], table)
 
 
 def test_step_leaves_out_the_underflowing_surface_area():
@@ -348,3 +378,64 @@ def test_energy_of_uniform_matches_closed_form():
     expected = math.log(1.0 / sigma) + 0.5 * lam * SPEC3.k0
     assert grid_energy(f, SPEC3, lam, grid) == pytest.approx(expected,
                                                              rel=1e-10)
+
+
+def _oracle_run(D):
+    """The README run at D = 3 (n_max 12, lambda = 11.3); above, n_max 6
+    and a transient to the nematic state at 1.5 lambda_1 for D <= 10, a
+    relaxation at lambda = 5 beyond."""
+    spec = build_kernel_spec(D, 12 if D == 3 else 6, "onsager-recurrence")
+    lam = (11.3 if D == 3 else 1.5 * critical_values(spec)[0] if D <= 10
+           else 5.0)
+    return spec, lam
+
+
+def _close(got, want):
+    # 1e-11 relative, 1e-14 absolute where the value is below 1e-3
+    return abs(got - want) <= (1e-11 * abs(want) if abs(want) >= 1e-3
+                               else 1e-14)
+
+
+@pytest.mark.parametrize("D, G", [(3, 128)] + [
+    (D, G) for D in (4, 5, 10, 100, 343) for G in (32, 33, 128)])
+def test_folded_evolve_matches_the_full_grid(D, G):
+    # the same steps and times, every step recorded, and the same values
+    # to rounding.  The folded rows are the whole grid's for an even
+    # density, so only rounding differs; a transient that leaves the
+    # isotropic state slowly amplifies it (at 1.1 lambda_1, D = 10 on 128
+    # points, a_1 differs by 4.7e-11 relative mid-transient), 1.5 lambda_1
+    # much less
+    spec, lam = _oracle_run(D)
+    grid, full = make_grid(D, G), make_full_grid(D, G)
+    dt = DT_PER_H2 * grid.h ** 2
+    traj = evolve(1.0 + 0.01 * legendre_table(D, 2, grid.t)[2], spec, lam,
+                  dt, 50.0, grid)
+    times, densities, energies, settled = full_evolve(
+        1.0 + 0.01 * legendre_table(D, 2, full.t)[2], spec, lam, dt, 50.0,
+        full)
+    assert traj.times == times
+    assert traj.terminated_early == settled
+    for f, f_full, energy, energy_full in zip(traj.densities, densities,
+                                              traj.energies, energies):
+        assert abs(grid_mass(f, grid) - grid_mass(f_full, full)) <= 1e-13
+        assert _close(energy, energy_full)
+        assert _close(grid_moments(f, grid, 1)[0],
+                      grid_moments(f_full, full, 1)[0])
+
+
+@pytest.mark.parametrize("G", [32, 33, 128])
+def test_even_start_stays_even_on_the_full_grid(G):
+    # the fold's premise: on the whole rule an even density stays even,
+    # f(theta) = f(pi - theta), to rounding: the one-way Thomas sweep
+    # adds at most about 3e-15 of max f a step, and the slow exchange
+    # between the poles of the nematic state hardly damps it
+    grid = make_full_grid(3, G)
+    rng = np.random.default_rng(G)
+    ripple = rng.uniform(-1.0, 1.0, G)
+    for f in (1.0 + 0.01 * legendre_table(3, 2, grid.t)[2],
+              1.0 + 0.3 * (ripple + ripple[::-1]) / 2):
+        f = f / grid_mass(f, grid)
+        for k in range(1, 201):
+            f = full_step(f, SPEC3, 1.3 * LAM1, DT_PER_H2 * grid.h ** 2,
+                          grid)
+            assert np.max(np.abs(f - f[::-1])) <= 1e-14 * k * np.max(f)
