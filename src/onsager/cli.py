@@ -18,8 +18,7 @@ bifurcation and dynamics modules are imported by the commands that run
 them, so each command loads only what it needs.  The kernel table and
 the thresholds need no numpy: `thresholds` and `coeffs --method
 recurrence` run on the standard library, and numpy loads with the
-first module that computes on arrays.  `evolve --help` reads its
-default step from the dynamics module.
+first module that computes on arrays.
 
 A process enters through `run`, both as the `onsager` console script and
 as `python -m onsager.cli`: it calls `main`, then freezes the garbage
@@ -155,8 +154,9 @@ _FLAGS = {
                         help="comma-separated mode counts"),
     "grid": dict(type=int, default=128),
     "t-max": dict(type=float, default=50.0),
+    # polybasis.DT_PER_H2 spelled out, so that --help imports no numpy
     "dt": dict(type=float, default=None,
-               help="default: {DT_PER_H2:g} h^2 (no step limit)"),
+               help="default: 32 h^2 (no step limit)"),
     "perturb": dict(type=float, default=0.01),
     "record-every": dict(type=int, default=100),
     "output": dict(default=None, help="output file; stdout when omitted"),
@@ -206,11 +206,7 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser(command: str) -> argparse.ArgumentParser:
     p = _Parser(prog=f"onsager {command}", allow_abbrev=False)
     for name in _COMMAND_FLAGS[command]:
-        flag = _FLAGS[name]
-        if name == "dt":  # the default step is the dynamics module's
-            from .dynamics import DT_PER_H2
-            flag = dict(flag, help=flag["help"].format(DT_PER_H2=DT_PER_H2))
-        p.add_argument("--" + name, **flag)
+        p.add_argument("--" + name, **_FLAGS[name])
     return p
 
 
@@ -247,7 +243,7 @@ def _positive(value) -> bool:
 def _validate(cfg: dict):
     """Range checks of the parsed flags `cfg` (dest -> value) that their
     types cannot express."""
-    from .polybasis import MAX_DIM
+    from .polybasis import MAX_DIM, MIN_POINTS
 
     def fail(name, rule):
         raise ValidationError(
@@ -266,10 +262,8 @@ def _validate(cfg: dict):
         raise ValidationError(
             f"--perturb {cfg['perturb']} makes the start density "
             f"1 + perturb P_2 negative (min P_2 = -1/{cfg['dim'] - 1})")
-    if "grid" in cfg:
-        from .dynamics import MIN_POINTS
-        if cfg["grid"] < MIN_POINTS:
-            fail("grid", f">= {MIN_POINTS}")
+    if "grid" in cfg and cfg["grid"] < MIN_POINTS:
+        fail("grid", f">= {MIN_POINTS}")
     if "lambda_max" in cfg and cfg["lambda_max"] < cfg["lambda_min"]:
         raise ValidationError("--lambda-max must be >= --lambda-min")
     if cfg.get("steps") == 1 and cfg["lambda_max"] != cfg["lambda_min"]:
@@ -402,9 +396,9 @@ def _run_evolve(cfg, spec):
     import numpy as np
 
     from . import dynamics
-    from .polybasis import legendre_table
+    from .polybasis import DT_PER_H2, legendre_table
     grid = dynamics.make_grid(cfg["dim"], cfg["grid"])
-    dt = cfg["dt"] or dynamics.DT_PER_H2 * grid.h ** 2
+    dt = cfg["dt"] or DT_PER_H2 * grid.h ** 2
     # P_2 at the grid's own nodes t, where the moment table is taken
     shape = 1.0 + cfg["perturb"] * legendre_table(cfg["dim"], 2, grid.t)[2]
     if np.any(shape < 0.0):  # rounding at --perturb D - 1 and t = 0

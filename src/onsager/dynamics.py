@@ -3,18 +3,24 @@ df/dt = (1/sin^(D-2)) d/dtheta [ sin^(D-2) (df/dtheta + f dU/dtheta) ],
 used as a stability oracle and an energy-dissipation check for the
 self-consistency solver.  Densities are even in t = cos theta, like every
 solver state, so the grid keeps the zonal Gauss rule's nodes t >= 0 only,
-folded as the solver's density pass folds it; the equator is a zero-flux
-face."""
+folded as the solver's density pass folds it, and reads the solver's one
+mode table (`polybasis._mode_tables`); the equator is a zero-flux face."""
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import DivergenceError
 from .kernel import KernelSpec
-from .polybasis import _folded_rule, legendre_table, surface_area
+# DT_PER_H2 is for the callers: `from onsager.dynamics import DT_PER_H2`
+from .polybasis import (
+    DT_PER_H2,
+    MIN_POINTS,
+    _folded_rule,
+    _mode_tables,
+    surface_area,
+)
 
 __all__ = [
     "ThetaGrid",
@@ -28,37 +34,29 @@ __all__ = [
     "evolve",
 ]
 
-# fewest nodes of the rule behind a grid (`make_grid`'s G, `--grid`);
-# the grid keeps (G + 1) // 2 of them
-MIN_POINTS = 32
-# default step DT_PER_H2 h^2, set by measurement: the README run settles
-# within 7e-13 of the h^2/8 limit, every energy rise below 1e-15 relative
-DT_PER_H2 = 32.0
-
 
 @dataclass(frozen=True, eq=False)
 class ThetaGrid:
     """Cells on (0, pi/2] for densities even in t = cos theta, each
-    standing for itself and its mirror image theta -> pi - theta: the
-    nodes t >= 0 of an R-point zonal Gauss rule, pole first, with positive
-    cell volumes and zero-flux faces at the pole and at the equator,
-    across which an even density carries no flux.  t are the rule's nodes
-    themselves, points theta_i = arccos t_i ascending (cos theta_i need
-    not round back to t_i); weights are the rule's weights w_i doubled at
-    t > 0 (an odd rule's middle node t = 0, the last, keeps its own), the
-    cell volumes over sigma_(D-1); faces are 2 sin^(D-2), doubled like the
-    weights, at the interior faces, the midpoints of consecutive nodes,
-    over the node gaps.  h = pi/(R+1) is the nominal node spacing of the
-    rule, which sizes the default step.  G counts the grid's nodes,
-    (R + 1) // 2, not the rule's.  Grids compare by identity, so the mode
-    tables are cached per grid."""
+    standing for itself and its mirror image theta -> pi - theta.  t and
+    weights are `polybasis._folded_rule(D, order)`: the nodes t >= 0 of
+    the zonal Gauss rule of that order, ascending (the equator first, the
+    pole last), and its weights doubled at t > 0 (an odd rule's node
+    t = 0 keeps its own), the cell volumes over sigma_(D-1), positive at
+    every D.  points are theta_i = arccos t_i, descending (cos theta_i
+    need not round back to t_i); faces are 2 sin^(D-2) at the midpoints
+    of consecutive nodes over the node gaps, and the equator and the
+    pole are zero-flux faces.  The mode table at the nodes is the
+    solver's, `polybasis._mode_tables(D, N, order)`.  h = pi/(order + 1)
+    is the rule's nominal node spacing, which sizes the default step; G
+    counts the grid's nodes, (order + 1) // 2."""
 
     D: int
+    order: int
     points: np.ndarray
     t: np.ndarray
     weights: np.ndarray
     faces: np.ndarray
-    h: float
 
     def __post_init__(self):
         for array in (self.points, self.t, self.weights, self.faces):
@@ -68,39 +66,26 @@ class ThetaGrid:
     def G(self) -> int:
         return self.points.size
 
+    @property
+    def h(self) -> float:
+        return math.pi / (self.order + 1)
+
 
 def make_grid(D: int, G: int) -> ThetaGrid:
     """The G-point zonal Gauss rule zonal_rule(D, G) folded onto its
     nodes t >= 0 (`polybasis._folded_rule`, as in the solver's density
-    pass): (G + 1) // 2 nodes theta_i = arccos t_i in ascending order,
-    the equator last, with cell volumes positive at every D.  On even
+    pass): (G + 1) // 2 nodes theta_i = arccos t_i, t ascending, so the
+    equator first, with cell volumes positive at every D.  On even
     densities it is exact as the whole rule is, for polynomials in
     cos theta of degree <= 2G - 1.  h = pi/(G+1)."""
-    if D < 3:
-        raise ValueError(f"dimension must be >= 3, got {D}")
     if G < MIN_POINTS:
         raise ValueError(f"grid needs at least {MIN_POINTS} points, got {G}")
-    nodes, weights = _folded_rule(D, G)
-    # pole first; the weights contiguous, so that table @ w and
-    # table @ (w f) sum in one order and a uniform density's moments
-    # cancel exactly
-    t, weights = nodes[::-1], np.ascontiguousarray(weights[::-1])
+    t, weights = _folded_rule(D, G)
     theta = np.arccos(t)
     mid = 0.5 * (theta[1:] + theta[:-1])
-    faces = 2.0 * (np.sin(mid) ** (D - 2) / np.diff(theta))
-    return ThetaGrid(D=D, points=theta, t=t, weights=weights, faces=faces,
-                     h=math.pi / (G + 1))
-
-
-@lru_cache(maxsize=64)
-def _moment_tables(grid: ThetaGrid, n_modes: int):
-    """Mode values P_2n at the grid nodes and the moments of the
-    discretely uniform density in the Gauss weights."""
-    table = legendre_table(grid.D, 2 * n_modes, grid.t)[2::2]
-    # moments of the uniform density in the same weights; subtracting
-    # them in grid_moments makes the uniform density exactly mean-free
-    base = (table @ grid.weights) / grid.weights.sum()
-    return table, base
+    faces = 2.0 * (np.sin(mid) ** (D - 2) / (theta[:-1] - theta[1:]))
+    return ThetaGrid(D=D, order=G, points=theta, t=t, weights=weights,
+                     faces=faces)
 
 
 def grid_mass(f: np.ndarray, grid: ThetaGrid) -> float:
@@ -114,18 +99,22 @@ def grid_mass(f: np.ndarray, grid: ThetaGrid) -> float:
 def grid_moments(f: np.ndarray, grid: ThetaGrid, n_modes: int) -> np.ndarray:
     """Zonal moments a_n = int f P_{2n} dsigma, n = 1..n_modes.
 
-    Computed in the cell volumes, normalized by the mass in the same
-    volumes and with the uniform-density moments subtracted, so a
-    constant density has exactly zero moments."""
-    table, base = _moment_tables(grid, n_modes)
-    return (table @ (grid.weights * f)) / float(grid.weights @ f) - base
+    Computed as the solver computes them (`polybasis._mode_tables`):
+    the density's cell masses w f normalized by their sum, less the
+    moments of the isotropic density in the same weights.  A constant
+    density that is a power of two has moments of exactly 0, any other
+    constant 0 to rounding."""
+    weights, table, base = _mode_tables(grid.D, n_modes, grid.order)
+    wf = weights * f
+    return table @ (wf / wf.sum()) - base
 
 
 def potential_on_grid(f: np.ndarray, spec: KernelSpec, lam: float,
                       grid: ThetaGrid) -> np.ndarray:
     """Mean-field potential lam (k0 - sum_n k_n a_n P_{2n}) from the
     density's own zonal moments."""
-    return _Flow(spec, lam, grid).potential(f, float(grid.weights @ f))
+    wf = grid.weights * f
+    return _Flow(spec, lam, grid).potential(wf, wf.sum())
 
 
 def grid_energy(f: np.ndarray, spec: KernelSpec, lam: float,
@@ -139,39 +128,42 @@ def grid_energy(f: np.ndarray, spec: KernelSpec, lam: float,
 
 class _Flow:
     """The semi-implicit step at one (spec, lam, grid), with what no step
-    changes read once: the mode table and the uniform moments, the kernel
-    coefficients as an array, the cell volumes and the faces.  `step` and
-    `evolve` both run its `advance`."""
+    changes read once: the grid's mode table and isotropic moments, the
+    kernel coefficients as an array, the cell volumes and the faces.
+    `step` and `evolve` both run its `advance`."""
 
     def __init__(self, spec: KernelSpec, lam: float, grid: ThetaGrid):
         if grid.D != spec.D:
             raise ValueError("grid and kernel dimension mismatch")
         self.lam, self.k0 = lam, spec.k0
         self.coeffs = np.array(spec.coeffs)
-        self.table, self.base = _moment_tables(grid, spec.n_max)
-        self.weights, self.faces = grid.weights, grid.faces
+        self.weights, self.table, self.base = _mode_tables(
+            grid.D, spec.n_max, grid.order)
+        self.faces = grid.faces
 
-    def potential(self, f: np.ndarray, mass: float) -> np.ndarray:
-        """The potential of f, whose mass in the weights is `mass`."""
-        a = (self.table @ (self.weights * f)) / mass - self.base
+    def potential(self, wf: np.ndarray, mass) -> np.ndarray:
+        """The potential of the density f whose cell masses w f are wf,
+        of sum `mass`, from its moments as `grid_moments` takes them."""
+        a = self.table @ (wf / mass) - self.base
         return self.lam * (self.k0 - (self.coeffs * a) @ self.table)
 
     def advance(self, f: np.ndarray, dt: float) -> np.ndarray:
         """`step`, for a float array f and a valid dt, inside an
         np.errstate that ignores every floating-point error."""
         weights = self.weights
-        mass = float(weights @ f)
-        potential = self.potential(f, mass)
+        wf = weights * f
+        mass = wf.sum()
+        potential = self.potential(wf, mass)
         boltzmann = np.exp(-(potential - potential.min()))
         cond = dt * self.faces * np.sqrt(boltzmann[1:] * boltzmann[:-1])
         diag = weights * boltzmann
         diag[1:] += cond
         diag[:-1] += cond
-        # Thomas sweep, off-diagonal -cond: every pivot is at least
-        # w_i b_i > 0, which underflows only with b, so a pivot that is
-        # not positive and finite stops it
+        # Thomas sweep from the equator, off-diagonal -cond: every pivot
+        # is at least w_i b_i > 0, which underflows only with b, so a
+        # pivot that is not positive and finite stops it
         pivots = diag.tolist()
-        phi = (weights * f).tolist()
+        phi = wf.tolist()
         off = cond.tolist()
         inf = math.inf
         p, r = pivots[0], phi[0]

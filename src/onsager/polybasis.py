@@ -1,6 +1,8 @@
 """Zonal polynomial basis on S^(D-1): Gegenbauer/Legendre evaluation,
 harmonic dimension counts, sphere areas and quadrature against the zonal
-surface measure.
+surface measure, with the rule folded onto t >= 0 and its table of the
+even modes (`_mode_tables`), the one that the solver's density pass and
+the dynamics grid both read.
 
 The counts and areas are standard-library arithmetic; the polynomial
 tables and Gauss rules are arrays and import numpy where they run, so
@@ -44,6 +46,13 @@ def harmonic_count(D: int, n: int) -> int:
 # The largest D whose Gamma(D/2), and so surface_area(D), is a finite
 # double: math.gamma overflows from D = 344 on.
 MAX_DIM = 343
+# fewest nodes of the rule behind a dynamics grid (`dynamics.make_grid`'s
+# G, `--grid`); the grid keeps (G + 1) // 2 of them
+MIN_POINTS = 32
+# default dynamics step DT_PER_H2 h^2, set by measurement: the README run
+# settles within 7e-13 of the h^2/8 limit, every energy rise below 1e-15
+# relative
+DT_PER_H2 = 32.0
 
 
 def surface_area(D: int) -> float:
@@ -178,12 +187,36 @@ def zonal_rule(D: int, order: int):
     return nodes, weights
 
 
+@lru_cache(maxsize=64)
 def _folded_rule(D: int, order: int):
     """`zonal_rule(D, order)` folded onto its nodes t >= 0, which
     integrates every even function as the whole rule does: those nodes in
     ascending order and their weights, doubled at t > 0 (an odd rule's
-    middle node is exactly 0 and keeps its own)."""
+    middle node is exactly 0 and keeps its own).  Cached: the arrays are
+    shared and read-only."""
     import numpy as np
     nodes, weights = zonal_rule(D, order)
     half = nodes >= 0.0
-    return nodes[half], np.where(nodes > 0.0, 2.0 * weights, weights)[half]
+    folded = nodes[half], np.where(nodes > 0.0, 2.0 * weights, weights)[half]
+    for array in folded:
+        array.setflags(write=False)
+    return folded
+
+
+@lru_cache(maxsize=64)
+def _mode_tables(D: int, N: int, order: int):
+    """The one table of the even zonal modes, for the solver's density
+    pass and the dynamics grid alike: the weights of the rule folded onto
+    t >= 0 (`_folded_rule`, nodes ascending), P_2n at its nodes for
+    n = 1..N as one C-contiguous array, and the rule's moments of the
+    isotropic density, table @ (w / w.sum()).  A density's moments are
+    table @ (w f / sum(w f)) less these, so a constant f that is a power
+    of two gives exactly 0 (w f / sum(w f) is then bitwise w / w.sum())
+    and any other constant 0 to rounding.  Cached, so read-only."""
+    import numpy as np
+    nodes, weights = _folded_rule(D, order)
+    table = np.ascontiguousarray(legendre_table(D, 2 * N, nodes)[2::2])
+    base = table @ (weights / weights.sum())
+    for array in (table, base):
+        array.setflags(write=False)
+    return weights, table, base

@@ -6,13 +6,12 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import SingularLinearizationError
 from .kernel import KernelSpec
-from .polybasis import _folded_rule, legendre_table
+from .polybasis import _mode_tables, legendre_table
 
 __all__ = [
     "AxisymState",
@@ -32,7 +31,8 @@ __all__ = [
 # = (3, 15), (5, 40) and (10, 80), sup |u| up to 62, match adaptive
 # quadrature to 6.2e-13 (64 nodes miss by 1.2e-5 at D = 10).  From
 # N = 64 a pass takes 2N + 1, so the degree-4N Jacobian terms are exact.
-# Each pass runs on the rule folded onto t >= 0 (_mode_tables).
+# Each pass runs on the rule folded onto t >= 0, through the table
+# `polybasis._mode_tables` that the dynamics grid reads too.
 _ORDER = 128
 
 
@@ -80,19 +80,6 @@ class SolutionReport:
     index: int | None = None
 
 
-@lru_cache(maxsize=64)
-def _mode_tables(D: int, N: int):
-    """The weights of the rule folded onto t >= 0 (`_folded_rule`),
-    P_{2n} at its nodes for n = 1..N as one C-contiguous array, and the
-    rule's moments of the isotropic density; cached, so read-only."""
-    nodes, weights = _folded_rule(D, max(_ORDER, 2 * N + 1))
-    table = np.ascontiguousarray(legendre_table(D, 2 * N, nodes)[2::2])
-    tables = weights, table, table @ (weights / weights.sum())
-    for array in tables:
-        array.setflags(write=False)
-    return tables
-
-
 def state_norm(coeffs):
     """Coefficient l1 norm sum_n |u_n| of a vector (a float), or of each
     row of a stack (..., N).  Every solver tolerance is taken in it: it
@@ -102,21 +89,11 @@ def state_norm(coeffs):
         return np.abs(np.asarray(coeffs, dtype=float)).sum(axis=-1)
 
 
-@lru_cache(maxsize=16)
-def _sup_table(D: int, N: int) -> np.ndarray:
-    """P_{2n}(D, t) for n = 1..N at t = cos theta, theta at 2048 evenly
-    spaced points of [0, pi] (endpoints included), as one contiguous
-    read-only array."""
-    t = np.cos(np.linspace(0.0, math.pi, 2048))
-    table = np.ascontiguousarray(legendre_table(D, 2 * N, t)[2::2])
-    table.setflags(write=False)
-    return table
-
-
 def state_sup_norm(state: AxisymState) -> float:
-    """Sup of |u(theta)| by dense sampling in t = cos theta (endpoints
-    included; u(+-1) = sum u_n exactly)."""
-    table = _sup_table(state.D, state.N)
+    """Sup of |u(theta)| by dense sampling: 2048 evenly spaced theta of
+    [0, pi], endpoints included (u(+-1) = sum u_n exactly)."""
+    t = np.cos(np.linspace(0.0, math.pi, 2048))
+    table = np.ascontiguousarray(legendre_table(state.D, 2 * state.N, t)[2::2])
     return float(np.max(np.abs(state.coeffs @ table)))
 
 
@@ -127,7 +104,8 @@ def _density_weights(D: int, coeffs: np.ndarray):
     states (S, N); a u that overflows gives NaN, silently.  A stack is
     multiplied one matrix-vector product per state, so each row is
     bitwise what that state alone gives."""
-    weights, table, base = _mode_tables(D, coeffs.shape[-1])
+    N = coeffs.shape[-1]
+    weights, table, base = _mode_tables(D, N, max(_ORDER, 2 * N + 1))
     with np.errstate(over="ignore", invalid="ignore"):
         u = (coeffs[..., None, :] @ table)[..., 0, :]
         e = np.exp(-(u - u.min(axis=-1, keepdims=True)))

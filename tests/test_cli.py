@@ -19,7 +19,7 @@ from onsager import cli, dynamics, kernel, solver
 from onsager.bifurcation import degree_audit
 from onsager.dynamics import evolve
 from onsager.errors import InconclusiveAuditError, ValidationError
-from onsager.polybasis import zonal_rule
+from onsager.polybasis import DT_PER_H2, _folded_rule, _mode_tables, zonal_rule
 
 
 def _read_csv(path):
@@ -329,7 +329,7 @@ def test_readme_commands_hand_lapack_no_matrix_above_n(monkeypatch, capsys,
     for name in LAPACK:
         monkeypatch.setattr(np.linalg, name,
                             recording(getattr(np.linalg, name)))
-    for cache in (zonal_rule, solver._mode_tables, dynamics._moment_tables):
+    for cache in (zonal_rule, _folded_rule, _mode_tables):
         cache.cache_clear()
     assert cli.main(argv.split()) == 0
     capsys.readouterr()
@@ -879,6 +879,12 @@ def test_cli_import_loads_no_numpy_or_scipy():
     assert out == "[]\n"
 
 
+def test_dt_help_names_the_default_step():
+    # `evolve --help` imports no package module, so the help spells out
+    # the step that polybasis defines
+    assert cli._FLAGS["dt"]["help"].startswith(f"default: {DT_PER_H2:g} h^2")
+
+
 _FRONT = ["cli", "errors"]
 _BASE = _FRONT + ["kernel", "polybasis"]
 
@@ -889,7 +895,9 @@ _BASE = _FRONT + ["kernel", "polybasis"]
     (["frob"], 64, _FRONT, False),
     (["sweep", "--bogus"], 2, _FRONT, False),
     (["coeffs", "--config", "missing.json"], 2, _FRONT, False),
-    (["evolve", "--help"], 0, _BASE + ["dynamics"], True),
+    (["evolve", "--help"], 0, _FRONT, False),
+    (["evolve", "--lambda", "5", "--grid", "31"], 2, _BASE, False),
+    (["evolve", "--lambda", "5", "--perturb", "3"], 2, _BASE, False),
     (["coeffs", "--nmax", "3"], 0, _BASE, True),
     (["coeffs", "--nmax", "3", "--method", "recurrence"], 0, _BASE, False),
     (["thresholds", "--nmax", "3"], 0, _BASE + ["bifurcation"], False),
@@ -901,13 +909,15 @@ _BASE = _FRONT + ["kernel", "polybasis"]
     (["evolve", "--lambda", "5", "--grid", "32", "--t-max", "0.01",
       "--nmax", "3"], 0, _BASE + ["dynamics"], True),
 ], ids=["help", "sweep-help", "unknown-command", "unknown-flag",
-        "missing-config", "evolve-help", "coeffs", "coeffs-recurrence",
+        "missing-config", "evolve-help", "evolve-grid-31", "evolve-perturb-3",
+        "coeffs", "coeffs-recurrence",
         "thresholds", "solve", "sweep", "audit-degree", "evolve"])
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, code,
                                                      loaded, numpy):
-    # usage, help and flag errors load the standard library and the cli
-    # alone, and `evolve --help` reads its default step from the dynamics
-    # module.  The closed-form kernel table and the thresholds are
+    # usage, help and parse errors load the standard library and the cli
+    # alone; a flag that parses but fails its range check (`--grid 31`,
+    # `--perturb 3`) loads the kernel and polybasis, no numpy.  The
+    # closed-form kernel table and the thresholds are
     # standard-library arithmetic, so `thresholds` and `coeffs --method
     # recurrence` load no numpy; numpy loads once a command computes on
     # arrays.  The package and cli import the solver, bifurcation and

@@ -8,7 +8,13 @@ from explicit_oracle import (
     explicit_step,
     step_limit,
 )
-from full_grid_oracle import full_evolve, full_step, make_full_grid
+from full_grid_oracle import (
+    full_evolve,
+    full_mass,
+    full_moments,
+    full_step,
+    make_full_grid,
+)
 from pointwise_oracle import density_on_grid
 
 from onsager.bifurcation import critical_values
@@ -24,10 +30,15 @@ from onsager.dynamics import (
 )
 from onsager.errors import DivergenceError
 from onsager.kernel import build_kernel_spec
-from onsager.polybasis import legendre_table, surface_area, zonal_rule
+from onsager.polybasis import (
+    _folded_rule,
+    _mode_tables,
+    legendre_table,
+    surface_area,
+    zonal_rule,
+)
 from onsager.solver import (
     AxisymState,
-    _mode_tables,
     residual,
     solve,
     zonal_moments,
@@ -44,27 +55,33 @@ def _bump(grid, amp=0.1):
 
 
 def test_make_grid_structure():
-    # the 64-point rule folded onto its 32 nodes t > 0, pole first
+    # the 64-point rule folded onto its 32 nodes t > 0, in the rule's
+    # ascending order of t: the equator first, the pole last
     grid = make_grid(3, 64)
-    assert grid.G == 32
+    assert grid.G == 32 and grid.order == 64
     assert grid.h == pytest.approx(math.pi / 65, rel=1e-15)
-    assert np.all(np.diff(grid.points) > 0)
-    assert 0.0 < grid.points[0] and grid.points[-1] < math.pi / 2
+    assert np.all(np.diff(grid.points) < 0)
+    assert grid.points[0] < math.pi / 2 and 0.0 < grid.points[-1]
     with pytest.raises(ValueError):
         grid.points[0] = 0.0
     # the grid carries the rule's nodes themselves, which cos(points)
-    # reproduces only to rounding, and their weights doubled; the mode
-    # tables are taken at them
+    # reproduces only to rounding, and their weights doubled: the arrays
+    # of the folded rule that the mode table is taken on
     nodes, weights = zonal_rule(3, 64)
-    assert np.array_equal(grid.t, nodes[:31:-1])
-    assert np.array_equal(grid.weights, 2.0 * weights[:31:-1])
+    assert np.array_equal(grid.t, nodes[32:])
+    assert np.array_equal(grid.weights, 2.0 * weights[32:])
+    assert grid.t is _folded_rule(3, 64)[0]
+    assert grid.weights is _mode_tables(3, 2, 64)[0]
     assert np.allclose(np.cos(grid.points), grid.t, rtol=0, atol=1e-15)
     assert not grid.t.flags.writeable
+    # the solver's moments: the cell masses w f over their sum, less the
+    # isotropic moments in the same weights
     f = _bump(grid)
     table = legendre_table(3, 4, grid.t)[2::2]
-    moments = (table @ (grid.weights * f)) / (grid.weights @ f)
-    base = (table @ grid.weights) / grid.weights.sum()
-    assert np.array_equal(grid_moments(f, grid, 2), moments - base)
+    wf = grid.weights * f
+    base = table @ (grid.weights / grid.weights.sum())
+    assert np.array_equal(grid_moments(f, grid, 2),
+                          table @ (wf / wf.sum()) - base)
 
 
 def test_make_grid_validation():
@@ -81,10 +98,15 @@ def test_uniform_density_is_bitwise_stationary():
     assert np.array_equal(out, f)
 
 
-def test_uniform_density_has_exactly_zero_moments():
-    grid = make_grid(3, 96)
-    f = np.full(grid.G, 0.25)
-    assert np.all(grid_moments(f, grid, 6) == 0.0)
+@pytest.mark.parametrize("f", [1.0, 0.25, 2.0 ** -7])
+@pytest.mark.parametrize("G", [32, 44, 87, 96, 128, 299])
+@pytest.mark.parametrize("D", [3, 4, 5, 10, 20, 100, 343])
+def test_uniform_density_has_exactly_zero_moments(D, G, f):
+    # w f / sum(w f) is bitwise w / sum(w) for a power-of-two f, so the
+    # density's moments and the isotropic ones are one product; with
+    # two formulas (44 and 87 points at D = 3) they missed 0 by 1e-32
+    grid = make_grid(D, G)
+    assert np.all(grid_moments(np.full(grid.G, f), grid, 6) == 0.0)
 
 
 @pytest.mark.parametrize("D", [3, 20, 50, 100, 343])
@@ -98,25 +120,22 @@ def test_cell_volumes_are_positive_at_every_dimension(D, G):
     volumes = [grid_mass(cell, grid) for cell in np.eye(grid.G)]
     assert min(volumes) > 0.0
     assert math.fsum(volumes) == pytest.approx(surface_area(D), rel=1e-13)
-    assert np.all(np.abs(grid_moments(np.ones(grid.G), grid, 6)) <= 1e-15)
+    assert np.all(grid_moments(np.ones(grid.G), grid, 6) == 0.0)
     # the whole rule's weights, doubled at t > 0; an odd rule's middle
-    # node t = 0 comes last and keeps its own weight
+    # node t = 0 comes first and keeps its own weight
     nodes, weights = zonal_rule(D, G)
     assert grid.weights.sum() == pytest.approx(weights.sum(), rel=1e-15)
     if G % 2:
-        assert grid.t[-1] == 0.0 and grid.weights[-1] == weights[G // 2]
-    # twice the whole grid's faces, up to the last before the equator,
-    # where an even density carries no flux
+        assert grid.t[0] == 0.0 and grid.weights[0] == weights[G // 2]
+    # twice the whole grid's faces from the pole to the last before the
+    # equator, where an even density carries no flux, in the folded
+    # order.  To rounding only: numpy's arccos may round the last bit of
+    # a contiguous array's values otherwise than a reversed view's, and
+    # a face magnifies that by theta over its node gap (about 60 at 128)
     full = make_full_grid(D, G)
     assert grid.faces.size == grid.G - 1
-    assert np.array_equal(grid.faces, 2.0 * full.faces[:grid.G - 1])
-    if G == 128:
-        # the nodes and weights of the solver's folded density pass
-        for N in (1, 16, 63):
-            rule_weights, table, _ = _mode_tables(D, N)
-            assert np.array_equal(grid.weights[::-1], rule_weights)
-            assert np.array_equal(
-                legendre_table(D, 2 * N, grid.t[::-1])[2::2], table)
+    np.testing.assert_allclose(grid.faces, 2.0 * full.faces[grid.G - 2::-1],
+                               rtol=1e-13, atol=0.0)
 
 
 def test_step_leaves_out_the_underflowing_surface_area():
@@ -417,10 +436,10 @@ def test_folded_evolve_matches_the_full_grid(D, G):
     assert traj.terminated_early == settled
     for f, f_full, energy, energy_full in zip(traj.densities, densities,
                                               traj.energies, energies):
-        assert abs(grid_mass(f, grid) - grid_mass(f_full, full)) <= 1e-13
+        assert abs(grid_mass(f, grid) - full_mass(f_full, full)) <= 1e-13
         assert _close(energy, energy_full)
         assert _close(grid_moments(f, grid, 1)[0],
-                      grid_moments(f_full, full, 1)[0])
+                      full_moments(f_full, full, 1)[0])
 
 
 @pytest.mark.parametrize("G", [32, 33, 128])
@@ -434,7 +453,7 @@ def test_even_start_stays_even_on_the_full_grid(G):
     ripple = rng.uniform(-1.0, 1.0, G)
     for f in (1.0 + 0.01 * legendre_table(3, 2, grid.t)[2],
               1.0 + 0.3 * (ripple + ripple[::-1]) / 2):
-        f = f / grid_mass(f, grid)
+        f = f / full_mass(f, grid)
         for k in range(1, 201):
             f = full_step(f, SPEC3, 1.3 * LAM1, DT_PER_H2 * grid.h ** 2,
                           grid)

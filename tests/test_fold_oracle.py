@@ -1,5 +1,5 @@
-"""The density pass on the folded rule (`solver._mode_tables`: the nodes
-t >= 0, weights doubled at t > 0) against the pass on the whole rule it
+"""The density pass on the folded rule (`polybasis._mode_tables`: the
+nodes t >= 0, weights doubled at t > 0) against the pass on the whole rule it
 replaced, kept here as the oracle.  Every integrand of a pass is even in
 t, so the two agree to rounding: the moments a and the covariance to
 1e-14 absolute, the residual and the Jacobian to 1e-14 max(1, lam k_1).
@@ -10,7 +10,7 @@ import pytest
 
 from onsager import solver
 from onsager.kernel import build_kernel_spec
-from onsager.polybasis import legendre_table, zonal_rule
+from onsager.polybasis import _mode_tables, legendre_table, zonal_rule
 from onsager.solver import (
     AxisymState,
     _density_weights,
@@ -41,12 +41,10 @@ def full_rule_pass(spec, lam, coeffs):
 
 @pytest.fixture(params=[128, 127], ids=["order-128", "order-127"])
 def order(request, monkeypatch):
-    """solver._ORDER set to the parameter, with the folded tables rebuilt
-    for it and again for the next test."""
+    """solver._ORDER set to the parameter; the folded tables are cached
+    by their order, so each order has its own."""
     monkeypatch.setattr(solver, "_ORDER", request.param)
-    solver._mode_tables.cache_clear()
-    yield request.param
-    solver._mode_tables.cache_clear()
+    return request.param
 
 
 def _cases(D, N):
@@ -90,7 +88,7 @@ def test_folded_pass_matches_full_rule_at_strong_alignment(order):
 
 
 def test_folded_rule_halves_the_nodes(order):
-    weights, table, _ = solver._mode_tables(3, 4)
+    weights, table, _ = _mode_tables(3, 4, order)
     nodes, full = zonal_rule(3, order)
     assert weights.size == table.shape[1] == (order + 1) // 2
     assert table.flags.c_contiguous
